@@ -54,23 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"toricfree {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json"], default="json",
-                       help="output format (json only)")
-
     p_smooth = sub.add_parser("smooth", help="decide smoothness for a cone or fan file")
     p_smooth.add_argument("file")
-    add_format(p_smooth)
 
     p_free = sub.add_parser("locally-free",
                             help="decide tangent-sheaf local freeness for a cone or fan file")
     p_free.add_argument("file")
-    add_format(p_free)
 
     p_verify = sub.add_parser("verify",
                               help="run both deciders and check they agree")
     p_verify.add_argument("file")
-    add_format(p_verify)
 
     p_sweep = sub.add_parser("sweep", help="random-corpus agreement sweep")
     p_sweep.add_argument("--rank", type=int, required=True)
@@ -80,14 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--min-gens", type=int, default=1)
     p_sweep.add_argument("--max-gens", type=int, default=None,
                          help="defaults to rank + 2")
-    add_format(p_sweep)
 
     p_sections = sub.add_parser(
         "sections", help="graded tangent-section dimension at a ray and weight")
     p_sections.add_argument("file", help="cone or fan file fixing the ambient rank")
     p_sections.add_argument("--ray", type=_comma_ints, required=True)
     p_sections.add_argument("--weight", type=_comma_ints, required=True)
-    add_format(p_sections)
 
     p_generate = sub.add_parser(
         "generate", help="emit random cone documents, one JSON object per line")
@@ -97,15 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--count", type=int, default=1)
     p_generate.add_argument("--min-gens", type=int, default=1)
     p_generate.add_argument("--max-gens", type=int, default=None)
-    add_format(p_generate)
 
     p_recheck = sub.add_parser(
         "recheck", help="re-verify every certificate embedded in a report file")
     p_recheck.add_argument("file")
-    add_format(p_recheck)
 
-    p_examples = sub.add_parser("examples", help="list the named example corpus")
-    add_format(p_examples)
+    sub.add_parser("examples", help="list the named example corpus")
 
     return parser
 
@@ -153,25 +141,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+    except (ValueError, KeyError, OSError, RecursionError,
             NotStronglyConvexError, FanValidationError, GenerationBudgetError) as exc:
         print(f"toricfree: error: {exc}", file=sys.stderr)
         return ERROR
 
 
 def _dispatch(args) -> int:
-    if args.command == "smooth":
-        report = smooth_report(parse_geometry_document(_load_json(args.file)))
-        _emit(report)
-        return AFFIRMATIVE if report["verdict"] else NEGATIVE
-
-    if args.command == "locally-free":
-        report = locally_free_report(parse_geometry_document(_load_json(args.file)))
-        _emit(report)
-        return AFFIRMATIVE if report["verdict"] else NEGATIVE
-
-    if args.command == "verify":
-        report = verify_report(parse_geometry_document(_load_json(args.file)))
+    # built per call, so the report builders are looked up by module name
+    # at dispatch time like every other function called here
+    report_builders = {
+        "smooth": smooth_report,
+        "locally-free": locally_free_report,
+        "verify": verify_report,
+    }
+    if args.command in report_builders:
+        report = report_builders[args.command](parse_geometry_document(_load_json(args.file)))
         _emit(report)
         return AFFIRMATIVE if report["verdict"] else NEGATIVE
 

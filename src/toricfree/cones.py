@@ -84,11 +84,7 @@ class Cone:
         extreme = [g for g in gens if _is_extreme(g, dual_rays, rank, len(lin_rows))]
         object.__setattr__(self, "generators", tuple(extreme))
         object.__setattr__(self, "_lineality_rows", ())
-        dual = Cone(
-            [negated(v) for v in lin_rows] + list(lin_rows) + list(dual_rays),
-            rank, _canonical=True, _lineality_rows=tuple(lin_rows),
-        )
-        object.__setattr__(self, "_dual", dual)
+        object.__setattr__(self, "_dual", _canonical_cone(lin_rows, dual_rays, rank))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Cone is immutable")
@@ -116,11 +112,7 @@ class Cone:
         """The dual cone in the paired lattice, computed once and cached."""
         if self._dual is None:
             lin_rows, rays = _double_description(self.generators, self.rank)
-            dual = Cone(
-                [negated(v) for v in lin_rows] + list(lin_rows) + list(rays),
-                self.rank, _canonical=True, _lineality_rows=tuple(lin_rows),
-            )
-            object.__setattr__(self, "_dual", dual)
+            object.__setattr__(self, "_dual", _canonical_cone(lin_rows, rays, self.rank))
         return self._dual
 
     @property
@@ -165,11 +157,9 @@ class Cone:
                 if cut not in seen:
                     seen[cut] = Cone(sorted(cut), self.rank, _canonical=True)
                     queue.append(cut)
-        if start not in seen:  # unreachable, kept for clarity
-            seen[start] = self
         if frozenset() not in seen:
             seen[frozenset()] = Cone((), self.rank, _canonical=True)
-        result = tuple(sorted(seen.values(), key=lambda c: (c.dim, c.generators)))
+        result = tuple(sorted(seen.values(), key=Cone.sort_key))
         object.__setattr__(self, "_faces", result)
         return result
 
@@ -229,11 +219,7 @@ class Cone:
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
         normals = list(self.dual.generators) + list(other.dual.generators)
-        lin_rows, rays = _double_description(normals, self.rank)
-        return Cone(
-            [negated(v) for v in lin_rows] + list(lin_rows) + list(rays),
-            self.rank, _canonical=True, _lineality_rows=tuple(lin_rows),
-        )
+        return _canonical_cone(*_double_description(normals, self.rank), self.rank)
 
     def sort_key(self) -> tuple:
         return (self.dim, self.generators)
@@ -259,6 +245,15 @@ def linearly_independent_rays(cone: Cone) -> bool:
     """Whether the extreme ray generators are linearly independent over Q."""
     gens = cone.rays()
     return matrix_rank([list(g) for g in gens]) == len(gens)
+
+
+def _canonical_cone(lin_rows: Sequence[Vector], rays: Sequence[Vector], rank: int) -> Cone:
+    """The cone spanned by a lineality basis, as plus/minus pairs, and rays.
+
+    Takes the output of ``_double_description``, which is already canonical.
+    """
+    return Cone([negated(v) for v in lin_rows] + list(lin_rows) + list(rays),
+                rank, _canonical=True, _lineality_rows=tuple(lin_rows))
 
 
 def _is_extreme(ray: Vector, normals: Sequence[Vector], rank: int, lineality_dim: int) -> bool:

@@ -1,9 +1,12 @@
 """Fans: finite face-closed collections of strongly convex cones.
 
-Validation closes the input under faces and then checks the defining
-compatibility condition, that the intersection of any two cones is a face
-of each.  A failed check reports the offending pair together with their
-intersection so the caller can see exactly where compatibility breaks.
+Validation checks the defining compatibility condition, that the
+intersection of any two cones is a face of each, on the input cones only,
+and then closes them under faces.  The faces need no check of their own:
+if two cones meet in a face of each, then so does every pair of their
+faces (Cox-Little-Schenck, Toric Varieties, section 3.1).  A failed check
+reports the offending pair of input cones together with their intersection
+so the caller can see exactly where compatibility breaks.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ class Fan:
                 raise ValueError(f"cone {c.generators} lives in rank {c.rank}, expected {rank}")
             if not c.is_strongly_convex:
                 raise ValueError(f"cone {c.generators} is not strongly convex")
-        # check the cones as given first, so a failure is reported in
-        # terms of the caller's cones rather than some synthesized face
+        # only the caller's cones are checked, so a failure is reported in
+        # their terms; their faces then meet correctly (module docstring)
         distinct = sorted(set(cone_list), key=Cone.sort_key)
         _check_pairs(distinct)
         closed: set[Cone] = set()
@@ -53,7 +56,6 @@ class Fan:
         if not closed:
             closed.add(Cone.zero(rank))
         ordered = sorted(closed, key=Cone.sort_key)
-        _check_pairs(ordered)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cones", tuple(ordered))
 
@@ -110,10 +112,10 @@ def _check_pairs(cones: Sequence[Cone]) -> None:
 
 
 def validate_fan(cones: Iterable[Cone], rank: int | None = None) -> Fan:
-    """Close the given cones under faces and validate the fan axioms.
+    """Validate the given cones pairwise and close them under faces.
 
-    Returns the validated fan; raises FanValidationError when two cones
-    meet badly, with the offending pair recorded on the exception.
+    Returns the validated fan; raises FanValidationError when two of the
+    given cones meet badly, with the offending pair recorded on the exception.
     """
     return Fan(cones, rank)
 

@@ -15,7 +15,6 @@ from .cones import Cone
 from .fans import Fan
 from .klyachko import (
     DecompositionCertificate,
-    FanFreenessReport,
     LocalFreenessReport,
     decide_tangent_locally_free,
     diagnose_certificate,
@@ -23,7 +22,7 @@ from .klyachko import (
 )
 from .lattice import RationalSubspace, Vector
 from .smoothness import SmoothnessReport, is_smooth_cone
-from .verifier import AgreementRecord, SweepSummary
+from .verifier import AgreementRecord, SweepSummary, check_zariski_lipman
 
 SAFE_INT = 2 ** 53 - 1
 
@@ -219,8 +218,6 @@ def agreement_to_entry(record: AgreementRecord) -> dict:
 
 
 def verify_report(geometry: Geometry) -> dict:
-    from .verifier import check_zariski_lipman
-
     entries = [agreement_to_entry(check_zariski_lipman(c)) for c in geometry_cones(geometry)]
     return {
         "tool": _tool_stamp(),
@@ -242,10 +239,6 @@ def sweep_report(summary: SweepSummary, config_doc: dict) -> dict:
         "smooth_rate": summary.smooth_count / summary.count if summary.count else 0.0,
         "elapsed": summary.elapsed_seconds,
     }
-
-
-def fan_freeness_verdict(report: FanFreenessReport) -> bool:
-    return report.verdict
 
 
 def recheck_report(doc: Any) -> list[str]:

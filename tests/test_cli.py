@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON output, error reporting."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import sys
 import pytest
 
 from toricfree.cli import main
-from toricfree.serialize import parse_cone_document
+from toricfree.corpus import default_config, named_examples, sample_cones
+from toricfree.fans import Fan
+from toricfree.serialize import cone_to_document, fan_to_document, parse_cone_document
 
 
 def write_json(tmp_path, name, doc):
@@ -223,6 +226,15 @@ def test_error_paths(capsys, tmp_path):
     assert code == 2 and "neither" in err
 
 
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "smooth", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("toricfree: error:")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -245,3 +257,43 @@ def test_console_script_subprocess(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+# Golden digests of report bytes and exit codes, computed before the fan
+# validation and CLI clean-up; any later change that alters a verdict, a
+# certificate or the layout of a report changes one of them.
+GOLDEN_NAMED = "f3c5a7b1544faa4cb7ad8fd56a06ccb7312e87ffac2a43723073016370b4cc8b"
+GOLDEN_SEEDED = "7197a3f82c4c2da14938ae37fd011ea325a8150157b4e8fa75f9a892800a7b6a"
+GOLDEN_SWEEP = "8381e00aaf5111931822c7b0831594e75fd27f4edaf237ecb51ee185d16a63ac"
+
+
+def _report_digest(capsys, tmp_path, documents):
+    digest = hashlib.sha256()
+    path = tmp_path / "doc.json"
+    for doc in documents:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("locally-free", "verify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert err == ""
+            digest.update(f"{command} {code}\n{out}".encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_golden_named_corpus_reports(capsys, tmp_path):
+    documents = [fan_to_document(e.geometry) if isinstance(e.geometry, Fan)
+                 else cone_to_document(e.geometry) for e in named_examples()]
+    assert _report_digest(capsys, tmp_path, documents) == GOLDEN_NAMED
+
+
+def test_golden_seeded_cone_reports(capsys, tmp_path):
+    cones = sample_cones(default_config(3, seed=7), 200)
+    documents = [cone_to_document(c) for c in cones]
+    assert _report_digest(capsys, tmp_path, documents) == GOLDEN_SEEDED
+
+
+def test_golden_sweep_report(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--rank", "3", "--count", "200", "--seed", "7")
+    doc = json.loads(out)
+    del doc["elapsed"]
+    text = f"{code}\n{json.dumps(doc, indent=2)}"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SWEEP

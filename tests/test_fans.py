@@ -1,9 +1,14 @@
 """Fan validation, face closure, skeletons, maximal cones."""
 
+import functools
+import math
+import random
+
 import pytest
 
 from toricfree.cones import Cone
-from toricfree.fans import Fan, FanValidationError, fan_from_generators, validate_fan
+from toricfree.corpus import lookup
+from toricfree.fans import Fan, FanValidationError, _check_pairs, fan_from_generators, validate_fan
 
 
 def projective_plane():
@@ -108,3 +113,58 @@ def test_input_may_list_maximal_cones_only():
     assert len(fan) == 4
     sub = fan.codim_le1_subfan()
     assert len(sub) == 3
+
+
+# The face closure of a fan is no longer checked pairwise when the fan is
+# built, because that follows from the check on the input cones.  These
+# tests keep the full closure check as an oracle over named and seeded fans.
+
+def _counter_clockwise(a, b):
+    upper_a = a[1] > 0 or (a[1] == 0 and a[0] > 0)
+    upper_b = b[1] > 0 or (b[1] == 0 and b[0] > 0)
+    if upper_a != upper_b:
+        return -1 if upper_a else 1
+    return -(a[0] * b[1] - a[1] * b[0])
+
+
+def complete_planar_rays(seed, count, bound=5):
+    """``count`` primitive planar rays, ±e1 and ±e2 among them, sorted by angle."""
+    rng = random.Random(seed)
+    rays = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    while len(rays) < count:
+        x, y = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if (x, y) != (0, 0) and math.gcd(x, y) == 1:
+            rays.add((x, y))
+    return sorted(rays, key=functools.cmp_to_key(_counter_clockwise))
+
+
+def complete_planar_fan(seed, count):
+    rays = complete_planar_rays(seed, count)
+    return fan_from_generators([[u, v] for u, v in zip(rays, rays[1:] + rays[:1])], 2)
+
+
+def planar_fan_times_p1(seed, count):
+    rays = complete_planar_rays(seed, count)
+    return fan_from_generators(
+        [[(*u, 0), (*v, 0), (0, 0, s)]
+         for u, v in zip(rays, rays[1:] + rays[:1]) for s in (1, -1)], 3)
+
+
+@pytest.mark.parametrize("name", ["P2", "P1xP1", "P112"])
+def test_named_fan_closure_meets_in_faces(name):
+    fan = lookup(name).geometry
+    _check_pairs(fan.cones)
+
+
+@pytest.mark.parametrize("seed,count", [(1, 5), (2, 7), (3, 8)])
+def test_seeded_planar_fan_closure_meets_in_faces(seed, count):
+    fan = complete_planar_fan(seed, count)
+    assert len(fan) == 2 * count + 1
+    _check_pairs(fan.cones)
+
+
+@pytest.mark.parametrize("seed,count", [(4, 5), (5, 6), (6, 8)])
+def test_seeded_product_fan_closure_meets_in_faces(seed, count):
+    fan = planar_fan_times_p1(seed, count)
+    assert len(fan) == 6 * count + 3
+    _check_pairs(fan.cones)
