@@ -10,8 +10,6 @@ pairs of basis vectors, so membership is always the single uniform test
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -320,8 +318,7 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
             processed.append(a)
             rays = _prune(rays, processed, len(lin), rank)
     lin_rows = _canonical_lineality(processed, rank, len(lin))
-    rays = sorted(set(_reduce_off_lineality(r, lin_rows) for r in rays))
-    return tuple(lin_rows), tuple(rays)
+    return tuple(lin_rows), _reduce_off_lineality(rays, lin_rows, rank)
 
 
 def _prune(rays: list[Vector], processed: list[Vector], lineality_dim: int, rank: int) -> list[Vector]:
@@ -344,26 +341,20 @@ def _canonical_lineality(processed: Sequence[Vector], rank: int, lineality_dim: 
     return integer_kernel_basis([list(a) for a in processed])
 
 
-def _reduce_off_lineality(ray: Vector, lin_rows: Sequence[Vector]) -> Vector:
-    """Project a ray to a canonical representative modulo the lineality space.
+def _reduce_off_lineality(rays: Sequence[Vector], lin_rows: Sequence[Vector],
+                          rank: int) -> tuple[Vector, ...]:
+    """Sorted canonical representatives of rays modulo the lineality space.
 
-    Reduction goes through the rational row space of the Hermite lineality
-    basis: the coordinates of the ray at the pivot columns are cleared
-    exactly, then the result is rescaled to a primitive vector.
+    The coordinates of each ray at the pivot columns of the lineality space
+    are cleared by integer elimination, leaving a primitive vector.
     """
     if not lin_rows:
-        return ray
-    space = RationalSubspace.span(len(ray), lin_rows)
-    residue = [Fraction(c) for c in ray]
-    for row in space.basis:
-        pivot = next(j for j, c in enumerate(row) if c)
-        coeff = residue[pivot]
-        if coeff:
-            residue = [c - coeff * r for c, r in zip(residue, row)]
-    lcm = 1
-    for c in residue:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in residue]
-    if is_zero(ints):
-        raise ValueError("ray lies inside the lineality space")
-    return primitive(ints)
+        return tuple(sorted(set(rays)))
+    space = RationalSubspace.span(rank, lin_rows)
+    reduced = set()
+    for ray in rays:
+        residue = space.residue(ray)
+        if is_zero(residue):
+            raise ValueError("ray lies inside the lineality space")
+        reduced.add(residue)
+    return tuple(sorted(reduced))

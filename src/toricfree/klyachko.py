@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cones import Cone, linearly_independent_rays
-from .lattice import RationalSubspace, Vector, dot, is_primitive, solve_integer_system, vec
+from .lattice import (
+    RationalSubspace,
+    Vector,
+    dot,
+    is_primitive,
+    smith_normal_form,
+    solve_in_smith_form,
+    vec,
+)
 
 
 class Filtration:
@@ -221,11 +229,13 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
         return LocalFreenessReport(True, witnesses={}, certificate=cert)
     if not linearly_independent_rays(cone):
         return LocalFreenessReport(False, failure="dependent rays")
-    matrix = [list(u) for u in rays]
+    # one Smith decomposition serves every ray: the witness for ray idx
+    # solves rays @ m = e_idx, read off column idx of U
+    smith = smith_normal_form([list(u) for u in rays])
     witnesses: dict[Vector, Vector] = {}
     for idx, u in enumerate(rays):
         rhs = [1 if j == idx else 0 for j in range(len(rays))]
-        m = solve_integer_system(matrix, rhs)
+        m = solve_in_smith_form(smith, rhs)
         if m is None:
             return LocalFreenessReport(
                 False, failure=f"no integral dual weight for ray {u}", failing_ray=u)

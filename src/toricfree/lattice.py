@@ -1,16 +1,23 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here runs on Python's arbitrary-precision ``int`` and
-``fractions.Fraction``; no floating point is used anywhere.  Vectors are
-plain tuples of ints, matrices are lists of rows.  The normal forms
-(Hermite, Smith) return the transformation matrices alongside the reduced
-matrix so callers can verify the defining identities directly.
+Everything here runs on Python's arbitrary-precision ``int``; no floating
+point is used anywhere.  Vectors are plain tuples of ints, matrices are
+lists of rows.  The normal forms (Hermite, Smith) return the
+transformation matrices alongside the reduced matrix so callers can
+verify the defining identities directly.  Rational subspaces are stored
+by primitive integer rows and reduced by fraction-free elimination
+(cross-multiplication with a gcd reduction per row, after Bareiss 1968
+and Cohen, *A Course in Computational Algebraic Number Theory*, §2.4);
+``fractions.Fraction`` appears only to clear denominators of rational
+input rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from bisect import bisect
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -319,7 +326,17 @@ def solve_integer_system(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vector
         raise ValueError(f"system has {m} equations but {len(b)} right-hand sides")
     if m == 0:
         return (0,) * n
-    d, u, v = smith_normal_form(a)
+    return solve_in_smith_form(smith_normal_form(a), b)
+
+
+def solve_in_smith_form(smith: tuple[Matrix, Matrix, Matrix], b: Sequence[int]) -> Vector | None:
+    """``solve_integer_system`` for a nonempty matrix given by its ``smith_normal_form``.
+
+    Solving several systems with one matrix this way decomposes it once.
+    """
+    d, u, v = smith
+    m = len(d)
+    n = len(v)
     c = mat_vec(u, b)
     y = [0] * n
     for i in range(m):
@@ -365,21 +382,28 @@ def extends_to_lattice_basis(vectors: Sequence[Sequence[int]]) -> bool:
 
 
 class RationalSubspace:
-    """A linear subspace of Q^n in canonical reduced row echelon form.
+    """A linear subspace of Q^n, stored by canonical primitive integer rows.
 
-    Instances are immutable and hashable; two subspaces compare equal
-    exactly when they contain the same vectors, because the stored basis
-    is the unique RREF basis.
+    The stored basis is the reduced row echelon basis with every row scaled
+    to a primitive integer vector whose pivot entry is positive.  That basis
+    is unique, so two subspaces compare equal exactly when they contain the
+    same vectors.  Instances are immutable and hashable.  Rows with
+    ``Fraction`` entries are accepted and cleared of denominators on input;
+    everything after that is integer elimination.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_pivots")
 
     def __init__(self, ambient: int, rows: Iterable[Sequence[Fraction | int]] = ()):
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        object.__setattr__(self, "ambient", ambient)
-        reduced = _rref([[Fraction(c) for c in row] for row in rows], ambient)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in reduced))
+        basis: list[Sequence[int]] = []
+        pivots: list[int] = []
+        for row in rows:
+            if len(row) != ambient:
+                raise ValueError(f"row length {len(row)} in ambient dimension {ambient}")
+            _insert_row(basis, pivots, _integer_row(row))
+        _set_rows(self, ambient, basis, pivots)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RationalSubspace is immutable")
@@ -393,6 +417,7 @@ class RationalSubspace:
         return cls(ambient)
 
     @classmethod
+    @lru_cache(maxsize=16)
     def full(cls, ambient: int) -> "RationalSubspace":
         return cls(ambient, identity_matrix(ambient))
 
@@ -406,21 +431,41 @@ class RationalSubspace:
     def contains(self, v: Sequence[Fraction | int]) -> bool:
         if len(v) != self.ambient:
             raise ValueError(f"vector length {len(v)} in ambient dimension {self.ambient}")
-        residue = [Fraction(c) for c in v]
-        for row in self.basis:
-            pivot = _pivot_index(row)
-            coeff = residue[pivot]
-            if coeff:
-                residue = [c - coeff * r for c, r in zip(residue, row)]
-        return all(c == 0 for c in residue)
+        return not any(_reduce_row(_integer_row(v), self.basis, self._pivots))
 
     def contains_subspace(self, other: "RationalSubspace") -> bool:
+        if self.ambient != other.ambient:
+            raise ValueError("ambient dimension mismatch")
+        if other.dim >= self.dim:
+            return other.basis == self.basis
         return all(self.contains(row) for row in other.basis)
+
+    def residue(self, v: Sequence[Fraction | int]) -> Vector:
+        """The representative of v modulo the subspace with zero pivot coordinates.
+
+        That representative is unique; it is returned rescaled by a
+        positive factor to a primitive integer vector, or as the zero
+        vector exactly when v lies in the subspace.
+        """
+        if len(v) != self.ambient:
+            raise ValueError(f"vector length {len(v)} in ambient dimension {self.ambient}")
+        work = _reduce_row(_integer_row(v), self.basis, self._pivots)
+        g = content(work)
+        return tuple(c // g for c in work) if g else tuple(work)
 
     def __add__(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return RationalSubspace(self.ambient, list(self.basis) + list(other.basis))
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        if not small.basis or big.dim == big.ambient:
+            return big
+        basis = list(big.basis)
+        pivots = list(big._pivots)
+        for row in small.basis:
+            _insert_row(basis, pivots, row)
+        result = object.__new__(RationalSubspace)
+        _set_rows(result, self.ambient, basis, pivots)
+        return result
 
     def intersection(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.ambient != other.ambient:
@@ -428,18 +473,30 @@ class RationalSubspace:
         return (self.orthogonal_complement() + other.orthogonal_complement()).orthogonal_complement()
 
     def orthogonal_complement(self) -> "RationalSubspace":
-        """Complement with respect to the standard dot product on Q^n."""
-        return RationalSubspace(self.ambient, _fraction_kernel(self.basis, self.ambient))
+        """Complement with respect to the standard dot product on Q^n.
+
+        For each free column f the kernel vector is read off the stored
+        rows by back substitution, scaled by the lcm of the pivot entries
+        to stay integral.
+        """
+        n = self.ambient
+        pivots = self._pivots
+        scale = lcm(*(row[p] for row, p in zip(self.basis, pivots)))
+        pivot_set = set(pivots)
+        kernel = []
+        for f in range(n):
+            if f in pivot_set:
+                continue
+            v = [0] * n
+            v[f] = scale
+            for row, p in zip(self.basis, pivots):
+                v[p] = -row[f] * (scale // row[p])
+            kernel.append(v)
+        return RationalSubspace(n, kernel)
 
     def integer_basis(self) -> list[Vector]:
-        """The RREF basis rescaled to primitive integer vectors."""
-        result = []
-        for row in self.basis:
-            lcm = 1
-            for c in row:
-                lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-            result.append(primitive([int(c * lcm) for c in row]))
-        return result
+        """The stored basis: RREF rows rescaled to primitive integer vectors."""
+        return list(self.basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSubspace):
@@ -454,48 +511,55 @@ class RationalSubspace:
         return f"RationalSubspace({self.ambient}, [{rows}])"
 
 
-def _pivot_index(row: Sequence[Fraction]) -> int:
-    for j, c in enumerate(row):
+def _set_rows(sub: RationalSubspace, ambient: int, basis: list[Sequence[int]],
+              pivots: list[int]) -> None:
+    object.__setattr__(sub, "ambient", ambient)
+    object.__setattr__(sub, "basis", tuple(tuple(row) for row in basis))
+    object.__setattr__(sub, "_pivots", tuple(pivots))
+
+
+def _integer_row(row: Sequence[Fraction | int]) -> Sequence[int]:
+    """A positive integer multiple of a rational row (the row itself if integral)."""
+    if all(type(c) is int for c in row):
+        return row
+    fracs = [c if type(c) is int else Fraction(c) for c in row]
+    den = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (den // c.denominator) for c in fracs]
+
+
+def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],
+                pivots: Sequence[int]) -> Sequence[int]:
+    """Clear the pivot columns of work against reduced rows by cross-multiplication.
+
+    Each step replaces work by ``d * work - c * row`` with d > 0, after
+    dividing out gcd(c, d), so the result is a positive multiple of the
+    rational residue.  Rows of a reduced basis vanish at each other's
+    pivots, so a cleared column stays cleared.
+    """
+    for row, p in zip(basis, pivots):
+        c = work[p]
         if c:
-            return j
-    raise ValueError("zero row has no pivot")
+            d = row[p]
+            g = gcd(c, d)
+            c //= g
+            d //= g
+            work = [d * x - c * y for x, y in zip(work, row)]
+    return work
 
 
-def _rref(rows: list[list[Fraction]], ambient: int) -> list[list[Fraction]]:
-    for row in rows:
-        if len(row) != ambient:
-            raise ValueError(f"row length {len(row)} in ambient dimension {ambient}")
-    reduced: list[list[Fraction]] = []
-    for row in rows:
-        work = row[:]
-        for r in reduced:
-            pivot = _pivot_index(r)
-            if work[pivot]:
-                coeff = work[pivot]
-                work = [c - coeff * d for c, d in zip(work, r)]
-        if any(work):
-            pivot = _pivot_index(work)
-            inv = work[pivot]
-            work = [c / inv for c in work]
-            for r in reduced:
-                if r[pivot]:
-                    coeff = r[pivot]
-                    r[:] = [c - coeff * d for c, d in zip(r, work)]
-            reduced.append(work)
-    reduced.sort(key=_pivot_index)
-    return reduced
-
-
-def _fraction_kernel(rows: Sequence[Sequence[Fraction]], ambient: int) -> list[list[Fraction]]:
-    """Kernel basis of a matrix already in RREF, by free-variable back substitution."""
-    pivots = [_pivot_index(row) for row in rows]
-    pivot_set = set(pivots)
-    free = [j for j in range(ambient) if j not in pivot_set]
-    kernel = []
-    for f in free:
-        v = [Fraction(0)] * ambient
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        kernel.append(v)
-    return kernel
+def _insert_row(basis: list[Sequence[int]], pivots: list[int], row: Sequence[int]) -> None:
+    """Add one row to a canonical basis held as lists, keeping it canonical."""
+    work = _reduce_row(row, basis, pivots)
+    p = next((j for j, c in enumerate(work) if c), None)
+    if p is None:
+        return
+    g = content(work)
+    if work[p] < 0:
+        g = -g
+    work = [c // g for c in work]
+    for i, r in enumerate(basis):
+        if r[p]:
+            basis[i] = primitive(_reduce_row(r, (work,), (p,)))
+    k = bisect(pivots, p)
+    pivots.insert(k, p)
+    basis.insert(k, work)

@@ -25,6 +25,9 @@ from .smoothness import SmoothnessReport, is_smooth_cone
 from .verifier import AgreementRecord, SweepSummary, check_zariski_lipman
 
 SAFE_INT = 2 ** 53 - 1
+# Largest lattice rank a document may declare.  Building a cone costs at
+# least rank x rank integers, so an unbounded rank could exhaust memory.
+MAX_RANK = 256
 
 Geometry = Union[Cone, Fan]
 
@@ -59,6 +62,13 @@ def decode_vector(value: Any, rank: int | None = None) -> Vector:
     return v
 
 
+def _decode_rank(value: Any) -> int:
+    rank = decode_int(value)
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds the maximum of {MAX_RANK}")
+    return rank
+
+
 def cone_to_document(cone: Cone) -> dict:
     return {
         "rank": cone.rank,
@@ -71,7 +81,7 @@ def parse_cone_document(doc: Any) -> Cone:
         raise ValueError("cone document must be a JSON object")
     if "rank" not in doc or "generators" not in doc:
         raise ValueError("cone document requires 'rank' and 'generators'")
-    rank = decode_int(doc["rank"])
+    rank = _decode_rank(doc["rank"])
     gens_field = doc["generators"]
     if not isinstance(gens_field, list):
         raise ValueError("'generators' must be a list of integer vectors")
@@ -91,7 +101,7 @@ def parse_fan_document(doc: Any) -> Fan:
         raise ValueError("fan document must be a JSON object")
     if "rank" not in doc or "cones" not in doc:
         raise ValueError("fan document requires 'rank' and 'cones'")
-    rank = decode_int(doc["rank"])
+    rank = _decode_rank(doc["rank"])
     cones_field = doc["cones"]
     if not isinstance(cones_field, list):
         raise ValueError("'cones' must be a list of generator lists")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -111,6 +112,36 @@ def fraction_rank(rows: list[list[int]]) -> int:
                 work[i] = [a - coeff * b for a, b in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+def fraction_rref_rows(rows: list[list[Fraction | int]], ambient: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon basis by Fraction elimination, each row rescaled
+    to a primitive integer vector (its pivot stays positive)."""
+    work = [[Fraction(c) for c in row] for row in rows]
+    reduced = []
+    rank = 0
+    for col in range(ambient):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = work[rank][col]
+        work[rank] = [c / inv for c in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                coeff = work[i][col]
+                work[i] = [a - coeff * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    for row in work[:rank]:
+        den = 1
+        for c in row:
+            den = den * c.denominator // gcd(den, c.denominator)
+        ints = [int(c * den) for c in row]
+        g = 0
+        for c in ints:
+            g = gcd(g, c)
+        reduced.append(tuple(c // g for c in ints))
+    return tuple(reduced)
 
 
 def cone_membership_by_duality(cone: Cone, v: tuple[int, ...]) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from toricfree.cli import main
 from toricfree.corpus import default_config, named_examples, sample_cones
 from toricfree.fans import Fan
-from toricfree.serialize import cone_to_document, fan_to_document, parse_cone_document
+from toricfree.serialize import MAX_RANK, cone_to_document, fan_to_document, parse_cone_document
 
 
 def write_json(tmp_path, name, doc):
@@ -233,6 +233,25 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("toricfree: error:")
+
+
+@pytest.mark.parametrize("rank", [MAX_RANK + 1, 10 ** 6])
+def test_declared_rank_is_bounded(capsys, tmp_path, rank):
+    cone_file = write_json(tmp_path, "cone.json", {"rank": rank, "generators": []})
+    fan_file = write_json(tmp_path, "fan.json", {"rank": rank, "cones": [[]]})
+    report_file = write_json(tmp_path, "report.json", {
+        "entries": [{"cone": {"rank": rank, "generators": []},
+                     "locally_free": {"verdict": True}}],
+    })
+    for argv in (("smooth", cone_file), ("verify", fan_file), ("recheck", report_file)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("toricfree: error:") and f"maximum of {MAX_RANK}" in err
+
+
+def test_rank_at_the_bound_is_accepted():
+    cone = parse_cone_document({"rank": MAX_RANK, "generators": [[1] + [0] * (MAX_RANK - 1)]})
+    assert cone.rank == MAX_RANK and cone.rays() == ((1,) + (0,) * (MAX_RANK - 1),)
 
 
 def test_usage_errors_exit_2(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_rank, sympy_invariant_factors, sympy_solve_integer
+from oracles import fraction_rank, fraction_rref_rows, sympy_invariant_factors, sympy_solve_integer
 from toricfree.lattice import (
     RationalSubspace,
     determinant,
@@ -247,3 +247,44 @@ def test_subspace_fraction_rows():
 def test_dot_length_mismatch():
     with pytest.raises(ValueError):
         dot((1, 2), (1, 2, 3))
+
+
+rational_entries = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+
+
+@st.composite
+def rational_rows(draw, ambient):
+    """Up to ambient + 1 rows over integers, or over integers and fractions."""
+    entries = draw(st.sampled_from([st.integers(min_value=-6, max_value=6), rational_entries]))
+    k = draw(st.integers(min_value=0, max_value=ambient + 1))
+    return [[draw(entries) for _ in range(ambient)] for _ in range(k)]
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_subspace_matches_fraction_rref_oracle(ambient, data):
+    rows = data.draw(rational_rows(ambient))
+    s = RationalSubspace.span(ambient, rows)
+    assert s.basis == fraction_rref_rows(rows, ambient)
+    assert s.integer_basis() == list(s.basis)
+    for row in rows:
+        assert s.contains(row)
+    # permuting the rows and rescaling each by a nonzero rational changes nothing
+    perm = data.draw(st.permutations(rows))
+    scales = [data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=5)
+                        .filter(bool)) for _ in perm]
+    t = RationalSubspace.span(ambient, [[c * f for c in row] for row, f in zip(perm, scales)])
+    assert t == s and hash(t) == hash(s)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_subspace_dimension_formula_and_complement_involution(ambient, data):
+    a = RationalSubspace.span(ambient, data.draw(rational_rows(ambient)))
+    b = RationalSubspace.span(ambient, data.draw(rational_rows(ambient)))
+    assert (a + b).dim + a.intersection(b).dim == a.dim + b.dim
+    assert a.orthogonal_complement().orthogonal_complement() == a
+    assert b.orthogonal_complement().orthogonal_complement() == b
