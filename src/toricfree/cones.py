@@ -72,10 +72,7 @@ class Cone:
             object.__setattr__(self, "_lineality_rows", tuple(_lineality_rows))
             return
         lin_rows, dual_rays = _double_description(gens, rank)
-        if lin_rows or dual_rays:
-            witness_rows = integer_kernel_basis([list(v) for v in lin_rows + dual_rays])
-        else:
-            witness_rows = [vec(row) for row in identity_matrix(rank)]
+        witness_rows = _kernel_or_identity(lin_rows + dual_rays, rank)
         if witness_rows:
             raise NotStronglyConvexError(witness_rows[0])
         # dual rays are already reduced off the dual lineality, so ranks add
@@ -185,11 +182,7 @@ class Cone:
         returned as Hermite-reduced rows of a saturated sublattice.
         """
         if self._perp is None:
-            if self.generators:
-                rows = integer_kernel_basis([list(g) for g in self.generators])
-            else:
-                rows = [vec(r) for r in identity_matrix(self.rank)]
-            object.__setattr__(self, "_perp", rows)
+            object.__setattr__(self, "_perp", _kernel_or_identity(self.generators, self.rank))
         return list(self._perp)
 
     def weight_class(self, m: Sequence[int]) -> Vector:
@@ -336,9 +329,14 @@ def _prune(rays: list[Vector], processed: list[Vector], lineality_dim: int, rank
 def _canonical_lineality(processed: Sequence[Vector], rank: int, lineality_dim: int) -> list[Vector]:
     if lineality_dim == 0:
         return []
-    if not processed:
+    return _kernel_or_identity(processed, rank)
+
+
+def _kernel_or_identity(rows: Sequence[Vector], rank: int) -> list[Vector]:
+    """``integer_kernel_basis`` of the rows, or the standard basis of Z^rank when there are none."""
+    if not rows:
         return [vec(row) for row in identity_matrix(rank)]
-    return integer_kernel_basis([list(a) for a in processed])
+    return integer_kernel_basis([list(r) for r in rows])
 
 
 def _reduce_off_lineality(rays: Sequence[Vector], lin_rows: Sequence[Vector],

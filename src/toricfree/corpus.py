@@ -20,6 +20,9 @@ PRNG_ALGORITHM = "python-random-mt19937"
 
 REJECTION_LIMIT = 10_000
 
+# Cap on the generator count of one draw; each draw allocates that many vectors.
+MAX_GENERATORS = 64
+
 
 class GenerationBudgetError(RuntimeError):
     """Raised when rejection sampling exhausts its attempt budget."""
@@ -30,8 +33,9 @@ class GeneratorConfig:
     """Parameters for the random cone stream.
 
     Coordinates are drawn uniformly from [-bound, bound]; the generator
-    count is drawn uniformly from [min_generators, max_generators]; draws
-    containing the zero vector or spanning a line are rejected whole.
+    count is drawn uniformly from [min_generators, max_generators], with
+    max_generators at most ``MAX_GENERATORS``; draws containing the zero
+    vector or spanning a line are rejected whole.
     """
 
     rank: int
@@ -45,6 +49,9 @@ class GeneratorConfig:
             raise ValueError(f"rank {self.rank} outside the supported range 2..6")
         if self.min_generators < 0 or self.min_generators > self.max_generators:
             raise ValueError("generator count range is empty or negative")
+        if self.max_generators > MAX_GENERATORS:
+            raise ValueError(
+                f"max_generators {self.max_generators} exceeds the cap {MAX_GENERATORS}")
         if self.bound < 1:
             raise ValueError("coordinate bound must be at least 1")
 

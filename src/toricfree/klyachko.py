@@ -176,8 +176,8 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
     classes = [cone.weight_class(m) for m, _ in entries]
     if len(set(classes)) != len(classes):
         return "weight classes are not pairwise distinct modulo the annihilator"
-    for m, sub in entries:
-        if vec(m) != cone.weight_class(m):
+    for (m, sub), weight_class in zip(entries, classes):
+        if vec(m) != weight_class:
             return f"weight {m} is not the canonical class representative"
         if sub.ambient != n:
             return "certificate subspace has wrong ambient dimension"

@@ -4,12 +4,14 @@ Everything here runs on Python's arbitrary-precision ``int``; no floating
 point is used anywhere.  Vectors are plain tuples of ints, matrices are
 lists of rows.  The normal forms (Hermite, Smith) return the
 transformation matrices alongside the reduced matrix so callers can
-verify the defining identities directly.  Rational subspaces are stored
-by primitive integer rows and reduced by fraction-free elimination
-(cross-multiplication with a gcd reduction per row, after Bareiss 1968
-and Cohen, *A Course in Computational Algebraic Number Theory*, §2.4);
-``fractions.Fraction`` appears only to clear denominators of rational
-input rows.
+verify the defining identities directly; both clear entries with one
+determinant-one 2x2 row step (plain elimination when the pivot divides
+the entry, an extended-gcd step otherwise).  Rational subspaces and
+``matrix_rank`` share one fraction-free elimination (cross-multiplication
+with a gcd reduction per row, after Bareiss 1968 and Cohen, *A Course in
+Computational Algebraic Number Theory*, §2.4): the rank only needs an
+echelon basis, subspaces keep theirs reduced.  ``fractions.Fraction``
+appears only to clear denominators of rational input rows.
 """
 
 from __future__ import annotations
@@ -133,34 +135,44 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, computed by exact Euclidean column elimination.
+    """Rank of an integer matrix over Q.
 
-    Entries stay small because rows are reduced against each other with
-    floor-division steps instead of cross-multiplication.
+    The rows are inserted one by one into an echelon basis by the same
+    fraction-free step that builds ``RationalSubspace`` (see
+    ``_reduce_row``); the rank is the number of rows that survive.
     """
-    rows = [list(r) for r in a if not is_zero(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        live = [i for i in range(rank, len(rows)) if rows[i][col] != 0]
-        if not live:
-            col += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(rows[i][col]))
-            base = live[0]
-            for i in live[1:]:
-                q = rows[i][col] // rows[base][col]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[base])]
-            live = [i for i in live if rows[i][col] != 0]
-        pivot_row = live[0]
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        rank += 1
-        col += 1
-    return rank
+    basis: list[Sequence[int]] = []
+    pivots: list[int] = []
+    for row in a:
+        _echelon_insert(basis, pivots, row)
+    return len(basis)
+
+
+def _clearing_coefficients(a: int, b: int) -> tuple[int, int, int, int]:
+    """Coefficients (x, y, z, w), x*w - y*z = 1, of a row step sending (a, b) to (x*a + y*b, 0).
+
+    a must be nonzero.  When a divides b this is plain elimination,
+    ``(1, 0, -b // a, 1)``, which keeps a; otherwise it is the
+    extended-gcd step, which turns a into gcd(a, b).
+    """
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, x, y = xgcd(a, b)
+    return x, y, -(b // g), a // g
+
+
+def _combine_rows(mat: Matrix, transform: Matrix, i: int, j: int,
+                  coefficients: tuple[int, int, int, int]) -> None:
+    """Rows i, j <- (x*ri + y*rj, z*ri + w*rj) in a matrix and in its transform.
+
+    Row i is left as it is when (x, y) == (1, 0).
+    """
+    x, y, z, w = coefficients
+    for a in (mat, transform):
+        ri, rj = a[i], a[j]
+        if (x, y) != (1, 0):
+            a[i] = [x * p + y * q for p, q in zip(ri, rj)]
+        a[j] = [z * p + w * q for p, q in zip(ri, rj)]
 
 
 def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
@@ -176,33 +188,14 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
     ncols = len(h[0]) if h else 0
     row = 0
     for col in range(ncols):
-        pivot = None
-        for i in range(row, m):
-            if h[i][col] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(row, m) if h[i][col]), None)
         if pivot is None:
             continue
         h[row], h[pivot] = h[pivot], h[row]
         u[row], u[pivot] = u[pivot], u[row]
         for i in range(row + 1, m):
-            if h[i][col] == 0:
-                continue
-            if h[i][col] % h[row][col] == 0:
-                q = h[i][col] // h[row][col]
-                h[i] = [ri - q * rr for rr, ri in zip(h[row], h[i])]
-                u[i] = [ri - q * rr for rr, ri in zip(u[row], u[i])]
-            else:
-                g, x, y = xgcd(h[row][col], h[i][col])
-                p, q = h[row][col] // g, h[i][col] // g
-                # [[x, y], [-q, p]] has determinant 1 and sends the two
-                # column entries to (g, 0).
-                new_row = [x * rr + y * ri for rr, ri in zip(h[row], h[i])]
-                new_i = [-q * rr + p * ri for rr, ri in zip(h[row], h[i])]
-                h[row], h[i] = new_row, new_i
-                new_urow = [x * rr + y * ri for rr, ri in zip(u[row], u[i])]
-                new_ui = [-q * rr + p * ri for rr, ri in zip(u[row], u[i])]
-                u[row], u[i] = new_urow, new_ui
+            if h[i][col]:
+                _combine_rows(h, u, row, i, _clearing_coefficients(h[row][col], h[i][col]))
         if h[row][col] < 0:
             h[row] = [-c for c in h[row]]
             u[row] = [-c for c in u[row]]
@@ -210,8 +203,7 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
         for i in range(row):
             q = h[i][col] // p
             if q:
-                h[i] = [c - q * d for c, d in zip(h[i], h[row])]
-                u[i] = [c - q * d for c, d in zip(u[i], u[row])]
+                _combine_rows(h, u, row, i, (1, 0, -q, 1))
         row += 1
         if row == m:
             break
@@ -230,17 +222,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
     u = identity_matrix(m)
     v = identity_matrix(n)
 
-    def row_combine(i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        # rows i, j <- (x*ri + y*rj, z*ri + w*rj); caller keeps x*w - y*z = +-1
-        d[i], d[j] = (
-            [x * p + y * q for p, q in zip(d[i], d[j])],
-            [z * p + w * q for p, q in zip(d[i], d[j])],
-        )
-        u[i], u[j] = (
-            [x * p + y * q for p, q in zip(u[i], u[j])],
-            [z * p + w * q for p, q in zip(u[i], u[j])],
-        )
-
     def col_combine(i: int, j: int, x: int, y: int, z: int, w: int) -> None:
         for row in (d, v):
             for r in row:
@@ -248,17 +229,11 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
 
     t = 0
     while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = abs(d[i][j])
-                if e and (best is None or e < best):
-                    best = e
-                    pivot = (i, j)
-        if pivot is None:
+        # smallest nonzero entry, first in row-major order on ties
+        entries = [(abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j]]
+        if not entries:
             break
-        pi, pj = pivot
+        _, pi, pj = min(entries)
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
             u[t], u[pi] = u[pi], u[t]
@@ -270,37 +245,17 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
-                    if d[i][t] % d[t][t] == 0:
-                        # plain elimination keeps row t intact
-                        q = d[i][t] // d[t][t]
-                        row_combine(t, i, 1, 0, -q, 1)
-                    else:
-                        g, x, y = xgcd(d[t][t], d[i][t])
-                        p, q = d[t][t] // g, d[i][t] // g
-                        row_combine(t, i, x, y, -q, p)
+                    _combine_rows(d, u, t, i, _clearing_coefficients(d[t][t], d[i][t]))
             for j in range(t + 1, n):
                 if d[t][j]:
-                    if d[t][j] % d[t][t] == 0:
-                        q = d[t][j] // d[t][t]
-                        col_combine(t, j, 1, 0, -q, 1)
-                    else:
-                        g, x, y = xgcd(d[t][t], d[t][j])
-                        p, q = d[t][t] // g, d[t][j] // g
-                        col_combine(t, j, x, y, -q, p)
+                    col_combine(t, j, *_clearing_coefficients(d[t][t], d[t][j]))
             if any(d[i][t] for i in range(t + 1, m)):
                 continue  # the column ops can reintroduce entries below the pivot
-            off = None
-            piv = d[t][t]
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % piv:
-                        off = i
-                        break
-                if off is not None:
-                    break
+            off = next((i for i in range(t + 1, m)
+                        if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
             if off is None:
                 break
-            row_combine(t, off, 1, 1, 0, 1)  # pull the offending row up, then re-reduce
+            _combine_rows(d, u, t, off, (1, 1, 0, 1))  # pull the offending row up, then re-reduce
         if d[t][t] < 0:
             d[t] = [-c for c in d[t]]
             u[t] = [-c for c in u[t]]
@@ -429,9 +384,7 @@ class RationalSubspace:
         return not self.basis
 
     def contains(self, v: Sequence[Fraction | int]) -> bool:
-        if len(v) != self.ambient:
-            raise ValueError(f"vector length {len(v)} in ambient dimension {self.ambient}")
-        return not any(_reduce_row(_integer_row(v), self.basis, self._pivots))
+        return not any(self.residue(v))
 
     def contains_subspace(self, other: "RationalSubspace") -> bool:
         if self.ambient != other.ambient:
@@ -529,12 +482,15 @@ def _integer_row(row: Sequence[Fraction | int]) -> Sequence[int]:
 
 def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],
                 pivots: Sequence[int]) -> Sequence[int]:
-    """Clear the pivot columns of work against reduced rows by cross-multiplication.
+    """Clear the pivot columns of work against an echelon basis by cross-multiplication.
 
     Each step replaces work by ``d * work - c * row`` with d > 0, after
-    dividing out gcd(c, d), so the result is a positive multiple of the
-    rational residue.  Rows of a reduced basis vanish at each other's
-    pivots, so a cleared column stays cleared.
+    dividing out gcd(c, d), so the result is a positive multiple of a
+    residue of work modulo the span of the basis.  The rows are walked in
+    pivot order and each row is zero left of its pivot, so a step never
+    touches a column already cleared: the basis need only be in echelon
+    form.  Against a reduced basis the residue is the one with zero pivot
+    coordinates.
     """
     for row, p in zip(basis, pivots):
         c = work[p]
@@ -547,19 +503,36 @@ def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],
     return work
 
 
-def _insert_row(basis: list[Sequence[int]], pivots: list[int], row: Sequence[int]) -> None:
-    """Add one row to a canonical basis held as lists, keeping it canonical."""
+def _echelon_insert(basis: list[Sequence[int]], pivots: list[int],
+                    row: Sequence[int]) -> int | None:
+    """Insert the residue of row into an echelon basis held as lists.
+
+    The residue is made primitive with a positive pivot and goes in pivot
+    order; its position is returned, or None when row lies in the span.
+    """
     work = _reduce_row(row, basis, pivots)
     p = next((j for j, c in enumerate(work) if c), None)
     if p is None:
-        return
+        return None
     g = content(work)
     if work[p] < 0:
         g = -g
-    work = [c // g for c in work]
-    for i, r in enumerate(basis):
-        if r[p]:
-            basis[i] = primitive(_reduce_row(r, (work,), (p,)))
     k = bisect(pivots, p)
     pivots.insert(k, p)
-    basis.insert(k, work)
+    basis.insert(k, [c // g for c in work])
+    return k
+
+
+def _insert_row(basis: list[Sequence[int]], pivots: list[int], row: Sequence[int]) -> None:
+    """Add one row to a canonical basis held as lists, keeping it canonical.
+
+    After the echelon insert, the rows above the new one are cleared at its
+    pivot; the rows below it are zero there already.
+    """
+    k = _echelon_insert(basis, pivots, row)
+    if k is None:
+        return
+    new, p = basis[k], pivots[k]
+    for i in range(k):
+        if basis[i][p]:
+            basis[i] = primitive(_reduce_row(basis[i], (new,), (p,)))

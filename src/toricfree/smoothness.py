@@ -33,11 +33,11 @@ def is_smooth_cone(cone: Cone) -> SmoothnessReport:
     rays = cone.rays()
     if not rays:
         return SmoothnessReport(True)
-    if len(rays) != cone.dim:
-        return SmoothnessReport(
-            False, reason=f"{len(rays)} rays but dimension {cone.dim}")
+    # the nonzero invariant factors number the rank of the rays, which is the cone dimension
     factors = invariant_factors([list(u) for u in rays])
-    # ray count == dim forces full row rank, so every ray has a factor
+    if len(rays) != len(factors):
+        return SmoothnessReport(
+            False, reason=f"{len(rays)} rays but dimension {len(factors)}")
     for f in factors:
         if f != 1:
             return SmoothnessReport(

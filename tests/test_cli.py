@@ -254,6 +254,15 @@ def test_rank_at_the_bound_is_accepted():
     assert cone.rank == MAX_RANK and cone.rays() == ((1,) + (0,) * (MAX_RANK - 1),)
 
 
+@pytest.mark.parametrize("command", ["sweep", "generate"])
+def test_generator_count_is_bounded(capsys, command):
+    # the config is validated before any draw, so nothing of this size is allocated
+    code, _, err = run_cli(capsys, command, "--rank", "3", "--count", "1", "--seed", "1",
+                           "--max-gens", "1000000000")
+    assert code == 2
+    assert "max_generators" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

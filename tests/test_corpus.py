@@ -4,6 +4,7 @@ import pytest
 
 from toricfree.cones import Cone
 from toricfree.corpus import (
+    MAX_GENERATORS,
     PRNG_ALGORITHM,
     GenerationBudgetError,
     GeneratorConfig,
@@ -86,6 +87,9 @@ def test_config_validation():
         GeneratorConfig(rank=2, min_generators=-1, max_generators=2, bound=5, seed=0)
     with pytest.raises(ValueError):
         GeneratorConfig(rank=2, min_generators=1, max_generators=2, bound=0, seed=0)
+    with pytest.raises(ValueError):
+        GeneratorConfig(rank=2, min_generators=1, max_generators=MAX_GENERATORS + 1,
+                        bound=5, seed=0)
 
 
 def test_default_config_shape():

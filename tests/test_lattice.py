@@ -1,5 +1,6 @@
 """Exact linear algebra: normal forms, integer solving, rational subspaces."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from toricfree.lattice import (
     primitive,
     smith_normal_form,
     solve_integer_system,
+    transpose,
     xgcd,
 )
 
@@ -288,3 +290,66 @@ def test_subspace_dimension_formula_and_complement_involution(ambient, data):
     assert (a + b).dim + a.intersection(b).dim == a.dim + b.dim
     assert a.orthogonal_complement().orthogonal_complement() == a
     assert b.orthogonal_complement().orthogonal_complement() == b
+
+
+def _unit_upper(rng, n, bound):
+    return [[1 if i == j else (rng.randint(-bound, bound) if j > i and rng.random() < 0.2 else 0)
+             for j in range(n)] for i in range(n)]
+
+
+def _product(rng, m, r, n, bound):
+    f = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(m)]
+    g = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(r)]
+    return mat_mul(f, g)
+
+
+def pinned_matrices():
+    """A fixed seeded matrix set whose exact normal forms are pinned below.
+
+    Small square, tall and wide matrices, some with zero or repeated rows,
+    then four 30-60 dimensional ones with entries up to 10^6, built so
+    that their transforms stay cheap to compute: unit upper triangular,
+    that block stacked over sums of its rows, and two low-rank products.
+    """
+    rng = random.Random(20240604)
+    small = [[], [[0]], [[0, 0], [0, 0]], [[7]], [[-4, 6]], [[6], [-4]]]
+    for _ in range(240):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        for i in range(m):
+            roll = rng.random()
+            if roll < 0.15:
+                a[i] = [0] * n
+            elif roll < 0.3 and i:
+                a[i] = [rng.choice((-2, -1, 1, 3)) * c for c in a[rng.randrange(i)]]
+        small.append(a)
+    top = _unit_upper(rng, 30, 5 * 10**5)
+    stacked = top + [[x + rng.choice((-1, 1)) * y for x, y in zip(*rng.sample(top, 2))]
+                     for _ in range(30)]
+    rng.shuffle(stacked)
+    large = [_unit_upper(rng, 30, 10**6), stacked,
+             _product(rng, 40, 3, 60, 577), _product(rng, 50, 5, 50, 447)]
+    return small, large
+
+
+# SHA-256 of the exact outputs below, recorded before the elimination
+# steps in lattice.py were shared; the transforms U and V fix the
+# witnesses that reports carry, so they must not drift.
+PINNED_NORMAL_FORM_DIGEST = "618d366bcd3a631d3ebf381791c7442adec4e03931336ca030e1f11f0d3106fa"
+
+
+def test_normal_forms_are_pinned():
+    small, large = pinned_matrices()
+    assert all(abs(c) <= 10**6 for a in large for row in a for c in row)
+    digest = hashlib.sha256()
+    for a in small + large:
+        digest.update(repr((hermite_normal_form(a), smith_normal_form(a),
+                            matrix_rank(a))).encode())
+    assert digest.hexdigest() == PINNED_NORMAL_FORM_DIGEST
+
+
+def test_matrix_rank_on_large_matrices():
+    _, large = pinned_matrices()
+    for a in large:
+        for sub in (a, a[:len(a) // 3], transpose(a)):
+            assert matrix_rank(sub) == fraction_rank(sub)
