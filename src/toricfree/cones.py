@@ -159,7 +159,7 @@ class Cone:
         return result
 
     def is_face_of(self, other: "Cone") -> bool:
-        """Whether this cone is a face of ``other``.
+        """Whether this cone is a face of ``other``, read off ``other.faces()``.
 
         Both cones must be strongly convex and live in the same lattice.
         """
@@ -167,13 +167,7 @@ class Cone:
             raise ValueError("cones live in different lattices")
         self._require_strongly_convex()
         other._require_strongly_convex()
-        if not all(other.contains(g) for g in self.generators):
-            return False
-        active = [f for f in other.facet_normals
-                  if all(dot(f, g) == 0 for g in self.generators)]
-        cut = frozenset(r for r in other.generators
-                        if all(dot(f, r) == 0 for f in active))
-        return cut == frozenset(self.generators)
+        return self in other.faces()
 
     def perp_sublattice(self) -> list[Vector]:
         """Canonical basis of the annihilator of the cone in the dual lattice.
@@ -259,9 +253,18 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
     Returns (lineality_rows, extreme_rays): a canonical basis of the
     lineality space and the sorted primitive extreme rays of a complement
     of it inside the solution cone.  Inequalities are inserted one at a
-    time; after each insertion the candidate rays are pruned back to the
-    extreme ones by an active-constraint rank test, which keeps the
-    intermediate sets small.
+    time, and the rays kept between insertions are always exactly the
+    extreme rays modulo the current lineality (Motzkin et al. 1953).
+
+    While the new normal a pairs nonzero with the lineality, the step
+    projects along a lineality vector b0 with ``dot(a, b0) > 0``.  That
+    projection maps the old cone modulo its lineality isomorphically onto
+    its slice on the hyperplane of a, so the projected rays and b0 are the
+    new extreme rays with no test.  Otherwise it is a Fourier-Motzkin step:
+    the rays on the nonnegative side stay extreme, and of the combinations
+    of a positive and a negative ray only those formed from adjacent rays
+    are extreme, which one active-constraint rank test decides (Fukuda and
+    Prodon 1996).
 
     All arithmetic is integral: a candidate ray r is replaced across the
     hyperplane of a new inequality a by combinations like
@@ -273,57 +276,33 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
     for a in normals:
         if is_zero(a):
             continue
+        processed.append(a)
         pair_lin = [dot(a, l) for l in lin]
         if any(pair_lin):
             k = next(i for i, p in enumerate(pair_lin) if p)
             b0, p0 = lin[k], pair_lin[k]
             if p0 < 0:
                 b0, p0 = negated(b0), -p0
-            new_lin = []
-            for l, pl in zip(lin, pair_lin):
-                if l is lin[k]:
-                    continue
-                new_lin.append(l if pl == 0 else primitive([p0 * x - pl * y for x, y in zip(l, b0)]))
-            new_rays = []
-            for r in rays:
-                pr = dot(a, r)
-                new_rays.append(r if pr == 0 else primitive([p0 * x - pr * y for x, y in zip(r, b0)]))
-            new_rays.append(b0)
-            lin = new_lin
-            rays = new_rays
-            processed.append(a)
-            rays = _prune(rays, processed, len(lin), rank)
+
+            def project(v: Vector, pv: int) -> Vector:
+                return v if pv == 0 else primitive([p0 * x - pv * y for x, y in zip(v, b0)])
+
+            lin = [project(l, pl) for i, (l, pl) in enumerate(zip(lin, pair_lin)) if i != k]
+            rays = [project(r, dot(a, r)) for r in rays] + [b0]
         else:
             pairings = [(r, dot(a, r)) for r in rays]
-            pos = [(r, p) for r, p in pairings if p > 0]
-            zero = [r for r, p in pairings if p == 0]
             neg = [(r, p) for r, p in pairings if p < 0]
             if not neg:
-                processed.append(a)
                 continue
-            combos = []
+            pos = [(r, p) for r, p in pairings if p > 0]
+            rays = [r for r, _ in pos] + [r for r, p in pairings if p == 0]
             for p_ray, pp in pos:
                 for n_ray, pn in neg:
-                    w = [pp * x - pn * y for x, y in zip(n_ray, p_ray)]
-                    if not is_zero(w):
-                        combos.append(primitive(w))
-            rays = [r for r, _ in pos] + zero + combos
-            processed.append(a)
-            rays = _prune(rays, processed, len(lin), rank)
+                    w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
+                    if _is_extreme(w, processed, rank, len(lin)):
+                        rays.append(w)
     lin_rows = _canonical_lineality(processed, rank, len(lin))
     return tuple(lin_rows), _reduce_off_lineality(rays, lin_rows, rank)
-
-
-def _prune(rays: list[Vector], processed: list[Vector], lineality_dim: int, rank: int) -> list[Vector]:
-    kept = []
-    seen = set()
-    for r in rays:
-        if r in seen:
-            continue
-        seen.add(r)
-        if _is_extreme(r, processed, rank, lineality_dim):
-            kept.append(r)
-    return kept
 
 
 def _canonical_lineality(processed: Sequence[Vector], rank: int, lineality_dim: int) -> list[Vector]:

@@ -39,11 +39,13 @@ class Filtration:
     def __init__(self, ambient: int, steps: Sequence[tuple[int, RationalSubspace]]):
         previous = RationalSubspace.full(ambient)
         canonical: list[tuple[int, RationalSubspace]] = []
+        last = None
         for i, sub in sorted(steps, key=lambda s: s[0]):
             if sub.ambient != ambient:
                 raise ValueError("subspace ambient dimension mismatch")
-            if canonical and canonical[-1][0] == i:
+            if i == last:
                 raise ValueError(f"duplicate breakpoint {i}")
+            last = i
             if sub == previous:
                 continue
             if not previous.contains_subspace(sub):

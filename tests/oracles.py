@@ -147,3 +147,18 @@ def fraction_rref_rows(rows: list[list[Fraction | int]], ambient: int) -> tuple[
 def cone_membership_by_duality(cone: Cone, v: tuple[int, ...]) -> bool:
     """Membership decided from scratch: nonnegative pairing with every dual generator."""
     return all(sum(a * b for a, b in zip(d, v)) >= 0 for d in cone.dual.generators)
+
+
+def is_face_by_supporting_hyperplane(f: Cone, c: Cone) -> bool:
+    """Face test from one supporting hyperplane, without the face lattice.
+
+    The sum m of the dual generators of c that vanish on f is a supporting
+    hyperplane whose slice of c is the smallest face containing f, so f is
+    a face exactly when the rays of c on that hyperplane are those of f.
+    """
+    if not all(cone_membership_by_duality(c, g) for g in f.generators):
+        return False
+    vanishing = [d for d in c.dual.generators
+                 if all(sum(x * y for x, y in zip(d, g)) == 0 for g in f.generators)]
+    m = [sum(column) for column in zip(*vanishing)] or [0] * c.rank
+    return {r for r in c.rays() if sum(x * y for x, y in zip(m, r)) == 0} == set(f.generators)

@@ -1,10 +1,11 @@
 """Cone geometry: construction, duality, faces, annihilator sublattices."""
 
+import hashlib
 import random
 
 import pytest
 
-from oracles import cone_membership_by_duality
+from oracles import cone_membership_by_duality, is_face_by_supporting_hyperplane
 from toricfree.cones import Cone, NotStronglyConvexError, dual_cone, linearly_independent_rays
 from toricfree.lattice import dot, matrix_rank
 
@@ -195,6 +196,19 @@ def test_face_transitivity_on_random_corpus():
                 assert g.is_face_of(c)
 
 
+def test_is_face_of_agrees_with_supporting_hyperplane_oracle():
+    faces = non_faces = 0
+    for c in random_strongly_convex_cones(seed=113, count=200, ranks=(2, 3, 4), max_extra=3):
+        rays = c.rays()
+        for mask in range(2 ** len(rays)):
+            f = Cone([r for i, r in enumerate(rays) if mask >> i & 1], c.rank)
+            expected = is_face_by_supporting_hyperplane(f, c)
+            assert f.is_face_of(c) == expected
+            faces += expected
+            non_faces += not expected
+    assert faces >= 1000 and non_faces >= 300
+
+
 def test_intersection_examples():
     a = Cone([(1, 0), (1, 2)], 2)
     b = Cone([(1, 2), (0, 1)], 2)
@@ -283,3 +297,72 @@ def test_cone_immutable_and_hashable():
     with pytest.raises(AttributeError):
         c.rank = 3
     assert len({c, Cone([(2, 0)], 2)}) == 1
+
+
+def pinned_cone_inputs():
+    """A fixed seeded set of generator lists whose exact cones are pinned below.
+
+    Ranks 1-5 with coordinates up to 30.  In half the lists every generator
+    is flipped into one half-space, so most of them span pointed cones with
+    many rays.  Some lists get a redundant generator (a positive combination
+    of two others), some are drawn from a proper sublattice (lower
+    dimensional cones), and some get the negative of one generator (a line,
+    so construction must reject them).
+    """
+    rng = random.Random(20240605)
+    inputs = []
+    for _ in range(1500):
+        n = rng.choice((1, 2, 3, 3, 4, 4, 4, 5, 5, 5))
+        bound = rng.choice((1, 2, 5, 30))
+        k = rng.randint(1, n + 3)
+        roll = rng.random()
+        if roll < 0.2 and n > 1:
+            d = rng.randint(1, n - 1)
+            basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+            gens = [[sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
+                    for coeffs in ([rng.randint(-bound, bound) for _ in range(d)]
+                                   for _ in range(k))]
+        else:
+            gens = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.5:
+            h = [rng.randint(-3, 3) for _ in range(n)]
+            gens = [g if dot(g, h) >= 0 else [-x for x in g] for g in gens]
+        if 0.2 <= roll < 0.45 and k > 1:
+            g, h = rng.sample(gens, 2)
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            gens.append([s * x + t * y for x, y in zip(g, h)])
+        elif roll >= 0.85:
+            gens.append([-x for x in rng.choice(gens)])
+        rng.shuffle(gens)
+        inputs.append((n, gens))
+    return inputs
+
+
+# SHA-256 of the exact cone data below, recorded before the double
+# description stopped re-testing rays it already knows to be extreme.
+PINNED_CONE_DIGEST = "fec3d04d442bd01f17fca1c70ea58100ea7f4f6c60e940267295737bc0298578"
+
+
+def test_cone_layer_is_pinned():
+    digest = hashlib.sha256()
+    previous: dict[int, Cone] = {}
+    rejected = accepted = 0
+    for n, gens in pinned_cone_inputs():
+        try:
+            c = Cone(gens, n)
+        except NotStronglyConvexError as exc:
+            rejected += 1
+            digest.update(repr(("line", exc.witness)).encode())
+            continue
+        accepted += 1
+        dd = c.dual.dual
+        record = [c.generators, c.dual.generators, c.dual.lineality_basis,
+                  c.facet_normals, dd.generators, dd.lineality_basis]
+        if n <= 4:
+            record.append([f.generators for f in c.faces()])
+        other = previous.get(n, Cone.zero(n))
+        record.append(c.intersection(other).generators)
+        previous[n] = c
+        digest.update(repr(record).encode())
+    assert rejected >= 100 and accepted >= 1000
+    assert digest.hexdigest() == PINNED_CONE_DIGEST

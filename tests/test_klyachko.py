@@ -60,6 +60,10 @@ def test_filtration_validation():
     with pytest.raises(ValueError):
         Filtration(2, [(1, span), (1, RationalSubspace.zero(2))])
     with pytest.raises(ValueError):
+        Filtration(2, [(1, RationalSubspace.full(2)), (1, RationalSubspace.zero(2))])
+    with pytest.raises(ValueError):
+        Filtration(2, [(1, span), (2, span), (2, RationalSubspace.zero(2))])
+    with pytest.raises(ValueError):
         Filtration(2, [(1, RationalSubspace.span(3, [(1, 0, 0)]))])
 
 
