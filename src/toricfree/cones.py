@@ -72,11 +72,12 @@ class Cone:
             object.__setattr__(self, "_lineality_rows", tuple(_lineality_rows))
             return
         lin_rows, dual_rays = _double_description(gens, rank)
-        witness_rows = _kernel_or_identity(lin_rows + dual_rays, rank)
-        if witness_rows:
-            raise NotStronglyConvexError(witness_rows[0])
-        # dual rays are already reduced off the dual lineality, so ranks add
-        extreme = [g for g in gens if _is_extreme(g, dual_rays, rank, len(lin_rows))]
+        if matrix_rank(lin_rows + dual_rays) < rank:
+            raise NotStronglyConvexError(_kernel_or_identity(lin_rows + dual_rays, rank)[0])
+        # the facets through g cut out its smallest face, so g is extreme
+        # iff no other generator lies on all of them
+        zeros = [sum(1 << i for i, d in enumerate(dual_rays) if dot(d, g) == 0) for g in gens]
+        extreme = [g for g, z in zip(gens, zeros) if sum(w & z == z for w in zeros) == 1]
         object.__setattr__(self, "generators", tuple(extreme))
         object.__setattr__(self, "_lineality_rows", ())
         object.__setattr__(self, "_dual", _canonical_cone(lin_rows, dual_rays, rank))
@@ -140,20 +141,18 @@ class Cone:
         self._require_strongly_convex()
         if self._faces is not None:
             return self._faces
-        normals = self.facet_normals
-        seen: dict[frozenset[Vector], Cone] = {}
+        zero_sets = [frozenset(r for r in self.generators if dot(f, r) == 0)
+                     for f in self.facet_normals]
         start = frozenset(self.generators)
-        seen[start] = self
-        queue = [start]
+        seen: dict[frozenset[Vector], Cone] = {start: self}
+        queue = [start]  # a pointed cone's facets meet in its apex, so the zero cone is reached
         while queue:
             current = queue.pop()
-            for f in normals:
-                cut = frozenset(r for r in current if dot(f, r) == 0)
+            for zero in zero_sets:
+                cut = current & zero
                 if cut not in seen:
                     seen[cut] = Cone(sorted(cut), self.rank, _canonical=True)
                     queue.append(cut)
-        if frozenset() not in seen:
-            seen[frozenset()] = Cone((), self.rank, _canonical=True)
         result = tuple(sorted(seen.values(), key=Cone.sort_key))
         object.__setattr__(self, "_faces", result)
         return result
@@ -241,12 +240,6 @@ def _canonical_cone(lin_rows: Sequence[Vector], rays: Sequence[Vector], rank: in
                 rank, _canonical=True, _lineality_rows=tuple(lin_rows))
 
 
-def _is_extreme(ray: Vector, normals: Sequence[Vector], rank: int, lineality_dim: int) -> bool:
-    """Rank test for extremality of a ray of a cone given by inequality normals."""
-    active = [list(a) for a in normals if dot(a, ray) == 0]
-    return matrix_rank(active) == rank - lineality_dim - 1
-
-
 def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     """V-description of the solution set of ``dot(a, x) >= 0`` for each a in normals.
 
@@ -263,19 +256,22 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
     new extreme rays with no test.  Otherwise it is a Fourier-Motzkin step:
     the rays on the nonnegative side stay extreme, and of the combinations
     of a positive and a negative ray only those formed from adjacent rays
-    are extreme, which one active-constraint rank test decides (Fukuda and
-    Prodon 1996).
+    are extreme.  Each ray carries the bitmask of the processed normals
+    vanishing on it, and two rays are adjacent iff the normals Z vanishing
+    on both number at least ``rank - lineality - 2`` and no third ray
+    vanishes on all of Z (the incidence test of Fukuda and Prodon 1996).
 
     All arithmetic is integral: a candidate ray r is replaced across the
     hyperplane of a new inequality a by combinations like
     ``dot(a, p) * r_neg - dot(a, r_neg) * p`` whose pairings cancel exactly.
     """
     lin: list[Vector] = [vec(row) for row in identity_matrix(rank)]
-    rays: list[Vector] = []
+    rays: list[tuple[Vector, int]] = []  # (ray, mask): bit i set iff processed[i] vanishes on it
     processed: list[Vector] = []
     for a in normals:
         if is_zero(a):
             continue
+        bit = 1 << len(processed)
         processed.append(a)
         pair_lin = [dot(a, l) for l in lin]
         if any(pair_lin):
@@ -288,27 +284,23 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
                 return v if pv == 0 else primitive([p0 * x - pv * y for x, y in zip(v, b0)])
 
             lin = [project(l, pl) for i, (l, pl) in enumerate(zip(lin, pair_lin)) if i != k]
-            rays = [project(r, dot(a, r)) for r in rays] + [b0]
+            rays = [(project(r, dot(a, r)), m | bit) for r, m in rays] + [(b0, bit - 1)]
         else:
-            pairings = [(r, dot(a, r)) for r in rays]
-            neg = [(r, p) for r, p in pairings if p < 0]
-            if not neg:
-                continue
-            pos = [(r, p) for r, p in pairings if p > 0]
-            rays = [r for r, _ in pos] + [r for r, p in pairings if p == 0]
-            for p_ray, pp in pos:
-                for n_ray, pn in neg:
-                    w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
-                    if _is_extreme(w, processed, rank, len(lin)):
-                        rays.append(w)
-    lin_rows = _canonical_lineality(processed, rank, len(lin))
-    return tuple(lin_rows), _reduce_off_lineality(rays, lin_rows, rank)
-
-
-def _canonical_lineality(processed: Sequence[Vector], rank: int, lineality_dim: int) -> list[Vector]:
-    if lineality_dim == 0:
-        return []
-    return _kernel_or_identity(processed, rank)
+            scored = [(r, m, dot(a, r)) for r, m in rays]
+            pos = [(r, m, p) for r, m, p in scored if p > 0]
+            neg = [(r, m, p) for r, m, p in scored if p < 0]
+            need = rank - len(lin) - 2
+            rays = [(r, m | bit if p == 0 else m) for r, m, p in scored if p >= 0]
+            for p_ray, pm, pp in pos:
+                for n_ray, nm, pn in neg:
+                    z = pm & nm
+                    # extreme rays have distinct masks, so this asks for a third ray on all of z
+                    if z.bit_count() >= need and not any(
+                            m & z == z and m != pm and m != nm for _, m, _ in scored):
+                        w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
+                        rays.append((w, z | bit))
+    lin_rows = _kernel_or_identity(processed, rank) if lin else []
+    return tuple(lin_rows), _reduce_off_lineality([r for r, _ in rays], lin_rows, rank)
 
 
 def _kernel_or_identity(rows: Sequence[Vector], rank: int) -> list[Vector]:

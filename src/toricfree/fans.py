@@ -81,11 +81,8 @@ class Fan:
 
     def maximal_cones(self) -> tuple[Cone, ...]:
         """Cones that are not proper faces of any other cone in the fan."""
-        maximal = []
-        for c in self.cones:
-            if not any(c is not d and c.is_face_of(d) for d in self.cones):
-                maximal.append(c)
-        return tuple(maximal)
+        proper = {f for c in self.cones for f in c.faces() if f != c}
+        return tuple(c for c in self.cones if c not in proper)
 
     def rays(self) -> tuple:
         """Primitive generators of the one-dimensional cones, sorted."""

@@ -8,6 +8,7 @@ later with no other inputs (see ``recheck_report``).
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Union
 
 from . import __version__
@@ -45,7 +46,11 @@ def decode_int(value: Any) -> int:
         try:
             return int(value, 10)
         except ValueError:
-            raise ValueError(f"expected a decimal integer string, got {value!r}") from None
+            digits, limit = sum(ch.isdigit() for ch in value), sys.get_int_max_str_digits()
+            if limit and digits > limit:
+                raise ValueError(f"{digits}-digit integer string is over the limit of {limit}") from None
+            shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+            raise ValueError(f"expected a decimal integer string, got {shown}") from None
     raise ValueError(f"expected an integer, got {value!r}")
 
 
@@ -270,7 +275,9 @@ def recheck_report(doc: Any) -> list[str]:
             continue
         if not isinstance(free_doc, dict):
             raise ValueError(f"entry {pos}: 'locally_free' must be an object")
-        if not free_doc.get("verdict"):
+        if not isinstance(verdict := free_doc.get("verdict"), bool):
+            raise ValueError(f"entry {pos}: 'verdict' must be true or false, got {verdict!r}")
+        if not verdict:
             continue
         cert_doc = free_doc.get("certificate")
         if cert_doc is None:

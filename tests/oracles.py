@@ -114,6 +114,17 @@ def fraction_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def is_extreme_by_rank(ray: tuple[int, ...], normals, lineality_dim: int) -> bool:
+    """Rank test for extremality of a ray of the cone ``dot(a, x) >= 0`` for a in normals.
+
+    A ray of a cone whose lineality space has dimension l is extreme iff the
+    normals vanishing on it have rank ``len(ray) - l - 1`` over Q.  The
+    ray must already lie in the cone.
+    """
+    active = [list(a) for a in normals if sum(x * y for x, y in zip(a, ray)) == 0]
+    return fraction_rank(active) == len(ray) - lineality_dim - 1
+
+
 def fraction_rref_rows(rows: list[list[Fraction | int]], ambient: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon basis by Fraction elimination, each row rescaled
     to a primitive integer vector (its pivot stays positive)."""

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -325,3 +326,25 @@ def test_golden_sweep_report(capsys):
     del doc["elapsed"]
     text = f"{code}\n{json.dumps(doc, indent=2)}"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SWEEP
+
+
+def high_rank_document(rank, count, bound):
+    """A seeded cone document: ``count`` generators with coordinates in [0, bound], row by row."""
+    rng = random.Random(1000 + rank)
+    return {"rank": rank,
+            "generators": [[rng.randint(0, bound) for _ in range(rank)] for _ in range(count)]}
+
+
+# SHA-256 of the `smooth` output for the rank-8 and rank-12 documents,
+# computed before extremality in the cone layer became an incidence test.
+GOLDEN_HIGH_RANK_SMOOTH = "b37e075af8afa57233837bacdf69b41bd975aaf735d537221331209dd60cd85a"
+
+
+def test_golden_high_rank_smooth_reports(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for rank, count in ((8, 12), (12, 16)):
+        path = write_json(tmp_path, f"rank{rank}.json", high_rank_document(rank, count, 10 ** 6))
+        code, out, err = run_cli(capsys, "smooth", path)
+        assert code == 1 and err == ""
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_HIGH_RANK_SMOOTH

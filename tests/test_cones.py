@@ -5,9 +5,20 @@ import random
 
 import pytest
 
-from oracles import cone_membership_by_duality, is_face_by_supporting_hyperplane
-from toricfree.cones import Cone, NotStronglyConvexError, dual_cone, linearly_independent_rays
-from toricfree.lattice import dot, matrix_rank
+from oracles import (
+    cone_membership_by_duality,
+    fraction_rank,
+    is_extreme_by_rank,
+    is_face_by_supporting_hyperplane,
+)
+from toricfree.cones import (
+    Cone,
+    NotStronglyConvexError,
+    _double_description,
+    dual_cone,
+    linearly_independent_rays,
+)
+from toricfree.lattice import dot, matrix_rank, primitive
 
 
 def random_strongly_convex_cones(seed, count, ranks=(2, 3, 4), bound=5, max_extra=2):
@@ -366,3 +377,77 @@ def test_cone_layer_is_pinned():
         digest.update(repr(record).encode())
     assert rejected >= 100 and accepted >= 1000
     assert digest.hexdigest() == PINNED_CONE_DIGEST
+
+
+def high_rank_inputs(kind, seed, count=1, ranks=range(6, 13)):
+    """Seeded generator lists of ranks 6-12, past the ranks pinned above.
+
+    ``pointed`` lists are flipped into the half-space of a random
+    functional, ``lower`` ones are such lists mapped into Z^rank by a random
+    injective matrix from a lattice of smaller rank, and ``line`` ones are
+    pointed lists plus the negative of one of their generators.  Each list
+    holds a positive combination of two of its generators, and small
+    coordinate bounds are common, so many rays lie on the hyperplanes of
+    later normals.
+    """
+    rng = random.Random(seed)
+
+    def pointed(n, k):
+        bound = rng.choice((1, 2, 9))
+        h = [rng.randint(-3, 3) or 1 for _ in range(n)]
+        gens = []
+        while len(gens) < k - 1:
+            g = [rng.randint(-bound, bound) for _ in range(n)]
+            if dot(g, h):
+                gens.append(g if dot(g, h) > 0 else [-x for x in g])
+        g, h = rng.sample(gens, 2)
+        gens.append([x + rng.randint(1, 3) * y for x, y in zip(g, h)])
+        rng.shuffle(gens)
+        return gens
+
+    inputs = []
+    for n in ranks:
+        for _ in range(count):
+            k = n + rng.randint(1, 3)
+            if kind == "lower":
+                d = rng.randint(2, n - 2)
+                while True:
+                    basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+                    if fraction_rank(basis) == d:
+                        break
+                gens = [[sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
+                        for coeffs in pointed(d, k)]
+            else:
+                gens = pointed(n, k)
+                if kind == "line":
+                    gens.append([-x for x in rng.choice(gens)])
+            inputs.append((n, gens))
+    return inputs
+
+
+@pytest.mark.parametrize("kind,seed", [("pointed", 61), ("lower", 62)])
+def test_high_rank_cones_against_rank_oracle(kind, seed):
+    for n, gens in high_rank_inputs(kind, seed):
+        c = Cone(gens, n)
+        dual = c.dual
+        assert all(dot(d, g) >= 0 for g in gens for d in dual.generators)
+        assert all(dot(d, g) == 0 for g in gens for d in dual.lineality_basis)
+        for g in {primitive(g) for g in gens}:
+            assert is_extreme_by_rank(g, dual.generators, 0) == (g in c.generators)
+        for f in c.facet_normals:
+            assert is_extreme_by_rank(f, gens, len(dual.lineality_basis))
+        assert len(dual.lineality_basis) == n - c.dim
+
+
+def test_high_rank_line_witness_against_rank_oracle():
+    for n, gens in high_rank_inputs("line", 63):
+        with pytest.raises(NotStronglyConvexError) as exc:
+            Cone(gens, n)
+        lin_rows, dual_rays = _double_description([tuple(g) for g in gens], n)
+        for r in dual_rays:
+            assert is_extreme_by_rank(r, gens, len(lin_rows))
+        assert all(dot(r, g) >= 0 for g in gens for r in dual_rays)
+        assert all(dot(l, g) == 0 for g in gens for l in lin_rows)
+        # pairing to zero with the whole dual puts the line through w in the cone
+        w = exc.value.witness
+        assert any(w) and all(dot(d, w) == 0 for d in lin_rows + dual_rays)

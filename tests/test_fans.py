@@ -168,3 +168,12 @@ def test_seeded_product_fan_closure_meets_in_faces(seed, count):
     fan = planar_fan_times_p1(seed, count)
     assert len(fan) == 6 * count + 3
     _check_pairs(fan.cones)
+
+
+@pytest.mark.parametrize("seed,count", [(4, 5), (5, 6), (6, 8)])
+def test_seeded_product_fan_maximal_cones_match_face_definition(seed, count):
+    fan = planar_fan_times_p1(seed, count)
+    expected = tuple(c for c in fan.cones
+                     if not any(c != d and c.is_face_of(d) for d in fan.cones))
+    assert len(expected) == 2 * count
+    assert fan.maximal_cones() == expected

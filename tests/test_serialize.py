@@ -49,6 +49,13 @@ def test_int_codec_rejections():
         decode_int(1.5)
     with pytest.raises(ValueError):
         decode_int("12px")
+    # past Python's digit limit for int(): name the count, do not echo the input
+    with pytest.raises(ValueError, match="5000-digit integer string is over the limit") as exc:
+        decode_int("7" * 5000)
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ValueError, match=r"'12px12px.*\.\.\. \(4000 characters\)") as exc:
+        decode_int("12px" * 1000)
+    assert len(str(exc.value)) < 200
     with pytest.raises(ValueError):
         decode_vector("not a list")
     with pytest.raises(ValueError):
@@ -174,3 +181,9 @@ def test_recheck_malformed():
         recheck_report({"kind": "locally-free"})
     with pytest.raises(ValueError):
         recheck_report({"entries": [{"locally_free": {"verdict": True}}]})
+    # a verdict that is not a JSON boolean is neither a claim nor a denial
+    cone_doc = {"rank": 2, "generators": [[1, 0], [0, 1]]}
+    for verdict in (0, None, [], "false"):
+        entry = {"cone": cone_doc, "locally_free": {"verdict": verdict}}
+        with pytest.raises(ValueError, match="entry 0"):
+            recheck_report({"entries": [entry]})
