@@ -8,6 +8,7 @@ stdout as JSON; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -166,14 +167,7 @@ def _dispatch(args) -> int:
             raise ValueError("--count must be at least 1")
         stream = iter_random_cones(config)
         summary = run_sweep(next(stream) for _ in range(args.count))
-        config_doc = {
-            "rank": config.rank,
-            "min_generators": config.min_generators,
-            "max_generators": config.max_generators,
-            "bound": config.bound,
-            "seed": config.seed,
-            "prng": PRNG_ALGORITHM,
-        }
+        config_doc = {**dataclasses.asdict(config), "prng": PRNG_ALGORITHM}
         _emit(sweep_report(summary, config_doc))
         return AFFIRMATIVE if summary.all_agree else NEGATIVE
 

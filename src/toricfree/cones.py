@@ -41,16 +41,16 @@ class NotStronglyConvexError(ValueError):
 class Cone:
     """An immutable cone in canonical form.
 
-    Public construction goes through ``Cone(generators, rank)`` which
-    rejects input spanning a line and reduces the generators to the sorted
-    primitive extreme rays.  Equality and hashing use only the canonical
-    generator tuple, so equal cones are interchangeable everywhere.
+    ``Cone(generators, rank)`` rejects input spanning a line and reduces
+    the generators to the sorted primitive extreme rays.  Cones whose
+    generators are already canonical (duals, faces, intersections) are
+    built by ``_canonical_cone`` alone.  Equality and hashing use only the
+    canonical generator tuple, so equal cones are interchangeable everywhere.
     """
 
     __slots__ = ("rank", "generators", "_lineality_rows", "_dual", "_dim", "_perp", "_faces")
 
-    def __init__(self, generators: Iterable[Sequence[int]], rank: int, *,
-                 _canonical: bool = False, _lineality_rows: tuple[Vector, ...] = ()):
+    def __init__(self, generators: Iterable[Sequence[int]], rank: int):
         if rank < 1:
             raise ValueError("lattice rank must be at least 1")
         gens = []
@@ -62,25 +62,18 @@ class Cone:
                 continue
             gens.append(primitive(v))
         gens = sorted(set(gens))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_dual", None)
-        object.__setattr__(self, "_dim", None)
-        object.__setattr__(self, "_perp", None)
-        object.__setattr__(self, "_faces", None)
-        if _canonical:
-            object.__setattr__(self, "generators", tuple(gens))
-            object.__setattr__(self, "_lineality_rows", tuple(_lineality_rows))
-            return
         lin_rows, dual_rays = _double_description(gens, rank)
-        if matrix_rank(lin_rows + dual_rays) < rank:
+        zeros = [sum(1 << i for i, d in enumerate(dual_rays) if dot(d, g) == 0) for g in gens]
+        # the lineality space is the smallest face, so it holds a generator
+        # iff it is not zero: one on which every dual ray vanishes
+        if (1 << len(dual_rays)) - 1 in zeros:
             raise NotStronglyConvexError(_kernel_or_identity(lin_rows + dual_rays, rank)[0])
         # the facets through g cut out its smallest face, so g is extreme
         # iff no other generator lies on all of them
-        zeros = [sum(1 << i for i, d in enumerate(dual_rays) if dot(d, g) == 0) for g in gens]
-        extreme = [g for g, z in zip(gens, zeros) if sum(w & z == z for w in zeros) == 1]
-        object.__setattr__(self, "generators", tuple(extreme))
-        object.__setattr__(self, "_lineality_rows", ())
-        object.__setattr__(self, "_dual", _canonical_cone(lin_rows, dual_rays, rank))
+        extreme = tuple(g for g, z in zip(gens, zeros) if sum(w & z == z for w in zeros) == 1)
+        # the dual's lineality space is the annihilator of this cone
+        _set_slots(self, rank, extreme, (), _canonical_cone(lin_rows, dual_rays, rank),
+                   rank - len(lin_rows))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Cone is immutable")
@@ -151,7 +144,7 @@ class Cone:
             for zero in zero_sets:
                 cut = current & zero
                 if cut not in seen:
-                    seen[cut] = Cone(sorted(cut), self.rank, _canonical=True)
+                    seen[cut] = _canonical_cone((), cut, self.rank)
                     queue.append(cut)
         result = tuple(sorted(seen.values(), key=Cone.sort_key))
         object.__setattr__(self, "_faces", result)
@@ -231,13 +224,25 @@ def linearly_independent_rays(cone: Cone) -> bool:
     return matrix_rank([list(g) for g in gens]) == len(gens)
 
 
-def _canonical_cone(lin_rows: Sequence[Vector], rays: Sequence[Vector], rank: int) -> Cone:
+def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: int) -> Cone:
     """The cone spanned by a lineality basis, as plus/minus pairs, and rays.
 
-    Takes the output of ``_double_description``, which is already canonical.
+    The only builder that trusts its input, and so skips the double
+    description: the rows and rays must already be canonical, as the output
+    of ``_double_description`` or a subset of a cone's generators is.
     """
-    return Cone([negated(v) for v in lin_rows] + list(lin_rows) + list(rays),
-                rank, _canonical=True, _lineality_rows=tuple(lin_rows))
+    cone = object.__new__(Cone)
+    generators = tuple(sorted([negated(v) for v in lin_rows] + list(lin_rows) + list(rays)))
+    _set_slots(cone, rank, generators, tuple(lin_rows))
+    return cone
+
+
+def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
+               lin_rows: tuple[Vector, ...], dual: Cone | None = None,
+               dim: int | None = None) -> None:
+    """Fill every slot of a cone; the perp basis and the faces start uncomputed."""
+    for name, value in zip(Cone.__slots__, (rank, generators, lin_rows, dual, dim, None, None)):
+        object.__setattr__(cone, name, value)
 
 
 def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:

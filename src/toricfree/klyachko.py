@@ -225,10 +225,6 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     """
     n = cone.rank
     rays = cone.rays()
-    if not rays:
-        cert = DecompositionCertificate(cone, [((0,) * n, RationalSubspace.full(n))])
-        _assert_certificate(cone, cert)
-        return LocalFreenessReport(True, witnesses={}, certificate=cert)
     if not linearly_independent_rays(cone):
         return LocalFreenessReport(False, failure="dependent rays")
     # one Smith decomposition serves every ray: the witness for ray idx

@@ -139,11 +139,14 @@ def matrix_rank(a: Sequence[Sequence[int]]) -> int:
 
     The rows are inserted one by one into an echelon basis by the same
     fraction-free step that builds ``RationalSubspace`` (see
-    ``_reduce_row``); the rank is the number of rows that survive.
+    ``_reduce_row``); the rank is the number of rows that survive.  Once
+    the basis has a row per column, every later row lies in its span.
     """
     basis: list[Sequence[int]] = []
     pivots: list[int] = []
     for row in a:
+        if len(basis) == len(row):
+            break
         _echelon_insert(basis, pivots, row)
     return len(basis)
 

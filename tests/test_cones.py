@@ -384,11 +384,13 @@ def high_rank_inputs(kind, seed, count=1, ranks=range(6, 13)):
 
     ``pointed`` lists are flipped into the half-space of a random
     functional, ``lower`` ones are such lists mapped into Z^rank by a random
-    injective matrix from a lattice of smaller rank, and ``line`` ones are
-    pointed lists plus the negative of one of their generators.  Each list
-    holds a positive combination of two of its generators, and small
-    coordinate bounds are common, so many rays lie on the hyperplanes of
-    later normals.
+    injective matrix from a lattice of smaller rank, ``line`` ones are
+    pointed lists plus the negative of one of their generators, and
+    ``circuit`` ones are pointed lists plus ``-(g + h)`` for two of their
+    generators g, h, so a line lies in the cone though no generator's
+    negative is in the list.  Each list holds a positive combination of two
+    of its generators, and small coordinate bounds are common, so many rays
+    lie on the hyperplanes of later normals.
     """
     rng = random.Random(seed)
 
@@ -421,6 +423,14 @@ def high_rank_inputs(kind, seed, count=1, ranks=range(6, 13)):
                 gens = pointed(n, k)
                 if kind == "line":
                     gens.append([-x for x in rng.choice(gens)])
+                elif kind == "circuit":
+                    negatives = {primitive([-x for x in g]) for g in gens}
+                    while True:
+                        g, h = rng.sample(gens, 2)
+                        circuit = [-x - y for x, y in zip(g, h)]
+                        if primitive(circuit) not in negatives:
+                            break
+                    gens.append(circuit)
             inputs.append((n, gens))
     return inputs
 
@@ -439,8 +449,9 @@ def test_high_rank_cones_against_rank_oracle(kind, seed):
         assert len(dual.lineality_basis) == n - c.dim
 
 
-def test_high_rank_line_witness_against_rank_oracle():
-    for n, gens in high_rank_inputs("line", 63):
+@pytest.mark.parametrize("kind,seed", [("line", 63), ("circuit", 64)])
+def test_high_rank_line_witness_against_rank_oracle(kind, seed):
+    for n, gens in high_rank_inputs(kind, seed):
         with pytest.raises(NotStronglyConvexError) as exc:
             Cone(gens, n)
         lin_rows, dual_rays = _double_description([tuple(g) for g in gens], n)
@@ -448,6 +459,8 @@ def test_high_rank_line_witness_against_rank_oracle():
             assert is_extreme_by_rank(r, gens, len(lin_rows))
         assert all(dot(r, g) >= 0 for g in gens for r in dual_rays)
         assert all(dot(l, g) == 0 for g in gens for l in lin_rows)
+        # the dual is not full-dimensional: the rank test the masks replaced
+        assert fraction_rank(list(lin_rows + dual_rays)) < n
         # pairing to zero with the whole dual puts the line through w in the cone
         w = exc.value.witness
         assert any(w) and all(dot(d, w) == 0 for d in lin_rows + dual_rays)
