@@ -48,7 +48,7 @@ class Cone:
     canonical generator tuple, so equal cones are interchangeable everywhere.
     """
 
-    __slots__ = ("rank", "generators", "_lineality_rows", "_dual", "_dim", "_perp", "_faces")
+    __slots__ = ("rank", "generators", "_lineality_rows", "_dual", "_dim", "_faces")
 
     def __init__(self, generators: Iterable[Sequence[int]], rank: int):
         if rank < 1:
@@ -164,12 +164,10 @@ class Cone:
     def perp_sublattice(self) -> list[Vector]:
         """Canonical basis of the annihilator of the cone in the dual lattice.
 
-        These are the lattice vectors pairing to zero with every generator,
-        returned as Hermite-reduced rows of a saturated sublattice.
+        These are the lattice vectors pairing to zero with every generator:
+        the dual's lineality basis, Hermite-reduced rows of a saturated sublattice.
         """
-        if self._perp is None:
-            object.__setattr__(self, "_perp", _kernel_or_identity(self.generators, self.rank))
-        return list(self._perp)
+        return list(self.dual.lineality_basis)
 
     def weight_class(self, m: Sequence[int]) -> Vector:
         """Canonical representative of a dual-lattice vector modulo the annihilator.
@@ -240,8 +238,8 @@ def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: in
 def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
                lin_rows: tuple[Vector, ...], dual: Cone | None = None,
                dim: int | None = None) -> None:
-    """Fill every slot of a cone; the perp basis and the faces start uncomputed."""
-    for name, value in zip(Cone.__slots__, (rank, generators, lin_rows, dual, dim, None, None)):
+    """Fill every slot of a cone; the faces start uncomputed."""
+    for name, value in zip(Cone.__slots__, (rank, generators, lin_rows, dual, dim, None)):
         object.__setattr__(cone, name, value)
 
 

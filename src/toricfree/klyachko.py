@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .cones import Cone, linearly_independent_rays
+from .cones import Cone
 from .lattice import (
     RationalSubspace,
     Vector,
@@ -225,11 +225,12 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     """
     n = cone.rank
     rays = cone.rays()
-    if not linearly_independent_rays(cone):
+    # one Smith decomposition serves every ray: rays no more numerous than the
+    # rank are independent iff its first len(rays) diagonal entries are nonzero,
+    # and the witness for ray idx solves rays @ m = e_idx, read off column idx of U
+    smith = smith_normal_form([list(u) for u in rays]) if len(rays) <= n else None
+    if smith is None or not all(smith[0][i][i] for i in range(len(rays))):
         return LocalFreenessReport(False, failure="dependent rays")
-    # one Smith decomposition serves every ray: the witness for ray idx
-    # solves rays @ m = e_idx, read off column idx of U
-    smith = smith_normal_form([list(u) for u in rays])
     witnesses: dict[Vector, Vector] = {}
     for idx, u in enumerate(rays):
         rhs = [1 if j == idx else 0 for j in range(len(rays))]

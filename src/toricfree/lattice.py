@@ -4,14 +4,18 @@ Everything here runs on Python's arbitrary-precision ``int``; no floating
 point is used anywhere.  Vectors are plain tuples of ints, matrices are
 lists of rows.  The normal forms (Hermite, Smith) return the
 transformation matrices alongside the reduced matrix so callers can
-verify the defining identities directly; both clear entries with one
-determinant-one 2x2 row step (plain elimination when the pivot divides
-the entry, an extended-gcd step otherwise).  Rational subspaces and
-``matrix_rank`` share one fraction-free elimination (cross-multiplication
-with a gcd reduction per row, after Bareiss 1968 and Cohen, *A Course in
-Computational Algebraic Number Theory*, §2.4): the rank only needs an
-echelon basis, subspaces keep theirs reduced.  ``fractions.Fraction``
-appears only to clear denominators of rational input rows.
+verify the defining identities directly.  Each form is one elimination
+on one matrix, and its transforms ride along as an identity block of
+extra columns (U) or, for Smith, extra rows (V), so ``invariant_factors``
+and the canonicalising step of ``integer_kernel_basis`` carry none.  Both
+clear entries with one determinant-one 2x2 row step (plain elimination
+when the pivot divides the entry, an extended-gcd step otherwise).
+Rational subspaces and ``matrix_rank`` share one fraction-free
+elimination (cross-multiplication with a gcd reduction per row, after
+Bareiss 1968 and Cohen, *A Course in Computational Algebraic Number
+Theory*, §2.4): the rank only needs an echelon basis, subspaces keep
+theirs reduced.  ``fractions.Fraction`` appears only to clear
+denominators of rational input rows.
 """
 
 from __future__ import annotations
@@ -164,18 +168,35 @@ def _clearing_coefficients(a: int, b: int) -> tuple[int, int, int, int]:
     return x, y, -(b // g), a // g
 
 
-def _combine_rows(mat: Matrix, transform: Matrix, i: int, j: int,
-                  coefficients: tuple[int, int, int, int]) -> None:
-    """Rows i, j <- (x*ri + y*rj, z*ri + w*rj) in a matrix and in its transform.
-
-    Row i is left as it is when (x, y) == (1, 0).
-    """
+def _combine_rows(mat: Matrix, i: int, j: int, coefficients: tuple[int, int, int, int]) -> None:
+    """Rows i, j <- (x*ri + y*rj, z*ri + w*rj); row i is left as it is when (x, y) == (1, 0)."""
     x, y, z, w = coefficients
-    for a in (mat, transform):
-        ri, rj = a[i], a[j]
-        if (x, y) != (1, 0):
-            a[i] = [x * p + y * q for p, q in zip(ri, rj)]
-        a[j] = [z * p + w * q for p, q in zip(ri, rj)]
+    ri, rj = mat[i], mat[j]
+    if (x, y) != (1, 0):
+        mat[i] = [x * p + y * q for p, q in zip(ri, rj)]
+    mat[j] = [z * p + w * q for p, q in zip(ri, rj)]
+
+
+def _hermite_eliminate(h: Matrix, ncols: int) -> None:
+    """Bring the first ncols columns of h to Hermite form in place; further columns ride along."""
+    m = len(h)
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, m) if h[i][col]), None)
+        if pivot is None:
+            continue
+        h[row], h[pivot] = h[pivot], h[row]
+        for i in range(row + 1, m):
+            if h[i][col]:
+                _combine_rows(h, row, i, _clearing_coefficients(h[row][col], h[i][col]))
+        if h[row][col] < 0:
+            h[row] = [-c for c in h[row]]
+        p = h[row][col]
+        for i in range(row):
+            q = h[i][col] // p
+            if q:
+                _combine_rows(h, row, i, (1, 0, -q, 1))
+        row += 1
 
 
 def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
@@ -183,53 +204,16 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
 
     Returns (H, U) with H = U @ a, U unimodular, H upper staircase with
     positive pivots, entries above each pivot reduced into [0, pivot),
-    and zero rows collected at the bottom.
+    and zero rows collected at the bottom.  U is read off [a | I].
     """
-    m = len(a)
-    h = copy_matrix(a)
-    u = identity_matrix(m)
-    ncols = len(h[0]) if h else 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, m) if h[i][col]), None)
-        if pivot is None:
-            continue
-        h[row], h[pivot] = h[pivot], h[row]
-        u[row], u[pivot] = u[pivot], u[row]
-        for i in range(row + 1, m):
-            if h[i][col]:
-                _combine_rows(h, u, row, i, _clearing_coefficients(h[row][col], h[i][col]))
-        if h[row][col] < 0:
-            h[row] = [-c for c in h[row]]
-            u[row] = [-c for c in u[row]]
-        p = h[row][col]
-        for i in range(row):
-            q = h[i][col] // p
-            if q:
-                _combine_rows(h, u, row, i, (1, 0, -q, 1))
-        row += 1
-        if row == m:
-            break
-    return h, u
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form.
-
-    Returns (D, U, V) with D = U @ a @ V, U and V unimodular, D diagonal
-    with nonnegative entries d_1 | d_2 | ... (nonzero factors first).
-    """
-    m = len(a)
     n = len(a[0]) if a else 0
-    d = copy_matrix(a)
-    u = identity_matrix(m)
-    v = identity_matrix(n)
+    hu = [list(row) + e for row, e in zip(a, identity_matrix(len(a)))]
+    _hermite_eliminate(hu, n)
+    return [row[:n] for row in hu], [row[n:] for row in hu]
 
-    def col_combine(i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        for row in (d, v):
-            for r in row:
-                r[i], r[j] = x * r[i] + y * r[j], z * r[i] + w * r[j]
 
+def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
+    """Bring the top-left m x n block of d to Smith form in place; further rows and columns ride along."""
     t = 0
     while t < min(m, n):
         # smallest nonzero entry, first in row-major order on ties
@@ -237,39 +221,51 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
         if not entries:
             break
         _, pi, pj = min(entries)
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
+        d[t], d[pi] = d[pi], d[t]
         if pj != t:
             for r in d:
-                r[t], r[pj] = r[pj], r[t]
-            for r in v:
                 r[t], r[pj] = r[pj], r[t]
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
-                    _combine_rows(d, u, t, i, _clearing_coefficients(d[t][t], d[i][t]))
+                    _combine_rows(d, t, i, _clearing_coefficients(d[t][t], d[i][t]))
             for j in range(t + 1, n):
                 if d[t][j]:
-                    col_combine(t, j, *_clearing_coefficients(d[t][t], d[t][j]))
+                    x, y, z, w = _clearing_coefficients(d[t][t], d[t][j])
+                    for r in d:
+                        r[t], r[j] = x * r[t] + y * r[j], z * r[t] + w * r[j]
             if any(d[i][t] for i in range(t + 1, m)):
                 continue  # the column ops can reintroduce entries below the pivot
             off = next((i for i in range(t + 1, m)
                         if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
             if off is None:
                 break
-            _combine_rows(d, u, t, off, (1, 1, 0, 1))  # pull the offending row up, then re-reduce
+            _combine_rows(d, t, off, (1, 1, 0, 1))  # pull the offending row up, then re-reduce
         if d[t][t] < 0:
             d[t] = [-c for c in d[t]]
-            u[t] = [-c for c in u[t]]
         t += 1
-    return d, u, v
+
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form.
+
+    Returns (D, U, V) with D = U @ a @ V, U and V unimodular, D diagonal
+    with nonnegative entries d_1 | d_2 | ... (nonzero factors first).
+    U and V are read off [a | I] stacked over I.
+    """
+    m = len(a)
+    n = len(a[0]) if a else 0
+    d = [list(row) + e for row, e in zip(a, identity_matrix(m))] + identity_matrix(n)
+    _smith_eliminate(d, m, n)
+    return [row[:n] for row in d[:m]], [row[n:] for row in d[:m]], d[m:]
 
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    d, _, _ = smith_normal_form(a)
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i])
+    """Nonzero diagonal entries of the Smith form, in divisibility order; no transform is built."""
+    d = copy_matrix(a)
+    m, n = len(d), len(d[0]) if d else 0
+    _smith_eliminate(d, m, n)
+    return tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
 
 
 def solve_integer_system(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vector | None:
@@ -322,8 +318,8 @@ def integer_kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
     kernel_rows = [w[i] for i in range(n) if is_zero(h[i])]
     if not kernel_rows:
         return []
-    hk, _ = hermite_normal_form(kernel_rows)
-    return [vec(row) for row in hk if not is_zero(row)]
+    _hermite_eliminate(kernel_rows, n)
+    return [vec(row) for row in kernel_rows if not is_zero(row)]
 
 
 def extends_to_lattice_basis(vectors: Sequence[Sequence[int]]) -> bool:

@@ -51,7 +51,13 @@ def decode_int(value: Any) -> int:
                 raise ValueError(f"{digits}-digit integer string is over the limit of {limit}") from None
             shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
             raise ValueError(f"expected a decimal integer string, got {shown}") from None
-    raise ValueError(f"expected an integer, got {value!r}")
+    raise ValueError(f"expected an integer, got {_excerpt(value)}")
+
+
+def _excerpt(value: Any) -> str:
+    """The repr of value, cut to 40 characters with its full length noted."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def encode_vector(v: Vector) -> list:
@@ -60,10 +66,10 @@ def encode_vector(v: Vector) -> list:
 
 def decode_vector(value: Any, rank: int | None = None) -> Vector:
     if not isinstance(value, list):
-        raise ValueError(f"expected a list of integers, got {value!r}")
+        raise ValueError(f"expected a list of integers, got {_excerpt(value)}")
     v = tuple(decode_int(c) for c in value)
     if rank is not None and len(v) != rank:
-        raise ValueError(f"vector {v} has length {len(v)}, expected {rank}")
+        raise ValueError(f"vector {_excerpt(v)} has length {len(v)}, expected {rank}")
     return v
 
 
@@ -276,7 +282,7 @@ def recheck_report(doc: Any) -> list[str]:
         if not isinstance(free_doc, dict):
             raise ValueError(f"entry {pos}: 'locally_free' must be an object")
         if not isinstance(verdict := free_doc.get("verdict"), bool):
-            raise ValueError(f"entry {pos}: 'verdict' must be true or false, got {verdict!r}")
+            raise ValueError(f"entry {pos}: 'verdict' must be true or false, got {_excerpt(verdict)}")
         if not verdict:
             continue
         cert_doc = free_doc.get("certificate")

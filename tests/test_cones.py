@@ -18,7 +18,7 @@ from toricfree.cones import (
     dual_cone,
     linearly_independent_rays,
 )
-from toricfree.lattice import dot, matrix_rank, primitive
+from toricfree.lattice import dot, identity_matrix, integer_kernel_basis, matrix_rank, primitive
 
 
 def random_strongly_convex_cones(seed, count, ranks=(2, 3, 4), bound=5, max_extra=2):
@@ -252,6 +252,20 @@ def test_perp_sublattice_examples():
     assert Cone([(1, 0), (0, 1)], 2).perp_sublattice() == []
     assert Cone([(2, 4)], 2).perp_sublattice() == [(2, -1)]
     assert Cone([(1, 2)], 2).perp_sublattice() == [(2, -1)]
+
+
+def test_perp_sublattice_is_kernel_of_generators():
+    """The dual's lineality basis is the Hermite kernel of the generators."""
+    def kernel(c):
+        gens = [list(g) for g in c.generators]
+        return integer_kernel_basis(gens) if gens else [tuple(r) for r in identity_matrix(c.rank)]
+
+    cones = random_strongly_convex_cones(seed=112, count=40, ranks=(1, 2, 3, 4))
+    rng = random.Random(113)
+    for c in cones:
+        other = rng.choice([d for d in cones if d.rank == c.rank])
+        for x in (c, c.dual, c.intersection(other), *c.faces()):
+            assert x.perp_sublattice() == kernel(x)
 
 
 def test_weight_class_reduces_mod_perp():

@@ -348,6 +348,23 @@ def test_normal_forms_are_pinned():
     assert digest.hexdigest() == PINNED_NORMAL_FORM_DIGEST
 
 
+# SHA-256 of the outputs below, recorded while both functions still ran the
+# full normal forms with their transforms.  The kernels of large[2],
+# large[3] and the transposed stacked matrix are left out: their first
+# Hermite form grows U to hundreds of bits and takes minutes.
+PINNED_KERNEL_DIGEST = "07f33399d94cd5236b51d06a02ff6d48761e6e55ea00dfafb7567c668cac91c2"
+
+
+def test_kernels_and_invariant_factors_are_pinned():
+    small, large = pinned_matrices()
+    digest = hashlib.sha256()
+    for a in small + large:
+        digest.update(repr((invariant_factors(a), invariant_factors(transpose(a)))).encode())
+    for a in [b for s in small for b in (s, transpose(s)) if b] + large[:2]:
+        digest.update(repr(integer_kernel_basis(a)).encode())
+    assert digest.hexdigest() == PINNED_KERNEL_DIGEST
+
+
 def test_matrix_rank_on_large_matrices():
     _, large = pinned_matrices()
     for a in large:

@@ -60,6 +60,16 @@ def test_int_codec_rejections():
         decode_vector("not a list")
     with pytest.raises(ValueError):
         decode_vector([1, 2, 3], rank=2)
+    # a huge vector or non-vector is named by an excerpt and its length, not echoed
+    with pytest.raises(ValueError, match=r"has length 200000, expected 3") as exc:
+        decode_vector([1] * 200_000, rank=3)
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ValueError, match=r"expected a list of integers, got \{") as exc:
+        decode_vector({str(i): i for i in range(50_000)})
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ValueError, match=r"expected an integer, got \[") as exc:
+        decode_vector([1, list(range(50_000))])
+    assert len(str(exc.value)) < 200
 
 
 def test_cone_document_round_trip_on_corpus():
@@ -187,3 +197,7 @@ def test_recheck_malformed():
         entry = {"cone": cone_doc, "locally_free": {"verdict": verdict}}
         with pytest.raises(ValueError, match="entry 0"):
             recheck_report({"entries": [entry]})
+    entry = {"cone": cone_doc, "locally_free": {"verdict": list(range(50_000))}}
+    with pytest.raises(ValueError, match=r"characters\)") as exc:
+        recheck_report({"entries": [entry]})
+    assert len(str(exc.value)) < 200
