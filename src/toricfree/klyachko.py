@@ -20,6 +20,7 @@ from .lattice import (
     Vector,
     dot,
     is_primitive,
+    matrix_rank,
     smith_normal_form,
     solve_in_smith_form,
     vec,
@@ -163,6 +164,11 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
     ray generator must reproduce the filtration at every level i.  Both
     sides are step functions of i, so it suffices to compare at each
     breakpoint, each pairing threshold, and one point below all of them.
+    No sum is formed: the whole sum is direct when the dimensions add up
+    to n and the stacked basis rows have rank n, and then a partial sum
+    has the summed dimension, so it equals the filtration's subspace
+    exactly when the dimensions agree and that subspace contains every
+    summand.
     """
     n = cone.rank
     if cert.cone != cone:
@@ -186,10 +192,7 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
         if sub.dim == 0:
             return f"zero subspace attached to class {m}"
     total_dim = sum(sub.dim for _, sub in entries)
-    span_all = RationalSubspace.zero(n)
-    for _, sub in entries:
-        span_all = span_all + sub
-    if total_dim != n or span_all != RationalSubspace.full(n):
+    if total_dim != n or matrix_rank([row for _, sub in entries for row in sub.basis]) != n:
         return "subspaces do not sum directly to the full space"
     for u in rays:
         filt = family[u]
@@ -198,13 +201,11 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
         levels.add(min(levels) - 1)
         for i in sorted(levels):
             expected = filt.at(i)
-            got = RationalSubspace.zero(n)
-            for (m, sub), p in zip(entries, pairings):
-                if p >= i:
-                    got = got + sub
-            if got != expected:
+            chosen = [sub for (_, sub), p in zip(entries, pairings) if p >= i]
+            got_dim = sum(sub.dim for sub in chosen)
+            if got_dim != expected.dim or not all(map(expected.contains_subspace, chosen)):
                 return (f"filtration mismatch at ray {u}, level {i}: "
-                        f"summed dimension {got.dim}, filtration dimension {expected.dim}")
+                        f"summed dimension {got_dim}, filtration dimension {expected.dim}")
     return None
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from bisect import bisect
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -31,29 +32,26 @@ Matrix = list[list[int]]
 
 
 def vec(coords: Iterable[int]) -> Vector:
-    return tuple(int(c) for c in coords)
+    return tuple(map(int, coords))
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_zero(v: Sequence[int]) -> bool:
-    return all(c == 0 for c in v)
+    return not any(v)
 
 
 def negated(v: Sequence[int]) -> Vector:
-    return tuple(-c for c in v)
+    return tuple(map(neg, v))
 
 
 def content(v: Sequence[int]) -> int:
     """Gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for c in v:
-        g = gcd(g, c)
-    return g
+    return gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> Vector:
@@ -61,14 +59,16 @@ def primitive(v: Sequence[int]) -> Vector:
 
     Raises ValueError on the zero vector, which spans no ray.
     """
-    g = content(v)
+    g = gcd(*v)
+    if g == 1:
+        return tuple(map(int, v))
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(c // g for c in v)
+    return tuple([c // g for c in v])
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    return content(v) == 1
+    return gcd(*v) == 1
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -388,6 +388,8 @@ class RationalSubspace:
     def contains_subspace(self, other: "RationalSubspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
+        if self.dim == self.ambient:
+            return True
         if other.dim >= self.dim:
             return other.basis == self.basis
         return all(self.contains(row) for row in other.basis)

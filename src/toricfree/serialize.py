@@ -8,6 +8,7 @@ later with no other inputs (see ``recheck_report``).
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import Any, Union
 
@@ -32,6 +33,8 @@ MAX_RANK = 256
 
 Geometry = Union[Cone, Fan]
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 
 def encode_int(value: int) -> int | str:
     return value if -SAFE_INT <= value <= SAFE_INT else str(value)
@@ -43,14 +46,17 @@ def decode_int(value: Any) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            digits, limit = sum(ch.isdigit() for ch in value), sys.get_int_max_str_digits()
-            if limit and digits > limit:
-                raise ValueError(f"{digits}-digit integer string is over the limit of {limit}") from None
-            shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
-            raise ValueError(f"expected a decimal integer string, got {shown}") from None
+        # int() alone would also take spaces, '_', '+' and non-ASCII digits
+        if _DECIMAL.fullmatch(value):
+            try:
+                return int(value, 10)
+            except ValueError:
+                pass  # over the interpreter's digit limit
+        digits, limit = sum(ch.isdigit() for ch in value), sys.get_int_max_str_digits()
+        if limit and digits > limit:
+            raise ValueError(f"{digits}-digit integer string is over the limit of {limit}")
+        shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+        raise ValueError(f"expected a decimal integer string, got {shown}")
     raise ValueError(f"expected an integer, got {_excerpt(value)}")
 
 

@@ -18,7 +18,7 @@ from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from toricfree.cones import Cone
 from toricfree.klyachko import DecompositionCertificate, tangent_family, verify_certificate
-from toricfree.lattice import RationalSubspace
+from toricfree.lattice import RationalSubspace, dot, vec
 
 
 def sympy_solve_integer(rows: list[list[int]], rhs: list[int]) -> tuple[int, ...] | None:
@@ -92,6 +92,58 @@ def brute_force_locally_free(cone: Cone) -> bool:
         entries.append((cone.weight_class((0,) * n), ray_span.orthogonal_complement()))
     cert = DecompositionCertificate(cone, entries)
     return verify_certificate(cone, tangent_family(cone), cert)
+
+
+def diagnose_by_partial_sums(cone: Cone, family, cert: DecompositionCertificate) -> str | None:
+    """``diagnose_certificate`` by forming every sum it talks about.
+
+    The same checks in the same order with the same messages, but the
+    direct sum is tested by adding all the subspaces and comparing with
+    the full space, and each level by adding the chosen subspaces and
+    comparing with the filtration's subspace.
+    """
+    n = cone.rank
+    if cert.cone != cone:
+        raise ValueError("certificate was issued for a different cone")
+    rays = cone.rays()
+    for u in rays:
+        if u not in family:
+            raise ValueError(f"family has no filtration for ray {u}")
+    for _, filt in family.items():
+        if filt.ambient != n:
+            raise ValueError("filtration ambient dimension mismatch")
+    entries = cert.entries
+    classes = [cone.weight_class(m) for m, _ in entries]
+    if len(set(classes)) != len(classes):
+        return "weight classes are not pairwise distinct modulo the annihilator"
+    for (m, sub), weight_class in zip(entries, classes):
+        if vec(m) != weight_class:
+            return f"weight {m} is not the canonical class representative"
+        if sub.ambient != n:
+            return "certificate subspace has wrong ambient dimension"
+        if sub.dim == 0:
+            return f"zero subspace attached to class {m}"
+    total_dim = sum(sub.dim for _, sub in entries)
+    span_all = RationalSubspace.zero(n)
+    for _, sub in entries:
+        span_all = span_all + sub
+    if total_dim != n or span_all != RationalSubspace.full(n):
+        return "subspaces do not sum directly to the full space"
+    for u in rays:
+        filt = family[u]
+        pairings = [dot(m, u) for m, _ in entries]
+        levels = set(filt.breakpoints) | {p + 1 for p in pairings}
+        levels.add(min(levels) - 1)
+        for i in sorted(levels):
+            expected = filt.at(i)
+            got = RationalSubspace.zero(n)
+            for (m, sub), p in zip(entries, pairings):
+                if p >= i:
+                    got = got + sub
+            if got != expected:
+                return (f"filtration mismatch at ray {u}, level {i}: "
+                        f"summed dimension {got.dim}, filtration dimension {expected.dim}")
+    return None
 
 
 def fraction_rank(rows: list[list[int]]) -> int:

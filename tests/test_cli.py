@@ -250,6 +250,15 @@ def test_declared_rank_is_bounded(capsys, tmp_path, rank):
         assert err.startswith("toricfree: error:") and f"maximum of {MAX_RANK}" in err
 
 
+@pytest.mark.parametrize("text", [" 12 ", "1_000", "+5", "\u0661\u0662"])
+def test_lenient_integer_strings_exit_2(capsys, tmp_path, text):
+    cone_file = write_json(tmp_path, "cone.json", {"rank": 2, "generators": [[text, 1]]})
+    code, out, err = run_cli(capsys, "smooth", cone_file)
+    assert code == 2 and out == ""
+    assert err.startswith("toricfree: error:") and "expected a decimal integer string" in err
+    assert len(err) < 200
+
+
 def test_rank_at_the_bound_is_accepted():
     cone = parse_cone_document({"rank": MAX_RANK, "generators": [[1] + [0] * (MAX_RANK - 1)]})
     assert cone.rank == MAX_RANK and cone.rays() == ((1,) + (0,) * (MAX_RANK - 1),)

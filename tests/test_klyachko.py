@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import brute_force_locally_free
+from oracles import brute_force_locally_free, diagnose_by_partial_sums
 from toricfree.cones import Cone, NotStronglyConvexError
 from toricfree.fans import fan_from_generators, validate_fan
 from toricfree.klyachko import (
@@ -246,6 +246,61 @@ def test_emitted_certificates_verify_on_random_corpus():
                 for u2 in c.rays():
                     assert dot(m, u2) == (1 if u2 == u else 0)
     assert count > 50
+
+
+def _tampered_entries(cone, entries, rng):
+    """Entry lists derived from a valid certificate's by one local edit each."""
+    entries = list(entries)
+    n = cone.rank
+    k = len(entries)
+    out = []
+    if k >= 2:
+        i, j = rng.sample(range(k), 2)
+        swapped = list(entries)
+        swapped[i], swapped[j] = (entries[i][0], entries[j][1]), (entries[j][0], entries[i][1])
+        out.append(swapped)
+        merged = [e for t, e in enumerate(entries) if t != j]
+        merged[merged.index(entries[i])] = (entries[i][0], entries[i][1] + entries[j][1])
+        out.append(merged)
+    i = rng.randrange(k)
+    out.append(entries[:i] + entries[i + 1:])
+    out.append(entries + [entries[i]])
+    m, sub = entries[i]
+    out.append(entries[:i] + [(cone.weight_class([2 * c for c in m]), sub)] + entries[i + 1:])
+    for step in (1, -1):
+        shifted = list(m)
+        shifted[rng.randrange(n)] += step
+        out.append(entries[:i] + [(cone.weight_class(shifted), sub)] + entries[i + 1:])
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(sub.dim)]
+        other = RationalSubspace.span(n, rows)
+        if other.dim == sub.dim:
+            break
+    out.append(entries[:i] + [(m, other)] + entries[i + 1:])
+    return out
+
+
+def test_diagnose_matches_partial_sums_on_tampered_certificates():
+    # the dimension-count check gives the message of the check that forms every sum
+    rng = random.Random(909)
+    seen = set()
+    positives = 0
+    for c in random_cones(seed=208, count=160, ranks=(2, 3, 4, 5)):
+        rep = decide_tangent_locally_free(c)
+        if not rep.verdict:
+            continue
+        positives += 1
+        family = tangent_family(c)
+        certs = [rep.certificate] + [DecompositionCertificate(c, e)
+                                     for e in _tampered_entries(c, rep.certificate.entries, rng)]
+        for cert in certs:
+            message = diagnose_certificate(c, family, cert)
+            assert message == diagnose_by_partial_sums(c, family, cert), (c.generators, cert.entries)
+            seen.add(message.split(":")[0] if message else None)
+    assert positives > 40
+    assert {None, "subspaces do not sum directly to the full space",
+            "weight classes are not pairwise distinct modulo the annihilator"} <= seen
+    assert any(m and m.startswith("filtration mismatch") for m in seen)
 
 
 def test_verdict_monotonic_along_faces():

@@ -11,20 +11,24 @@ from hypothesis import strategies as st
 from oracles import fraction_rank, fraction_rref_rows, sympy_invariant_factors, sympy_solve_integer
 from toricfree.lattice import (
     RationalSubspace,
+    content,
     determinant,
     dot,
     extends_to_lattice_basis,
     hermite_normal_form,
     integer_kernel_basis,
     invariant_factors,
+    is_primitive,
     is_zero,
     mat_mul,
     mat_vec,
     matrix_rank,
+    negated,
     primitive,
     smith_normal_form,
     solve_integer_system,
     transpose,
+    vec,
     xgcd,
 )
 
@@ -249,6 +253,63 @@ def test_subspace_fraction_rows():
 def test_dot_length_mismatch():
     with pytest.raises(ValueError):
         dot((1, 2), (1, 2, 3))
+
+
+def euclid_gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return abs(a)
+
+
+# small, zero, negative and beyond-64-bit entries; the scale makes the content vary
+vector_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.sampled_from([2 ** 64, -2 ** 64 - 1, 2 ** 64 + 1]),
+)
+
+
+@st.composite
+def int_vector(draw, n):
+    scale = draw(st.sampled_from([1, 1, -1, 6, 2 ** 65]))
+    return [scale * draw(vector_entries) for _ in range(n)]
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=6), st.sampled_from([list, tuple, iter]), st.data())
+def test_vector_helpers_match_definitions(n, kind, data):
+    # vec, content, is_zero, is_primitive and negated take any iterable;
+    # dot and primitive take sequences, so a generator case checks them on a tuple
+    v, w = data.draw(int_vector(n)), data.draw(int_vector(n))
+    seq = tuple if kind is iter else kind
+    g = 0
+    for c in v:
+        g = euclid_gcd(g, c)
+    made = vec(kind(v))
+    assert made == tuple(v) and all(type(c) is int for c in made)
+    assert content(kind(v)) == g
+    assert is_zero(kind(v)) == all(c == 0 for c in v)
+    assert is_primitive(kind(v)) == (g == 1)
+    assert negated(kind(v)) == tuple(-c for c in v)
+    assert dot(seq(v), seq(w)) == sum(v[i] * w[i] for i in range(n))
+    with pytest.raises(ValueError):
+        dot(seq(v), seq(w + [1]))
+    if g == 0:
+        with pytest.raises(ValueError):
+            primitive(seq(v))
+    else:
+        p = primitive(seq(v))
+        assert type(p) is tuple and all(type(c) is int for c in p)
+        assert [g * c for c in p] == v
+        assert is_primitive(p)
+
+
+def test_vector_helpers_turn_bools_into_ints():
+    for v in ([True, False, True], (True,), [False, 2], [True, True]):
+        p = primitive(v)
+        assert p == tuple(int(c) // content(v) for c in v)
+        assert all(type(c) is int for c in p), v
+        assert all(type(c) is int for c in vec(v))
 
 
 rational_entries = st.one_of(

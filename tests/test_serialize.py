@@ -49,6 +49,10 @@ def test_int_codec_rejections():
         decode_int(1.5)
     with pytest.raises(ValueError):
         decode_int("12px")
+    # int() is lenient; the codec takes ASCII decimal digits with an optional '-' only
+    for lenient in (" 12 ", "1_000", "+5", "\u0661\u0662"):
+        with pytest.raises(ValueError, match="expected a decimal integer string"):
+            decode_int(lenient)
     # past Python's digit limit for int(): name the count, do not echo the input
     with pytest.raises(ValueError, match="5000-digit integer string is over the limit") as exc:
         decode_int("7" * 5000)
