@@ -59,16 +59,14 @@ def primitive(v: Sequence[int]) -> Vector:
 
     Raises ValueError on the zero vector, which spans no ray.
     """
-    g = gcd(*v)
-    if g == 1:
-        return tuple(map(int, v))
+    g = content(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple([c // g for c in v])
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    return gcd(*v) == 1
+    return content(v) == 1
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -50,11 +50,11 @@ def decode_int(value: Any) -> int:
         if _DECIMAL.fullmatch(value):
             try:
                 return int(value, 10)
-            except ValueError:
-                pass  # over the interpreter's digit limit
-        digits, limit = sum(ch.isdigit() for ch in value), sys.get_int_max_str_digits()
-        if limit and digits > limit:
-            raise ValueError(f"{digits}-digit integer string is over the limit of {limit}")
+            except ValueError:  # over the interpreter's digit limit
+                digits, limit = len(value.lstrip("-")), sys.get_int_max_str_digits()
+                raise ValueError(
+                    f"{digits}-digit integer string is over the limit of {limit}"
+                ) from None
         shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
         raise ValueError(f"expected a decimal integer string, got {shown}")
     raise ValueError(f"expected an integer, got {_excerpt(value)}")

@@ -57,6 +57,11 @@ def test_int_codec_rejections():
     with pytest.raises(ValueError, match="5000-digit integer string is over the limit") as exc:
         decode_int("7" * 5000)
     assert len(str(exc.value)) < 200
+    # a long string the codec rejects outright is not counted against the digit limit
+    for long_lenient in (" " + "7" * 5000, "\u0661" * 5000, "+" + "7" * 5000):
+        with pytest.raises(ValueError, match="expected a decimal integer string") as exc:
+            decode_int(long_lenient)
+        assert len(str(exc.value)) < 200
     with pytest.raises(ValueError, match=r"'12px12px.*\.\.\. \(4000 characters\)") as exc:
         decode_int("12px" * 1000)
     assert len(str(exc.value)) < 200
