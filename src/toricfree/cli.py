@@ -11,10 +11,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
-from .cones import NotStronglyConvexError
+from .cones import Cone
 from .corpus import (
     PRNG_ALGORITHM,
     GenerationBudgetError,
@@ -22,7 +22,6 @@ from .corpus import (
     iter_random_cones,
     named_examples,
 )
-from .fans import FanValidationError
 from .klyachko import sections_dimension
 from .lattice import is_primitive
 from .serialize import (
@@ -55,6 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"toricfree {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the random-corpus flags shared by sweep and generate; each adds its own --count
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--rank", type=int, required=True)
+    corpus.add_argument("--bound", type=int, default=5)
+    corpus.add_argument("--seed", type=int, required=True)
+    corpus.add_argument("--min-gens", type=int, default=1)
+    corpus.add_argument("--max-gens", type=int, default=None,
+                        help="defaults to rank + 2")
+
     p_smooth = sub.add_parser("smooth", help="decide smoothness for a cone or fan file")
     p_smooth.add_argument("file")
 
@@ -66,14 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="run both deciders and check they agree")
     p_verify.add_argument("file")
 
-    p_sweep = sub.add_parser("sweep", help="random-corpus agreement sweep")
-    p_sweep.add_argument("--rank", type=int, required=True)
-    p_sweep.add_argument("--bound", type=int, default=5)
+    p_sweep = sub.add_parser("sweep", parents=[corpus], help="random-corpus agreement sweep")
     p_sweep.add_argument("--count", type=int, required=True)
-    p_sweep.add_argument("--seed", type=int, required=True)
-    p_sweep.add_argument("--min-gens", type=int, default=1)
-    p_sweep.add_argument("--max-gens", type=int, default=None,
-                         help="defaults to rank + 2")
 
     p_sections = sub.add_parser(
         "sections", help="graded tangent-section dimension at a ray and weight")
@@ -82,13 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sections.add_argument("--weight", type=_comma_ints, required=True)
 
     p_generate = sub.add_parser(
-        "generate", help="emit random cone documents, one JSON object per line")
-    p_generate.add_argument("--seed", type=int, required=True)
-    p_generate.add_argument("--rank", type=int, required=True)
-    p_generate.add_argument("--bound", type=int, default=5)
+        "generate", parents=[corpus], help="emit random cone documents, one JSON object per line")
     p_generate.add_argument("--count", type=int, default=1)
-    p_generate.add_argument("--min-gens", type=int, default=1)
-    p_generate.add_argument("--max-gens", type=int, default=None)
 
     p_recheck = sub.add_parser(
         "recheck", help="re-verify every certificate embedded in a report file")
@@ -109,10 +106,14 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _config_from_args(args) -> GeneratorConfig:
+def _corpus_from_args(args) -> tuple[GeneratorConfig, Iterator[Cone]]:
+    """The generator config of a sweep or generate command, and its cone stream."""
     max_gens = args.max_gens if args.max_gens is not None else args.rank + 2
-    return GeneratorConfig(rank=args.rank, min_generators=args.min_gens,
-                           max_generators=max_gens, bound=args.bound, seed=args.seed)
+    config = GeneratorConfig(rank=args.rank, min_generators=args.min_gens,
+                             max_generators=max_gens, bound=args.bound, seed=args.seed)
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
+    return config, iter_random_cones(config)
 
 
 def _fold_vector_flags(argv: Sequence[str]) -> list[str]:
@@ -142,8 +143,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ValueError, KeyError, OSError, RecursionError,
-            NotStronglyConvexError, FanValidationError, GenerationBudgetError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError, GenerationBudgetError) as exc:
         print(f"toricfree: error: {exc}", file=sys.stderr)
         return ERROR
 
@@ -162,10 +162,7 @@ def _dispatch(args) -> int:
         return AFFIRMATIVE if report["verdict"] else NEGATIVE
 
     if args.command == "sweep":
-        config = _config_from_args(args)
-        if args.count < 1:
-            raise ValueError("--count must be at least 1")
-        stream = iter_random_cones(config)
+        config, stream = _corpus_from_args(args)
         summary = run_sweep(next(stream) for _ in range(args.count))
         config_doc = {**dataclasses.asdict(config), "prng": PRNG_ALGORITHM}
         _emit(sweep_report(summary, config_doc))
@@ -176,7 +173,7 @@ def _dispatch(args) -> int:
         ray = args.ray
         if len(ray) != geometry.rank:
             raise ValueError(f"--ray has length {len(ray)}, document rank is {geometry.rank}")
-        if not any(ray) or not is_primitive(ray):
+        if not is_primitive(ray):
             raise ValueError(f"--ray {ray} is not a primitive lattice vector")
         if len(args.weight) != geometry.rank:
             raise ValueError(
@@ -185,10 +182,7 @@ def _dispatch(args) -> int:
         return AFFIRMATIVE
 
     if args.command == "generate":
-        config = _config_from_args(args)
-        if args.count < 1:
-            raise ValueError("--count must be at least 1")
-        stream = iter_random_cones(config)
+        _, stream = _corpus_from_args(args)
         for _ in range(args.count):
             json.dump(cone_to_document(next(stream)), sys.stdout, sort_keys=False)
             sys.stdout.write("\n")

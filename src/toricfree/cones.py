@@ -5,7 +5,10 @@ generating set.  For strongly convex cones that set is the sorted tuple of
 primitive extreme ray generators.  Dual cones need not be strongly convex;
 their lineality space enters the generator list as explicit plus/minus
 pairs of basis vectors, so membership is always the single uniform test
-"pairs nonnegatively against every dual generator".
+"pairs nonnegatively against every dual generator".  The double
+description reduces its rays modulo that lineality space against the
+Hermite basis it already holds, with the same pivot-order step as
+``RationalSubspace``: an echelon basis is all the step needs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Iterable, Sequence
 from .lattice import (
     RationalSubspace,
     Vector,
+    _reduce_row,
     dot,
     identity_matrix,
     integer_kernel_basis,
@@ -303,7 +307,7 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
                         w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
                         rays.append((w, z | bit))
     lin_rows = _kernel_or_identity(processed, rank) if lin else []
-    return tuple(lin_rows), _reduce_off_lineality([r for r, _ in rays], lin_rows, rank)
+    return tuple(lin_rows), _reduce_off_lineality([r for r, _ in rays], lin_rows)
 
 
 def _kernel_or_identity(rows: Sequence[Vector], rank: int) -> list[Vector]:
@@ -313,20 +317,14 @@ def _kernel_or_identity(rows: Sequence[Vector], rank: int) -> list[Vector]:
     return integer_kernel_basis([list(r) for r in rows])
 
 
-def _reduce_off_lineality(rays: Sequence[Vector], lin_rows: Sequence[Vector],
-                          rank: int) -> tuple[Vector, ...]:
+def _reduce_off_lineality(rays: Sequence[Vector], lin_rows: Sequence[Vector]) -> tuple[Vector, ...]:
     """Sorted canonical representatives of rays modulo the lineality space.
 
-    The coordinates of each ray at the pivot columns of the lineality space
-    are cleared by integer elimination, leaving a primitive vector.
+    The Hermite rows are in echelon form with positive pivots, so clearing
+    their pivot columns in pivot order (``_reduce_row``) leaves a positive
+    multiple of the unique residue with zero pivot coordinates, and
+    ``primitive`` makes that multiple canonical.  With no rows each ray is
+    left as it is.
     """
-    if not lin_rows:
-        return tuple(sorted(set(rays)))
-    space = RationalSubspace.span(rank, lin_rows)
-    reduced = set()
-    for ray in rays:
-        residue = space.residue(ray)
-        if is_zero(residue):
-            raise ValueError("ray lies inside the lineality space")
-        reduced.add(residue)
-    return tuple(sorted(reduced))
+    pivots = [next(j for j, c in enumerate(row) if c) for row in lin_rows]
+    return tuple(sorted({primitive(_reduce_row(ray, lin_rows, pivots)) for ray in rays}))

@@ -243,9 +243,11 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     entries: list[tuple[Vector, RationalSubspace]] = []
     for u in rays:
         entries.append((cone.weight_class(witnesses[u]), RationalSubspace.span(n, [u])))
-    ray_span = RationalSubspace.span(n, rays)
-    if ray_span.dim < n:
-        entries.append((cone.weight_class((0,) * n), ray_span.orthogonal_complement()))
+    # the rays are independent here, so they span less than Q^n exactly when
+    # len(rays) < n; the orthogonal complement of their span is the annihilator
+    if len(rays) < n:
+        entries.append((cone.weight_class((0,) * n),
+                        RationalSubspace.span(n, cone.perp_sublattice())))
     cert = DecompositionCertificate(cone, entries)
     _assert_certificate(cone, cert)
     return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)

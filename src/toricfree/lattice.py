@@ -14,8 +14,13 @@ Rational subspaces and ``matrix_rank`` share one fraction-free
 elimination (cross-multiplication with a gcd reduction per row, after
 Bareiss 1968 and Cohen, *A Course in Computational Algebraic Number
 Theory*, §2.4): the rank only needs an echelon basis, subspaces keep
-theirs reduced.  ``fractions.Fraction`` appears only to clear
-denominators of rational input rows.
+theirs reduced.  Reducing a vector modulo a subspace is one step,
+``_reduce_row``, which clears the pivot columns of any echelon basis in
+pivot order.  The residue with zero pivot coordinates is unique, so that
+walk lands on a positive multiple of it whichever echelon basis with
+positive pivots it is given: ``RationalSubspace`` walks its reduced basis, and the cone layer
+walks a Hermite basis of the lineality space.  ``fractions.Fraction``
+appears only to clear denominators of rational input rows.
 """
 
 from __future__ import annotations
@@ -54,11 +59,12 @@ def content(v: Sequence[int]) -> int:
     return gcd(*v)
 
 
-def primitive(v: Sequence[int]) -> Vector:
+def primitive(v: Iterable[int]) -> Vector:
     """Divide out the content, leaving the shortest integer vector on the same ray.
 
     Raises ValueError on the zero vector, which spans no ray.
     """
+    v = tuple(v)
     g = content(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
@@ -381,7 +387,9 @@ class RationalSubspace:
         return not self.basis
 
     def contains(self, v: Sequence[Fraction | int]) -> bool:
-        return not any(self.residue(v))
+        if len(v) != self.ambient:
+            raise ValueError(f"vector length {len(v)} in ambient dimension {self.ambient}")
+        return not any(_reduce_row(_integer_row(v), self.basis, self._pivots))
 
     def contains_subspace(self, other: "RationalSubspace") -> bool:
         if self.ambient != other.ambient:
@@ -391,19 +399,6 @@ class RationalSubspace:
         if other.dim >= self.dim:
             return other.basis == self.basis
         return all(self.contains(row) for row in other.basis)
-
-    def residue(self, v: Sequence[Fraction | int]) -> Vector:
-        """The representative of v modulo the subspace with zero pivot coordinates.
-
-        That representative is unique; it is returned rescaled by a
-        positive factor to a primitive integer vector, or as the zero
-        vector exactly when v lies in the subspace.
-        """
-        if len(v) != self.ambient:
-            raise ValueError(f"vector length {len(v)} in ambient dimension {self.ambient}")
-        work = _reduce_row(_integer_row(v), self.basis, self._pivots)
-        g = content(work)
-        return tuple(c // g for c in work) if g else tuple(work)
 
     def __add__(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.ambient != other.ambient:
@@ -488,8 +483,9 @@ def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],
     residue of work modulo the span of the basis.  The rows are walked in
     pivot order and each row is zero left of its pivot, so a step never
     touches a column already cleared: the basis need only be in echelon
-    form.  Against a reduced basis the residue is the one with zero pivot
-    coordinates.
+    form.  The result is zero at every pivot column, and only one residue
+    is, so any echelon basis of the same subspace with positive pivots
+    gives the same result up to a positive factor.
     """
     for row, p in zip(basis, pivots):
         c = work[p]

@@ -1,12 +1,16 @@
 """CLI contract: exit codes, JSON output, error reporting."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toricfree.cli import main
 from toricfree.corpus import default_config, named_examples, sample_cones
@@ -357,3 +361,66 @@ def test_golden_high_rank_smooth_reports(capsys, tmp_path):
         assert code == 1 and err == ""
         digest.update(out.encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_HIGH_RANK_SMOOTH
+
+
+# Hostile input: small JSON documents shaped like cones, fans and reports,
+# with junk mixed in at every level, plus arbitrary nested values.
+junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.floats(),
+                 st.sampled_from(["", "1", "-2", "x", "0x1", "1e3", " 4"]))
+
+
+def mostly(good, bad):
+    """``good`` nine times in ten, so that most documents get past the parser."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+def vector(rank):
+    entry = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(str), junk)
+    return mostly(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                  st.one_of(st.lists(entry, max_size=4), junk))
+
+
+def vectors(rank):
+    return st.lists(vector(rank), max_size=5)
+
+
+@st.composite
+def hostile_documents(draw):
+    rank = draw(st.integers(1, 4))
+    declared = draw(mostly(st.sampled_from([rank, str(rank)]), junk))
+    cone = {"rank": declared, "generators": draw(vectors(rank))}
+    certificate = st.fixed_dictionaries({"entries": st.lists(st.fixed_dictionaries(
+        {"weight_class": vector(rank), "subspace_basis": mostly(vectors(rank), junk)}),
+        max_size=4)})
+    freeness = st.fixed_dictionaries({"verdict": mostly(st.just(True), junk),
+                                      "certificate": mostly(certificate, junk)})
+    keys = st.sampled_from(["rank", "generators", "cones", "entries", "cone",
+                            "locally_free", "verdict", "certificate"])
+    doc = draw(st.one_of(
+        st.just(cone),
+        st.fixed_dictionaries({"rank": st.just(declared),
+                               "cones": st.lists(vectors(rank), max_size=4)}),
+        st.fixed_dictionaries({"entries": st.lists(st.fixed_dictionaries(
+            {"cone": mostly(st.just(cone), junk), "locally_free": st.one_of(freeness, junk)}),
+            max_size=3)}),
+        st.recursive(junk, lambda inner: st.one_of(
+            st.lists(inner, max_size=5), st.dictionaries(keys, inner, max_size=4)),
+            max_leaves=20),
+    ))
+    return doc, rank
+
+
+@settings(max_examples=200, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hostile_documents(), st.data())
+def test_hostile_documents_exit_cleanly(tmp_path, case, data):
+    doc, rank = case
+    path = write_json(tmp_path, "hostile.json", doc)
+    point = st.lists(st.integers(-2, 2), min_size=1, max_size=rank).map(
+        lambda v: ",".join(map(str, v)))
+    ray, weight = data.draw(point), data.draw(point)
+    for argv in (["smooth", path], ["locally-free", path], ["verify", path], ["recheck", path],
+                 ["sections", path, "--ray", ray, "--weight", weight]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert type(code) is int and code in (0, 1, 2), argv

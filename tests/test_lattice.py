@@ -50,6 +50,7 @@ def test_primitive_examples():
     assert primitive((2, 4)) == (1, 2)
     assert primitive((-3, 6)) == (-1, 2)
     assert primitive((5,)) == (1,)
+    assert primitive(c for c in (2, 4)) == (1, 2)
     with pytest.raises(ValueError):
         primitive((0, 0))
 
@@ -278,8 +279,8 @@ def int_vector(draw, n):
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=6), st.sampled_from([list, tuple, iter]), st.data())
 def test_vector_helpers_match_definitions(n, kind, data):
-    # vec, content, is_zero, is_primitive and negated take any iterable;
-    # dot and primitive take sequences, so a generator case checks them on a tuple
+    # vec, content, is_zero, is_primitive, negated and primitive take any
+    # iterable; dot takes sequences, so a generator case checks it on a tuple
     v, w = data.draw(int_vector(n)), data.draw(int_vector(n))
     seq = tuple if kind is iter else kind
     g = 0
@@ -296,9 +297,9 @@ def test_vector_helpers_match_definitions(n, kind, data):
         dot(seq(v), seq(w + [1]))
     if g == 0:
         with pytest.raises(ValueError):
-            primitive(seq(v))
+            primitive(kind(v))
     else:
-        p = primitive(seq(v))
+        p = primitive(kind(v))
         assert type(p) is tuple and all(type(c) is int for c in p)
         assert [g * c for c in p] == v
         assert is_primitive(p)
