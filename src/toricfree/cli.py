@@ -102,8 +102,7 @@ def _load_json(path: str):
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _corpus_from_args(args) -> tuple[GeneratorConfig, Iterator[Cone]]:
@@ -184,8 +183,7 @@ def _dispatch(args) -> int:
     if args.command == "generate":
         _, stream = _corpus_from_args(args)
         for _ in range(args.count):
-            json.dump(cone_to_document(next(stream)), sys.stdout, sort_keys=False)
-            sys.stdout.write("\n")
+            sys.stdout.write(json.dumps(cone_to_document(next(stream))) + "\n")
         return AFFIRMATIVE
 
     if args.command == "recheck":

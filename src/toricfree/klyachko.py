@@ -18,9 +18,9 @@ from .cones import Cone
 from .lattice import (
     RationalSubspace,
     Vector,
+    determinant,
     dot,
     is_primitive,
-    matrix_rank,
     smith_normal_form,
     solve_in_smith_form,
     vec,
@@ -96,17 +96,21 @@ def tangent_filtration(ray: Sequence[int], ambient_rank: int) -> Filtration:
     """The three-level filtration of the tangent sheaf at one ray.
 
     Full space through level 0, the line spanned by the ray generator at
-    level 1, zero from level 2 on.
+    level 1, zero from level 2 on.  The steps are built already canonical,
+    without the validating ``Filtration`` constructor; in rank 1 the line
+    is the whole space, so level 1 is no step.
     """
     u = vec(ray)
     if len(u) != ambient_rank:
         raise ValueError(f"ray length {len(u)}, expected {ambient_rank}")
     if not is_primitive(u):
         raise ValueError(f"ray generator {u} is not primitive")
-    return Filtration(ambient_rank, [
-        (1, RationalSubspace.span(ambient_rank, [u])),
-        (2, RationalSubspace.zero(ambient_rank)),
-    ])
+    zero = (2, RationalSubspace.zero(ambient_rank))
+    steps = (zero,) if ambient_rank == 1 else ((1, RationalSubspace.span(ambient_rank, [u])), zero)
+    filt = object.__new__(Filtration)
+    object.__setattr__(filt, "ambient", ambient_rank)
+    object.__setattr__(filt, "steps", steps)
+    return filt
 
 
 def tangent_family(cone: Cone) -> dict[Vector, Filtration]:
@@ -165,10 +169,10 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
     sides are step functions of i, so it suffices to compare at each
     breakpoint, each pairing threshold, and one point below all of them.
     No sum is formed: the whole sum is direct when the dimensions add up
-    to n and the stacked basis rows have rank n, and then a partial sum
-    has the summed dimension, so it equals the filtration's subspace
-    exactly when the dimensions agree and that subspace contains every
-    summand.
+    to n and the n stacked basis rows have a nonzero determinant, and
+    then a partial sum has the summed dimension, so it equals the
+    filtration's subspace exactly when the dimensions agree and that
+    subspace contains every summand.
     """
     n = cone.rank
     if cert.cone != cone:
@@ -192,7 +196,7 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
         if sub.dim == 0:
             return f"zero subspace attached to class {m}"
     total_dim = sum(sub.dim for _, sub in entries)
-    if total_dim != n or matrix_rank([row for _, sub in entries for row in sub.basis]) != n:
+    if total_dim != n or not determinant([row for _, sub in entries for row in sub.basis]):
         return "subspaces do not sum directly to the full space"
     for u in rays:
         filt = family[u]

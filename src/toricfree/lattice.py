@@ -8,8 +8,10 @@ verify the defining identities directly.  Each form is one elimination
 on one matrix, and its transforms ride along as an identity block of
 extra columns (U) or, for Smith, extra rows (V), so ``invariant_factors``
 and the canonicalising step of ``integer_kernel_basis`` carry none.  Both
-clear entries with one determinant-one 2x2 row step (plain elimination
-when the pivot divides the entry, an extended-gcd step otherwise).
+clear each entry below a pivot with one call of ``_clear_entry``, a
+determinant-one 2x2 row step (plain elimination when the pivot divides
+the entry, an extended-gcd step otherwise); Smith's column steps are the
+same step on columns, and pass over rows that are zero in both.
 Rational subspaces and ``matrix_rank`` share one fraction-free
 elimination (cross-multiplication with a gcd reduction per row, after
 Bareiss 1968 and Cohen, *A Course in Computational Algebraic Number
@@ -91,7 +93,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def copy_matrix(a: Sequence[Sequence[int]]) -> Matrix:
@@ -159,26 +164,23 @@ def matrix_rank(a: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def _clearing_coefficients(a: int, b: int) -> tuple[int, int, int, int]:
-    """Coefficients (x, y, z, w), x*w - y*z = 1, of a row step sending (a, b) to (x*a + y*b, 0).
+def _clear_entry(mat: Matrix, i: int, j: int, col: int) -> None:
+    """Clear mat[j][col] against the nonzero pivot mat[i][col] by one determinant-one 2x2 row step.
 
-    a must be nonzero.  When a divides b this is plain elimination,
-    ``(1, 0, -b // a, 1)``, which keeps a; otherwise it is the
-    extended-gcd step, which turns a into gcd(a, b).
+    When the pivot divides the entry this is plain elimination, which
+    leaves row i as it is; otherwise it is the extended-gcd step, which
+    turns the pivot into gcd(pivot, entry).
     """
-    if b % a == 0:
-        return 1, 0, -(b // a), 1
-    g, x, y = xgcd(a, b)
-    return x, y, -(b // g), a // g
-
-
-def _combine_rows(mat: Matrix, i: int, j: int, coefficients: tuple[int, int, int, int]) -> None:
-    """Rows i, j <- (x*ri + y*rj, z*ri + w*rj); row i is left as it is when (x, y) == (1, 0)."""
-    x, y, z, w = coefficients
     ri, rj = mat[i], mat[j]
-    if (x, y) != (1, 0):
-        mat[i] = [x * p + y * q for p, q in zip(ri, rj)]
-    mat[j] = [z * p + w * q for p, q in zip(ri, rj)]
+    a, b = ri[col], rj[col]
+    if b % a == 0:
+        q = b // a
+        mat[j] = [s - q * p for p, s in zip(ri, rj)]
+    else:
+        g, x, y = xgcd(a, b)
+        z, w = b // g, a // g
+        mat[i] = [x * p + y * s for p, s in zip(ri, rj)]
+        mat[j] = [w * s - z * p for p, s in zip(ri, rj)]
 
 
 def _hermite_eliminate(h: Matrix, ncols: int) -> None:
@@ -192,14 +194,15 @@ def _hermite_eliminate(h: Matrix, ncols: int) -> None:
         h[row], h[pivot] = h[pivot], h[row]
         for i in range(row + 1, m):
             if h[i][col]:
-                _combine_rows(h, row, i, _clearing_coefficients(h[row][col], h[i][col]))
+                _clear_entry(h, row, i, col)
         if h[row][col] < 0:
             h[row] = [-c for c in h[row]]
-        p = h[row][col]
+        top = h[row]
+        p = top[col]
         for i in range(row):
             q = h[i][col] // p
             if q:
-                _combine_rows(h, row, i, (1, 0, -q, 1))
+                h[i] = [s - q * c for c, s in zip(top, h[i])]
         row += 1
 
 
@@ -220,11 +223,16 @@ def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
     """Bring the top-left m x n block of d to Smith form in place; further rows and columns ride along."""
     t = 0
     while t < min(m, n):
-        # smallest nonzero entry, first in row-major order on ties
-        entries = [(abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j]]
-        if not entries:
+        # smallest nonzero entry, first in row-major order on ties (a unit is never beaten)
+        best, pi, pj = 0, t, t
+        for i in range(t, m):
+            for j, c in enumerate(d[i][t:n], t):
+                if c and (abs(c) < best or not best):
+                    best, pi, pj = abs(c), i, j
+            if best == 1:
+                break
+        if not best:
             break
-        _, pi, pj = min(entries)
         d[t], d[pi] = d[pi], d[t]
         if pj != t:
             for r in d:
@@ -232,19 +240,32 @@ def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
-                    _combine_rows(d, t, i, _clearing_coefficients(d[t][t], d[i][t]))
+                    _clear_entry(d, t, i, t)
             for j in range(t + 1, n):
-                if d[t][j]:
-                    x, y, z, w = _clearing_coefficients(d[t][t], d[t][j])
+                a, b = d[t][t], d[t][j]
+                if not b:
+                    continue
+                # the column step; rows zero in both columns stay zero
+                if b % a == 0:
+                    q = b // a
                     for r in d:
-                        r[t], r[j] = x * r[t] + y * r[j], z * r[t] + w * r[j]
+                        if r[t]:
+                            r[j] -= q * r[t]
+                else:
+                    g, x, y = xgcd(a, b)
+                    z, w = b // g, a // g
+                    for r in d:
+                        p, s = r[t], r[j]
+                        if p or s:
+                            r[t], r[j] = x * p + y * s, w * s - z * p
             if any(d[i][t] for i in range(t + 1, m)):
                 continue  # the column ops can reintroduce entries below the pivot
             off = next((i for i in range(t + 1, m)
                         if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
             if off is None:
                 break
-            _combine_rows(d, t, off, (1, 1, 0, 1))  # pull the offending row up, then re-reduce
+            # pull the offending row up, then re-reduce
+            d[t] = [p + s for p, s in zip(d[t], d[off])]
         if d[t][t] < 0:
             d[t] = [-c for c in d[t]]
         t += 1

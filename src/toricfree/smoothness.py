@@ -33,12 +33,10 @@ def is_smooth_cone(cone: Cone) -> SmoothnessReport:
     rays = cone.rays()
     if not rays:
         return SmoothnessReport(True)
-    # the nonzero invariant factors number the rank of the rays, which is the cone dimension
-    factors = invariant_factors([list(u) for u in rays])
-    if len(rays) != len(factors):
-        return SmoothnessReport(
-            False, reason=f"{len(rays)} rays but dimension {len(factors)}")
-    for f in factors:
+    # the cone dimension is the rank of the rays, so only independent rays reach the Smith form
+    if len(rays) != cone.dim:
+        return SmoothnessReport(False, reason=f"{len(rays)} rays but dimension {cone.dim}")
+    for f in invariant_factors([list(u) for u in rays]):
         if f != 1:
             return SmoothnessReport(
                 False, reason=f"invariant factor {f} exceeds 1", invariant_factor=f)

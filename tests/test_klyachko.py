@@ -18,7 +18,7 @@ from toricfree.klyachko import (
     tangent_filtration,
     verify_certificate,
 )
-from toricfree.lattice import RationalSubspace, dot
+from toricfree.lattice import RationalSubspace, dot, is_primitive
 
 
 def random_cones(seed, count, ranks=(2, 3, 4), bound=5):
@@ -79,6 +79,25 @@ def test_tangent_filtration_levels():
         tangent_filtration((2, 4), 2)
     with pytest.raises(ValueError):
         tangent_filtration((1, 0, 0), 2)
+
+
+def test_tangent_filtration_is_the_validated_filtration():
+    # rank 1 is included: there the line is the whole space and the filtration has one step
+    rng = random.Random(1106)
+    for n in range(1, 7):
+        for _ in range(8):
+            u = (0,) * n
+            while not is_primitive(u):
+                u = tuple(rng.randint(-6, 6) for _ in range(n))
+            expected = Filtration(n, [(1, RationalSubspace.span(n, [u])),
+                                      (2, RationalSubspace.zero(n))])
+            got = tangent_filtration(u, n)
+            assert got == expected
+            assert got.steps == expected.steps
+            assert got.breakpoints == expected.breakpoints
+            assert hash(got) == hash(expected)
+            if n == 1:
+                assert got.breakpoints == (2,)
 
 
 def test_sections_dimension_thresholds():

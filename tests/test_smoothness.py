@@ -2,8 +2,9 @@
 
 import random
 
+from oracles import sympy_invariant_factors
 from toricfree.cones import Cone, NotStronglyConvexError
-from toricfree.smoothness import is_smooth_cone
+from toricfree.smoothness import SmoothnessReport, is_smooth_cone
 
 
 def test_orthants_smooth():
@@ -70,3 +71,35 @@ def test_unimodular_simplicial_cones_smooth():
     # any subset of a lattice basis spans a smooth cone
     assert is_smooth_cone(Cone([(1, 0, 0), (1, 1, 0), (1, 1, 1)], 3)).verdict
     assert is_smooth_cone(Cone([(2, 1), (1, 1)], 2)).verdict
+
+
+def _reference_report(cone):
+    """The smoothness report rebuilt from sympy's invariant factors of the rays."""
+    rays = [list(u) for u in cone.rays()]
+    if not rays:
+        return SmoothnessReport(True)
+    factors = sympy_invariant_factors(rays)
+    if len(factors) != len(rays):
+        return SmoothnessReport(False, reason=f"{len(rays)} rays but dimension {len(factors)}")
+    for f in factors:
+        if f != 1:
+            return SmoothnessReport(
+                False, reason=f"invariant factor {f} exceeds 1", invariant_factor=f)
+    return SmoothnessReport(True)
+
+
+def test_report_matches_sympy_invariant_factors():
+    # a cone from Cone(...) stores its dimension, a face computes it when asked;
+    # every face of every cone is checked, so both routes are covered
+    rng = random.Random(2011)
+    drawn = 0
+    while drawn < 150:
+        n = rng.choice([2, 3, 4, 5])
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n + 2))]
+        try:
+            c = Cone(gens, n)
+        except (NotStronglyConvexError, ValueError):
+            continue
+        drawn += 1
+        for cone in c.faces():  # the cone itself included
+            assert is_smooth_cone(cone) == _reference_report(cone), cone
