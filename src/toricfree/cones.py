@@ -221,9 +221,8 @@ def dual_cone(cone: Cone) -> Cone:
 
 
 def linearly_independent_rays(cone: Cone) -> bool:
-    """Whether the extreme ray generators are linearly independent over Q."""
-    gens = cone.rays()
-    return matrix_rank([list(g) for g in gens]) == len(gens)
+    """Whether the extreme rays are linearly independent over Q: one ray per dimension."""
+    return len(cone.rays()) == cone.dim
 
 
 def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: int) -> Cone:
@@ -273,13 +272,9 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
     ``dot(a, p) * r_neg - dot(a, r_neg) * p`` whose pairings cancel exactly.
     """
     lin: list[Vector] = [vec(row) for row in identity_matrix(rank)]
-    rays: list[tuple[Vector, int]] = []  # (ray, mask): bit i set iff processed[i] vanishes on it
-    processed: list[Vector] = []
-    for a in normals:
-        if is_zero(a):
-            continue
-        bit = 1 << len(processed)
-        processed.append(a)
+    rays: list[tuple[Vector, int]] = []  # (ray, mask): bit i set iff normals[i] vanishes on it
+    for i, a in enumerate(normals):
+        bit = 1 << i
         pair_lin = [dot(a, l) for l in lin]
         if any(pair_lin):
             k = next(i for i, p in enumerate(pair_lin) if p)
@@ -306,7 +301,7 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
                             m & z == z and m != pm and m != nm for _, m, _ in scored):
                         w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
                         rays.append((w, z | bit))
-    lin_rows = _kernel_or_identity(processed, rank) if lin else []
+    lin_rows = _kernel_or_identity(normals, rank) if lin else []
     return tuple(lin_rows), _reduce_off_lineality([r for r, _ in rays], lin_rows)
 
 

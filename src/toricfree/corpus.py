@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Iterator, Union
 
 from .cones import Cone, NotStronglyConvexError
-from .fans import Fan
+from .fans import Fan, fan_from_generators
 
 PRNG_ALGORITHM = "python-random-mt19937"
 
@@ -103,31 +103,6 @@ class NamedExample:
     locally_free: bool
 
 
-def _projective_plane_fan() -> Fan:
-    return Fan([
-        Cone([(1, 0), (0, 1)], 2),
-        Cone([(0, 1), (-1, -1)], 2),
-        Cone([(-1, -1), (1, 0)], 2),
-    ], 2)
-
-
-def _p1_times_p1_fan() -> Fan:
-    return Fan([
-        Cone([(1, 0), (0, 1)], 2),
-        Cone([(0, 1), (-1, 0)], 2),
-        Cone([(-1, 0), (0, -1)], 2),
-        Cone([(0, -1), (1, 0)], 2),
-    ], 2)
-
-
-def _weighted_p112_fan() -> Fan:
-    return Fan([
-        Cone([(1, 0), (0, 1)], 2),
-        Cone([(0, 1), (-1, -2)], 2),
-        Cone([(-1, -2), (1, 0)], 2),
-    ], 2)
-
-
 def named_examples() -> tuple[NamedExample, ...]:
     """The regression corpus with hand-checked verdicts."""
     examples = [
@@ -139,9 +114,13 @@ def named_examples() -> tuple[NamedExample, ...]:
         NamedExample("orthant3", Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3), True, True),
         NamedExample("conifold", Cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3),
                      False, False),
-        NamedExample("P2", _projective_plane_fan(), True, True),
-        NamedExample("P1xP1", _p1_times_p1_fan(), True, True),
-        NamedExample("P112", _weighted_p112_fan(), False, False),
+        NamedExample("P2", fan_from_generators(
+            [[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]], 2), True, True),
+        NamedExample("P1xP1", fan_from_generators(
+            [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)]], 2),
+            True, True),
+        NamedExample("P112", fan_from_generators(
+            [[(1, 0), (0, 1)], [(0, 1), (-1, -2)], [(-1, -2), (1, 0)]], 2), False, False),
     ]
     for k in range(1, 6):
         examples.append(NamedExample(

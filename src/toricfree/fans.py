@@ -69,7 +69,7 @@ class Fan:
         return len(self.cones)
 
     def __contains__(self, cone: Cone) -> bool:
-        return cone in set(self.cones)
+        return cone in self.cones
 
     def skeleton(self, dim: int) -> tuple[Cone, ...]:
         """All cones of exactly the given dimension."""

@@ -250,8 +250,7 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     # the rays are independent here, so they span less than Q^n exactly when
     # len(rays) < n; the orthogonal complement of their span is the annihilator
     if len(rays) < n:
-        entries.append((cone.weight_class((0,) * n),
-                        RationalSubspace.span(n, cone.perp_sublattice())))
+        entries.append(((0,) * n, RationalSubspace.span(n, cone.perp_sublattice())))
     cert = DecompositionCertificate(cone, entries)
     _assert_certificate(cone, cert)
     return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)

@@ -20,9 +20,13 @@ theirs reduced.  Reducing a vector modulo a subspace is one step,
 ``_reduce_row``, which clears the pivot columns of any echelon basis in
 pivot order.  The residue with zero pivot coordinates is unique, so that
 walk lands on a positive multiple of it whichever echelon basis with
-positive pivots it is given: ``RationalSubspace`` walks its reduced basis, and the cone layer
-walks a Hermite basis of the lineality space.  ``fractions.Fraction``
-appears only to clear denominators of rational input rows.
+positive pivots it is given: ``RationalSubspace`` walks its reduced
+basis, and the cone layer walks a Hermite basis of the lineality space.
+A sum of subspaces is the constructor run on both bases.
+``fractions.Fraction`` appears only to clear denominators of rational
+input rows; every other entry, in ``vec`` too, goes through
+``operator.index``, so a float or a string raises TypeError instead of
+being rounded or parsed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from bisect import bisect
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul, neg
+from operator import index, mul, neg
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -39,7 +43,7 @@ Matrix = list[list[int]]
 
 
 def vec(coords: Iterable[int]) -> Vector:
-    return tuple(map(int, coords))
+    return tuple(map(index, coords))
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -104,8 +108,6 @@ def copy_matrix(a: Sequence[Sequence[int]]) -> Matrix:
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    if not a:
-        return []
     return [list(col) for col in zip(*a)]
 
 
@@ -303,13 +305,11 @@ def solve_integer_system(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vector
     n = len(a[0]) if a else 0
     if len(b) != m:
         raise ValueError(f"system has {m} equations but {len(b)} right-hand sides")
-    if m == 0:
-        return (0,) * n
     return solve_in_smith_form(smith_normal_form(a), b)
 
 
 def solve_in_smith_form(smith: tuple[Matrix, Matrix, Matrix], b: Sequence[int]) -> Vector | None:
-    """``solve_integer_system`` for a nonempty matrix given by its ``smith_normal_form``.
+    """``solve_integer_system`` for a matrix given by its ``smith_normal_form``.
 
     Solving several systems with one matrix this way decomposes it once.
     """
@@ -341,8 +341,6 @@ def integer_kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
     n = len(a[0])
     h, w = hermite_normal_form(transpose(a))
     kernel_rows = [w[i] for i in range(n) if is_zero(h[i])]
-    if not kernel_rows:
-        return []
     _hermite_eliminate(kernel_rows, n)
     return [vec(row) for row in kernel_rows if not is_zero(row)]
 
@@ -354,8 +352,6 @@ def extends_to_lattice_basis(vectors: Sequence[Sequence[int]]) -> bool:
     factor of their matrix equals 1.  The empty family extends trivially.
     """
     rows = [vec(v) for v in vectors]
-    if not rows:
-        return True
     factors = invariant_factors(rows)
     return len(factors) == len(rows) and all(f == 1 for f in factors)
 
@@ -382,7 +378,9 @@ class RationalSubspace:
             if len(row) != ambient:
                 raise ValueError(f"row length {len(row)} in ambient dimension {ambient}")
             _insert_row(basis, pivots, _integer_row(row))
-        _set_rows(self, ambient, basis, pivots)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", tuple(map(tuple, basis)))
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RationalSubspace is immutable")
@@ -424,16 +422,7 @@ class RationalSubspace:
     def __add__(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        big, small = (self, other) if self.dim >= other.dim else (other, self)
-        if not small.basis or big.dim == big.ambient:
-            return big
-        basis = list(big.basis)
-        pivots = list(big._pivots)
-        for row in small.basis:
-            _insert_row(basis, pivots, row)
-        result = object.__new__(RationalSubspace)
-        _set_rows(result, self.ambient, basis, pivots)
-        return result
+        return RationalSubspace(self.ambient, self.basis + other.basis)
 
     def intersection(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.ambient != other.ambient:
@@ -479,18 +468,11 @@ class RationalSubspace:
         return f"RationalSubspace({self.ambient}, [{rows}])"
 
 
-def _set_rows(sub: RationalSubspace, ambient: int, basis: list[Sequence[int]],
-              pivots: list[int]) -> None:
-    object.__setattr__(sub, "ambient", ambient)
-    object.__setattr__(sub, "basis", tuple(tuple(row) for row in basis))
-    object.__setattr__(sub, "_pivots", tuple(pivots))
-
-
 def _integer_row(row: Sequence[Fraction | int]) -> Sequence[int]:
-    """A positive integer multiple of a rational row (the row itself if integral)."""
+    """A positive integer multiple of a row of ``Fraction`` and ``operator.index`` entries."""
     if all(type(c) is int for c in row):
         return row
-    fracs = [c if type(c) is int else Fraction(c) for c in row]
+    fracs = [c if isinstance(c, Fraction) else index(c) for c in row]
     den = lcm(*(c.denominator for c in fracs))
     return [c.numerator * (den // c.denominator) for c in fracs]
 

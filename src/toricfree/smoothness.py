@@ -31,8 +31,6 @@ def is_smooth_cone(cone: Cone) -> SmoothnessReport:
     ray generators extend to a lattice basis.  The zero cone is smooth.
     """
     rays = cone.rays()
-    if not rays:
-        return SmoothnessReport(True)
     # the cone dimension is the rank of the rays, so only independent rays reach the Smith form
     if len(rays) != cone.dim:
         return SmoothnessReport(False, reason=f"{len(rays)} rays but dimension {cone.dim}")

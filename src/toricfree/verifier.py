@@ -57,22 +57,19 @@ def sweep(cones: Iterable[Cone]) -> SweepSummary:
     """
     start = time.perf_counter()
     count = 0
-    agreements = 0
     smooth_count = 0
     disagreements: list[AgreementRecord] = []
     for cone in cones:
         record = check_zariski_lipman(cone)
         count += 1
-        if record.agree:
-            agreements += 1
-        else:
+        if not record.agree:
             disagreements.append(record)
         if record.smooth.verdict:
             smooth_count += 1
     disagreements.sort(key=lambda r: r.cone.sort_key())
     return SweepSummary(
         count=count,
-        agreements=agreements,
+        agreements=count - len(disagreements),
         disagreements=tuple(disagreements),
         smooth_count=smooth_count,
         elapsed_seconds=time.perf_counter() - start,

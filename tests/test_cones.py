@@ -65,6 +65,8 @@ def test_construction_input_validation():
         Cone([(1, 0, 0)], 2)
     with pytest.raises(ValueError):
         Cone([], 0)
+    with pytest.raises(TypeError):
+        Cone([(0.5, 1)], 2)
     # zero vectors are ignored, not errors
     assert Cone([(0, 0), (1, 0)], 2).generators == ((1, 0),)
 
@@ -305,6 +307,32 @@ def test_linearly_independent_rays():
     assert linearly_independent_rays(Cone.zero(2))
     conifold = Cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
     assert not linearly_independent_rays(conifold)
+
+
+def test_linearly_independent_rays_matches_fraction_rank():
+    # the lower-dimensional cones have more rays than dimensions, but no more than the rank
+    cones = random_strongly_convex_cones(seed=1206, count=120, ranks=(1, 2, 3, 4, 5, 6))
+    cones += [Cone(gens, n) for n, gens in high_rank_inputs("lower", 1206, 8, range(4, 7))]
+    assert {c.rank for c in cones} == {1, 2, 3, 4, 5, 6}
+    for c in cones:
+        for f in c.faces():
+            rays = [list(u) for u in f.rays()]
+            assert linearly_independent_rays(f) == (fraction_rank(rays) == len(rays))
+
+
+def test_double_description_ignores_zero_normals():
+    # a zero normal holds everywhere: it only adds one bit to every ray's zero set
+    rng = random.Random(1207)
+    for n in range(1, 7):
+        for _ in range(60):
+            normals = [tuple(rng.randint(-3, 3) for _ in range(n))
+                       for _ in range(rng.randint(0, n + 3))]
+            normals = [a for a in normals if any(a)]
+            expected = _double_description(normals, n)
+            padded = list(normals)
+            for _ in range(rng.randint(1, 2)):
+                padded.insert(rng.randint(0, len(padded)), (0,) * n)
+            assert _double_description(padded, n) == expected
 
 
 def test_dual_cone_function_alias():

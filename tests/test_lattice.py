@@ -156,6 +156,8 @@ def test_solve_integer_system_unsolvable_cases():
     assert solve_integer_system([[2]], [1]) is None
     assert solve_integer_system([[1, 0], [1, 0]], [1, 2]) is None
     assert solve_integer_system([[2, 0], [0, 3]], [4, 6]) == (2, 2)
+    assert solve_integer_system([], []) == ()
+    assert transpose([]) == []
     with pytest.raises(ValueError):
         solve_integer_system([[1, 2]], [1, 2])
 
@@ -249,6 +251,30 @@ def test_subspace_fraction_rows():
     s = RationalSubspace.span(2, [[Fraction(1, 2), Fraction(3, 4)]])
     assert s.integer_basis() == [(2, 3)]
     assert s.contains((2, 3))
+
+
+def test_non_integer_entries_are_rejected():
+    # floats are not rounded and strings are not parsed; bools and Fractions stay exact
+    for bad in ([0.5, 1], [1.0, 2], ["1", "2"]):
+        with pytest.raises(TypeError):
+            vec(bad)
+        with pytest.raises(TypeError):
+            RationalSubspace.span(2, [bad])
+        with pytest.raises(TypeError):
+            RationalSubspace.full(2).contains(bad)
+    assert vec([True, False]) == (1, 0)
+    assert RationalSubspace.span(2, [[True, Fraction(1, 2)]]).basis == ((2, 1),)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=6), st.data())
+def test_subspace_sum_matches_fraction_rref_oracle(ambient, data):
+    pick = st.one_of(subspaces(ambient), st.just(RationalSubspace.zero(ambient)),
+                     st.just(RationalSubspace.full(ambient)))
+    a, b = data.draw(pick), data.draw(pick)
+    total = a + b
+    assert total.basis == fraction_rref_rows(list(a.basis + b.basis), ambient)
+    assert total == b + a
 
 
 def test_dot_length_mismatch():
