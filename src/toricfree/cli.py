@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Iterator, Sequence
@@ -46,7 +47,9 @@ def _comma_ints(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="toricfree",
         description="Exact smoothness and tangent-sheaf local-freeness checks "

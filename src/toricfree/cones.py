@@ -13,6 +13,9 @@ Hermite basis it already holds, with the same pivot-order step as
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from math import gcd
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -66,15 +69,17 @@ class Cone:
                 continue
             gens.append(primitive(v))
         gens = sorted(set(gens))
-        lin_rows, dual_rays = _double_description(gens, rank)
-        zeros = [sum(1 << i for i, d in enumerate(dual_rays) if dot(d, g) == 0) for g in gens]
+        lin_rows, dual_rays, masks = _double_description(gens, rank)
+        # bit j of a dual ray's mask is set iff the ray vanishes on gens[j]
+        every = (1 << len(gens)) - 1
         # the lineality space is the smallest face, so it holds a generator
         # iff it is not zero: one on which every dual ray vanishes
-        if (1 << len(dual_rays)) - 1 in zeros:
+        if reduce(and_, masks, every):
             raise NotStronglyConvexError(_kernel_or_identity(lin_rows + dual_rays, rank)[0])
         # the facets through g cut out its smallest face, so g is extreme
         # iff no other generator lies on all of them
-        extreme = tuple(g for g, z in zip(gens, zeros) if sum(w & z == z for w in zeros) == 1)
+        extreme = tuple(g for j, g in enumerate(gens)
+                        if reduce(and_, [m for m in masks if m >> j & 1], every) == 1 << j)
         # the dual's lineality space is the annihilator of this cone
         _set_slots(self, rank, extreme, (), _canonical_cone(lin_rows, dual_rays, rank),
                    rank - len(lin_rows))
@@ -104,7 +109,7 @@ class Cone:
     def dual(self) -> "Cone":
         """The dual cone in the paired lattice, computed once and cached."""
         if self._dual is None:
-            lin_rows, rays = _double_description(self.generators, self.rank)
+            lin_rows, rays, _ = _double_description(self.generators, self.rank)
             object.__setattr__(self, "_dual", _canonical_cone(lin_rows, rays, self.rank))
         return self._dual
 
@@ -198,7 +203,8 @@ class Cone:
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
         normals = list(self.dual.generators) + list(other.dual.generators)
-        return _canonical_cone(*_double_description(normals, self.rank), self.rank)
+        lin_rows, rays, _ = _double_description(normals, self.rank)
+        return _canonical_cone(lin_rows, rays, self.rank)
 
     def sort_key(self) -> tuple:
         return (self.dim, self.generators)
@@ -246,14 +252,18 @@ def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
         object.__setattr__(cone, name, value)
 
 
-def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+def _double_description(normals: Sequence[Vector], rank: int
+                        ) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...]]:
     """V-description of the solution set of ``dot(a, x) >= 0`` for each a in normals.
 
-    Returns (lineality_rows, extreme_rays): a canonical basis of the
-    lineality space and the sorted primitive extreme rays of a complement
-    of it inside the solution cone.  Inequalities are inserted one at a
-    time, and the rays kept between insertions are always exactly the
-    extreme rays modulo the current lineality (Motzkin et al. 1953).
+    Returns (lineality_rows, extreme_rays, masks): a canonical basis of the
+    lineality space, the sorted primitive extreme rays of a complement of
+    it inside the solution cone, and for each ray the bitmask of the
+    normals vanishing on it (bit i set iff ``dot(normals[i], ray) == 0``),
+    which ``Cone.__init__`` reads its generators' zero sets off.
+    Inequalities are inserted one at a time, and the rays kept between
+    insertions are always exactly the extreme rays modulo the current
+    lineality (Motzkin et al. 1953).
 
     While the new normal a pairs nonzero with the lineality, the step
     projects along a lineality vector b0 with ``dot(a, b0) > 0``.  That
@@ -262,33 +272,50 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
     new extreme rays with no test.  Otherwise it is a Fourier-Motzkin step:
     the rays on the nonnegative side stay extreme, and of the combinations
     of a positive and a negative ray only those formed from adjacent rays
-    are extreme.  Each ray carries the bitmask of the processed normals
-    vanishing on it, and two rays are adjacent iff the normals Z vanishing
-    on both number at least ``rank - lineality - 2`` and no third ray
-    vanishes on all of Z (the incidence test of Fukuda and Prodon 1996).
+    are extreme.  Each ray carries its mask over the processed normals,
+    and two rays are adjacent iff the normals Z vanishing on both number
+    at least ``rank - lineality - 2`` and no third ray vanishes on all of Z
+    (the incidence test of Fukuda and Prodon 1996).  The masks stay exact:
+    projecting along the lineality, combining two rays with positive
+    coefficients and reducing modulo the final lineality only scale each
+    processed normal's pairing by a positive factor or add two pairings of
+    one sign.
+
+    A normal opens a projection step exactly when it is outside the span
+    of the normals before it, so those normals are a basis of the span of
+    all of them and cut out the same saturated lineality lattice; its
+    kernel is taken of them alone.
 
     All arithmetic is integral: a candidate ray r is replaced across the
     hyperplane of a new inequality a by combinations like
     ``dot(a, p) * r_neg - dot(a, r_neg) * p`` whose pairings cancel exactly.
     """
-    lin: list[Vector] = [vec(row) for row in identity_matrix(rank)]
-    rays: list[tuple[Vector, int]] = []  # (ray, mask): bit i set iff normals[i] vanishes on it
+    lin: list[Vector] = list(_standard_basis(rank))
+    rays: list[tuple[Vector, int]] = []  # (ray, mask)
+    opened: list[Vector] = []  # the normals that opened a projection step
     for i, a in enumerate(normals):
         bit = 1 << i
-        pair_lin = [dot(a, l) for l in lin]
+        pair_lin = [sum(map(mul, a, l)) for l in lin]
         if any(pair_lin):
             k = next(i for i, p in enumerate(pair_lin) if p)
-            b0, p0 = lin[k], pair_lin[k]
+            b0, p0 = lin.pop(k), pair_lin.pop(k)
             if p0 < 0:
                 b0, p0 = negated(b0), -p0
-
-            def project(v: Vector, pv: int) -> Vector:
-                return v if pv == 0 else primitive([p0 * x - pv * y for x, y in zip(v, b0)])
-
-            lin = [project(l, pl) for i, (l, pl) in enumerate(zip(lin, pair_lin)) if i != k]
-            rays = [(project(r, dot(a, r)), m | bit) for r, m in rays] + [(b0, bit - 1)]
+            opened.append(a)
+            # project every other lineality vector and every ray onto the hyperplane of a
+            kept = len(lin)
+            projected = []
+            for v, pv in zip(lin + [r for r, _ in rays],
+                             pair_lin + [sum(map(mul, a, r)) for r, _ in rays]):
+                if pv:
+                    w = [p0 * x - pv * y for x, y in zip(v, b0)]
+                    g = gcd(*w)
+                    v = tuple([c // g for c in w])
+                projected.append(v)
+            lin = projected[:kept]
+            rays = [(r, m | bit) for r, (_, m) in zip(projected[kept:], rays)] + [(b0, bit - 1)]
         else:
-            scored = [(r, m, dot(a, r)) for r, m in rays]
+            scored = [(r, m, sum(map(mul, a, r))) for r, m in rays]
             pos = [(r, m, p) for r, m, p in scored if p > 0]
             neg = [(r, m, p) for r, m, p in scored if p < 0]
             need = rank - len(lin) - 2
@@ -301,25 +328,33 @@ def _double_description(normals: Sequence[Vector], rank: int) -> tuple[tuple[Vec
                             m & z == z and m != pm and m != nm for _, m, _ in scored):
                         w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
                         rays.append((w, z | bit))
-    lin_rows = _kernel_or_identity(normals, rank) if lin else []
-    return tuple(lin_rows), _reduce_off_lineality([r for r, _ in rays], lin_rows)
+    lin_rows = _kernel_or_identity(opened, rank) if lin else []
+    return (tuple(lin_rows), *_reduce_off_lineality(rays, lin_rows))
+
+
+@lru_cache(maxsize=16)
+def _standard_basis(rank: int) -> tuple[Vector, ...]:
+    """The standard basis of Z^rank, built once per rank."""
+    return tuple(vec(row) for row in identity_matrix(rank))
 
 
 def _kernel_or_identity(rows: Sequence[Vector], rank: int) -> list[Vector]:
     """``integer_kernel_basis`` of the rows, or the standard basis of Z^rank when there are none."""
     if not rows:
-        return [vec(row) for row in identity_matrix(rank)]
+        return list(_standard_basis(rank))
     return integer_kernel_basis([list(r) for r in rows])
 
 
-def _reduce_off_lineality(rays: Sequence[Vector], lin_rows: Sequence[Vector]) -> tuple[Vector, ...]:
-    """Sorted canonical representatives of rays modulo the lineality space.
+def _reduce_off_lineality(rays: Sequence[tuple[Vector, int]], lin_rows: Sequence[Vector]
+                          ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Sorted canonical representatives of rays modulo the lineality space, and their masks.
 
-    The Hermite rows are in echelon form with positive pivots, so clearing
-    their pivot columns in pivot order (``_reduce_row``) leaves a positive
-    multiple of the unique residue with zero pivot coordinates, and
-    ``primitive`` makes that multiple canonical.  With no rows each ray is
-    left as it is.
+    The rays come paired with their masks.  The Hermite rows are in
+    echelon form with positive pivots, so clearing their pivot columns in
+    pivot order (``_reduce_row``) leaves a positive multiple of the unique
+    residue with zero pivot coordinates, and ``primitive`` makes that
+    multiple canonical.  With no rows each ray is left as it is.
     """
     pivots = [next(j for j, c in enumerate(row) if c) for row in lin_rows]
-    return tuple(sorted({primitive(_reduce_row(ray, lin_rows, pivots)) for ray in rays}))
+    reduced = sorted({primitive(_reduce_row(ray, lin_rows, pivots)): mask for ray, mask in rays}.items())
+    return tuple(r for r, _ in reduced), tuple(m for _, m in reduced)

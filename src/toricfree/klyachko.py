@@ -244,20 +244,21 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
             return LocalFreenessReport(
                 False, failure=f"no integral dual weight for ray {u}", failing_ray=u)
         witnesses[u] = m
-    entries: list[tuple[Vector, RationalSubspace]] = []
-    for u in rays:
-        entries.append((cone.weight_class(witnesses[u]), RationalSubspace.span(n, [u])))
+    # each ray's certificate line is its filtration at level 1, built once for the self-check too
+    family = tangent_family(cone)
+    entries = [(cone.weight_class(witnesses[u]), family[u].at(1)) for u in rays]
     # the rays are independent here, so they span less than Q^n exactly when
     # len(rays) < n; the orthogonal complement of their span is the annihilator
     if len(rays) < n:
         entries.append(((0,) * n, RationalSubspace.span(n, cone.perp_sublattice())))
     cert = DecompositionCertificate(cone, entries)
-    _assert_certificate(cone, cert)
+    _assert_certificate(cone, family, cert)
     return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)
 
 
-def _assert_certificate(cone: Cone, cert: DecompositionCertificate) -> None:
-    problem = diagnose_certificate(cone, tangent_family(cone), cert)
+def _assert_certificate(cone: Cone, family: FiltrationFamily,
+                        cert: DecompositionCertificate) -> None:
+    problem = diagnose_certificate(cone, family, cert)
     if problem is not None:
         raise AssertionError(f"emitted certificate failed verification: {problem}")
 

@@ -302,7 +302,6 @@ def solve_integer_system(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vector
     free component is set to zero, so equal inputs always give equal outputs.
     """
     m = len(a)
-    n = len(a[0]) if a else 0
     if len(b) != m:
         raise ValueError(f"system has {m} equations but {len(b)} right-hand sides")
     return solve_in_smith_form(smith_normal_form(a), b)
@@ -390,6 +389,7 @@ class RationalSubspace:
         return cls(ambient, vectors)
 
     @classmethod
+    @lru_cache(maxsize=16)
     def zero(cls, ambient: int) -> "RationalSubspace":
         return cls(ambient)
 

@@ -41,6 +41,8 @@ def encode_int(value: int) -> int | str:
 
 
 def decode_int(value: Any) -> int:
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise ValueError(f"expected an integer, got {value!r}")
     if isinstance(value, int):
@@ -73,7 +75,7 @@ def encode_vector(v: Vector) -> list:
 def decode_vector(value: Any, rank: int | None = None) -> Vector:
     if not isinstance(value, list):
         raise ValueError(f"expected a list of integers, got {_excerpt(value)}")
-    v = tuple(decode_int(c) for c in value)
+    v = tuple(map(decode_int, value))
     if rank is not None and len(v) != rank:
         raise ValueError(f"vector {_excerpt(v)} has length {len(v)}, expected {rank}")
     return v

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricfree.cli import main
+from toricfree.cli import _build_parser, main
 from toricfree.corpus import default_config, named_examples, sample_cones
 from toricfree.fans import Fan
 from toricfree.serialize import MAX_RANK, cone_to_document, fan_to_document, parse_cone_document
@@ -282,6 +282,25 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["sweep", "--rank", "2"]) == 2  # missing required flags
     capsys.readouterr()
+
+
+def test_cached_parser_matches_a_fresh_one(capsys, tmp_path, orthant_file):
+    # the parser is built once per process and reused by every call
+    _, out, _ = run_cli(capsys, "locally-free", orthant_file)
+    report_file = write_json(tmp_path, "report.json", json.loads(out))
+    calls = [
+        ["sweep", "--rank", "2"],  # usage error: missing required flags
+        ["--version"],
+        ["sections", orthant_file, "--ray", "-1,3", "--weight", "2,0"],
+        ["smooth", orthant_file],
+        ["recheck", report_file],
+    ]
+    assert _build_parser() is _build_parser()
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0]
+    for argv, result in zip(calls, cached):
+        _build_parser.cache_clear()
+        assert run_cli(capsys, *argv) == result
 
 
 def test_help_exits_zero(capsys):

@@ -328,11 +328,33 @@ def test_double_description_ignores_zero_normals():
             normals = [tuple(rng.randint(-3, 3) for _ in range(n))
                        for _ in range(rng.randint(0, n + 3))]
             normals = [a for a in normals if any(a)]
-            expected = _double_description(normals, n)
+            expected = _double_description(normals, n)[:2]
             padded = list(normals)
             for _ in range(rng.randint(1, 2)):
                 padded.insert(rng.randint(0, len(padded)), (0,) * n)
-            assert _double_description(padded, n) == expected
+            assert _double_description(padded, n)[:2] == expected
+
+
+def test_double_description_masks_are_exact():
+    # bit i of a ray's mask is set iff normals[i] vanishes on it; the lists
+    # carry repeated, dependent and zero normals
+    rng = random.Random(1301)
+    for n in range(1, 7):
+        for _ in range(60):
+            normals = [tuple(rng.randint(-3, 3) for _ in range(n))
+                       for _ in range(rng.randint(0, n + 3))]
+            for _ in range(rng.randint(0, 3)):
+                if not normals:
+                    break
+                a, b = rng.choice(normals), rng.choice(normals)
+                extra = rng.choice([a, tuple(2 * x for x in a), tuple(x + y for x, y in zip(a, b)),
+                                    (0,) * n])
+                normals.insert(rng.randint(0, len(normals)), extra)
+            lin_rows, rays, masks = _double_description(normals, n)
+            assert len(masks) == len(rays)
+            for ray, mask in zip(rays, masks):
+                for i, a in enumerate(normals):
+                    assert bool(mask >> i & 1) == (dot(a, ray) == 0)
 
 
 def test_dual_cone_function_alias():
@@ -496,7 +518,7 @@ def test_high_rank_line_witness_against_rank_oracle(kind, seed):
     for n, gens in high_rank_inputs(kind, seed):
         with pytest.raises(NotStronglyConvexError) as exc:
             Cone(gens, n)
-        lin_rows, dual_rays = _double_description([tuple(g) for g in gens], n)
+        lin_rows, dual_rays, _ = _double_description([tuple(g) for g in gens], n)
         for r in dual_rays:
             assert is_extreme_by_rank(r, gens, len(lin_rows))
         assert all(dot(r, g) >= 0 for g in gens for r in dual_rays)
