@@ -12,6 +12,8 @@ import dataclasses
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import Iterator, Sequence
 
 from . import __version__
@@ -105,7 +107,55 @@ def _load_json(path: str):
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_encode(doc, "\n") + "\n")
+
+
+def _encode(value, newline: str) -> str:
+    """The text of ``json.dumps(value, indent=2)``; ``newline`` breaks the line before this depth.
+
+    With ``indent`` set, ``json`` always runs its pure-Python encoder; this
+    one joins strings, hands each string to json's C quoting and each
+    number to the builtin ``repr`` that json itself calls.  It takes dicts
+    with ``str`` keys, lists, tuples, ``str``, ``int``, ``float``, ``bool``
+    and ``None``, by exact type, and raises ``TypeError`` on anything else.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return f"[{inner}{(',' + inner).join([_encode(v, inner) for v in value])}{newline}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # the C quoting raises TypeError on a key that is not a str
+        items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if kind not in _SCALAR_TEXT:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return _SCALAR_TEXT[kind](value)
+
+
+def _float_text(value: float) -> str:
+    """json's text for a float: its repr, with NaN and the infinities spelled as JavaScript does."""
+    if value != value:
+        return "NaN"
+    if value == inf:
+        return "Infinity"
+    if value == -inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# json's text for each scalar type, looked up by exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _corpus_from_args(args) -> tuple[GeneratorConfig, Iterator[Cone]]:

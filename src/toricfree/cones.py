@@ -202,8 +202,14 @@ class Cone:
         """The cone cut out by the inequalities of both cones."""
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
-        normals = list(self.dual.generators) + list(other.dual.generators)
-        lin_rows, rays, _ = _double_description(normals, self.rank)
+        # resume from other's V-description: its rays modulo its lineality, each
+        # with its zero set on other's inequalities, so only self's are inserted
+        processed = other.dual.generators
+        lineality_pairs = set(other._lineality_rows) | {negated(v) for v in other._lineality_rows}
+        rays = [(r, sum(1 << j for j, d in enumerate(processed) if not sum(map(mul, d, r))))
+                for r in other.generators if r not in lineality_pairs]
+        lin_rows, rays, _ = _double_description(
+            self.dual.generators, self.rank, (other._lineality_rows, rays, processed))
         return _canonical_cone(lin_rows, rays, self.rank)
 
     def sort_key(self) -> tuple:
@@ -252,7 +258,9 @@ def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
         object.__setattr__(cone, name, value)
 
 
-def _double_description(normals: Sequence[Vector], rank: int
+def _double_description(normals: Sequence[Vector], rank: int,
+                        start: tuple[Sequence[Vector], Sequence[tuple[Vector, int]],
+                                     Sequence[Vector]] | None = None
                         ) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...]]:
     """V-description of the solution set of ``dot(a, x) >= 0`` for each a in normals.
 
@@ -264,6 +272,16 @@ def _double_description(normals: Sequence[Vector], rank: int
     Inequalities are inserted one at a time, and the rays kept between
     insertions are always exactly the extreme rays modulo the current
     lineality (Motzkin et al. 1953).
+
+    The insertion starts from ``start`` when given: (lineality, rays,
+    processed), a basis of the lineality space of a cone, its extreme rays
+    modulo that space each paired with its mask over ``processed``, and
+    inequalities cutting out exactly that cone.  The normals then take the
+    bits after those of ``processed``, and the result is the one the
+    insertion of ``processed`` followed by ``normals`` would give, since
+    it does not depend on the insertion order.  With no start the
+    insertion starts from the whole space: the standard basis as
+    lineality, no rays and nothing processed.
 
     While the new normal a pairs nonzero with the lineality, the step
     projects along a lineality vector b0 with ``dot(a, b0) > 0``.  That
@@ -282,18 +300,21 @@ def _double_description(normals: Sequence[Vector], rank: int
     one sign.
 
     A normal opens a projection step exactly when it is outside the span
-    of the normals before it, so those normals are a basis of the span of
-    all of them and cut out the same saturated lineality lattice; its
-    kernel is taken of them alone.
+    of the normals before it, so those normals, with the processed ones of
+    the start, span all of them and cut out the same saturated lineality
+    lattice; its kernel is taken of them alone.
 
     All arithmetic is integral: a candidate ray r is replaced across the
     hyperplane of a new inequality a by combinations like
     ``dot(a, p) * r_neg - dot(a, r_neg) * p`` whose pairings cancel exactly.
     """
-    lin: list[Vector] = list(_standard_basis(rank))
-    rays: list[tuple[Vector, int]] = []  # (ray, mask)
-    opened: list[Vector] = []  # the normals that opened a projection step
-    for i, a in enumerate(normals):
+    if start is None:
+        start = (_standard_basis(rank), (), ())
+    lin: list[Vector] = list(start[0])
+    rays: list[tuple[Vector, int]] = list(start[1])  # (ray, mask)
+    # the normals that opened a projection step, after the processed ones
+    opened: list[Vector] = list(start[2])
+    for i, a in enumerate(normals, len(opened)):
         bit = 1 << i
         pair_lin = [sum(map(mul, a, l)) for l in lin]
         if any(pair_lin):

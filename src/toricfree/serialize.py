@@ -30,6 +30,10 @@ SAFE_INT = 2 ** 53 - 1
 # Largest lattice rank a document may declare.  Building a cone costs at
 # least rank x rank integers, so an unbounded rank could exhaust memory.
 MAX_RANK = 256
+# Most cones a fan document may list.  Validation intersects every pair of
+# them, so its time grows with the square of this count: verifying a
+# planar fan x P^1 with this many maximal cones takes about 7 s on 2 cores.
+MAX_FAN_CONES = 768
 
 Geometry = Union[Cone, Fan]
 
@@ -124,6 +128,9 @@ def parse_fan_document(doc: Any) -> Fan:
     cones_field = doc["cones"]
     if not isinstance(cones_field, list):
         raise ValueError("'cones' must be a list of generator lists")
+    if len(cones_field) > MAX_FAN_CONES:
+        raise ValueError(
+            f"fan lists {len(cones_field)} cones, over the maximum of {MAX_FAN_CONES}")
     cones = []
     for gens in cones_field:
         if not isinstance(gens, list):

@@ -16,7 +16,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
-from toricfree.cones import Cone
+from toricfree.cones import Cone, _canonical_cone, _double_description
 from toricfree.klyachko import DecompositionCertificate, tangent_family, verify_certificate
 from toricfree.lattice import RationalSubspace, dot, vec
 
@@ -225,3 +225,10 @@ def is_face_by_supporting_hyperplane(f: Cone, c: Cone) -> bool:
                  if all(sum(x * y for x, y in zip(d, g)) == 0 for g in f.generators)]
     m = [sum(column) for column in zip(*vanishing)] or [0] * c.rank
     return {r for r in c.rays() if sum(x * y for x, y in zip(m, r)) == 0} == set(f.generators)
+
+
+def intersection_from_scratch(a: Cone, b: Cone) -> Cone:
+    """The intersection by one double description from the whole space over both cones' normals."""
+    normals = list(a.dual.generators) + list(b.dual.generators)
+    lin_rows, rays, _ = _double_description(normals, a.rank)
+    return _canonical_cone(lin_rows, rays, a.rank)

@@ -4,18 +4,25 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from toricfree.cli import _build_parser, main
+from toricfree.cli import _build_parser, _encode, main
 from toricfree.corpus import default_config, named_examples, sample_cones
 from toricfree.fans import Fan
-from toricfree.serialize import MAX_RANK, cone_to_document, fan_to_document, parse_cone_document
+from toricfree.serialize import (
+    MAX_FAN_CONES,
+    MAX_RANK,
+    cone_to_document,
+    fan_to_document,
+    parse_cone_document,
+)
 
 
 def write_json(tmp_path, name, doc):
@@ -268,6 +275,15 @@ def test_rank_at_the_bound_is_accepted():
     assert cone.rank == MAX_RANK and cone.rays() == ((1,) + (0,) * (MAX_RANK - 1),)
 
 
+def test_fan_cone_count_is_bounded(capsys, tmp_path):
+    # one small cone repeated: the count is checked before any cone is built
+    path = write_json(tmp_path, "big-fan.json",
+                      {"rank": 2, "cones": [[[1, 0], [0, 1]]] * (MAX_FAN_CONES + 1)})
+    code, out, err = run_cli(capsys, "verify", path)
+    assert code == 2 and out == ""
+    assert f"maximum of {MAX_FAN_CONES}" in err
+
+
 @pytest.mark.parametrize("command", ["sweep", "generate"])
 def test_generator_count_is_bounded(capsys, command):
     # the config is validated before any draw, so nothing of this size is allocated
@@ -443,3 +459,33 @@ def test_hostile_documents_exit_cleanly(tmp_path, case, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert type(code) is int and code in (0, 1, 2), argv
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.sampled_from([-0.0, 0.1, 1e16, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.text(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+@given(json_values)
+@example({"q\"uote\\back": ["\u00e9\u65e5\U0001f600", "\x00\x1f\t\n\x7f", '"', "\\"]})
+@example([2 ** 53 + 1, -2 ** 64, [-0.0, 0.1, 1e16, math.nan, math.inf, -math.inf]])
+@example({"a": {}, "b": [], "c": [[], {}, ()], "d": ({"e": [{}]},)})
+@settings(max_examples=300, deadline=None)
+def test_report_encoder_matches_json_indent(value):
+    assert _encode(value, "\n") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {1: "a"}, {"a": [{(1, 2): 0}]}, [frozenset()], b"x"])
+def test_report_encoder_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _encode(value, "\n")

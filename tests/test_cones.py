@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     cone_membership_by_duality,
     fraction_rank,
+    intersection_from_scratch,
     is_extreme_by_rank,
     is_face_by_supporting_hyperplane,
 )
@@ -247,6 +248,38 @@ def test_intersection_commutes_and_is_contained():
         assert meet == b.intersection(a)
         for g in meet.generators:
             assert a.contains(g) and b.contains(g)
+
+
+def test_intersection_agrees_with_double_description_from_scratch():
+    """Resuming from the second cone gives the intersection run from the whole space."""
+    rng = random.Random(120)
+    by_rank = {}
+    for n in range(1, 7):
+        pool = [Cone.zero(n), Cone([[1] * n], n)]
+        while len(pool) < 14:
+            k = rng.randint(1, n + 2)
+            # a lower-dimensional cone spans the image of fewer coordinates
+            width = rng.randint(1, n)
+            gens = [[rng.randint(-4, 4) if j < width else 0 for j in range(n)] for _ in range(k)]
+            rng.shuffle(gens[0])
+            try:
+                c = Cone(gens, n)
+            except NotStronglyConvexError:
+                continue
+            pool.append(c)
+        # duals of lower-dimensional cones carry lineality
+        by_rank[n] = pool + [c.dual for c in pool[:8]]
+    lineal = compared = 0
+    for n, pool in by_rank.items():
+        for a in pool:
+            for b in [a] + rng.sample(pool, 6):
+                for first, second in ((a, b), (b, a)):
+                    got, want = first.intersection(second), intersection_from_scratch(first, second)
+                    assert got.generators == want.generators
+                    assert got.lineality_basis == want.lineality_basis
+                    lineal += bool(want.lineality_basis)
+                    compared += 1
+    assert compared >= 1000 and lineal >= 100
 
 
 def test_perp_sublattice_examples():
