@@ -6,9 +6,13 @@ primitive extreme ray generators.  Dual cones need not be strongly convex;
 their lineality space enters the generator list as explicit plus/minus
 pairs of basis vectors, so membership is always the single uniform test
 "pairs nonnegatively against every dual generator".  The double
-description reduces its rays modulo that lineality space against the
-Hermite basis it already holds, with the same pivot-order step as
-``RationalSubspace``: an echelon basis is all the step needs.
+description carries its lineality space as a lattice basis, changed only
+by unimodular integer Euclid steps, so its canonical Hermite basis is one
+Hermite form of that basis with no transform and no kernel is taken.  It
+reduces its rays modulo that space against the Hermite basis, with the
+same pivot-order step as ``RationalSubspace``: an echelon basis is all
+the step needs.  Face lattices, and the face closures of fans, stop at
+``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Iterable, Sequence
 from .lattice import (
     RationalSubspace,
     Vector,
+    _hermite_eliminate,
     _reduce_row,
     dot,
     identity_matrix,
@@ -31,6 +36,19 @@ from .lattice import (
     primitive,
     vec,
 )
+
+
+# Most faces ``Cone.faces()`` enumerates, and most cones in the face closure
+# of a fan.  ``verify`` decides every cone of a fan's closure: on the rank-12
+# orthant, whose 4,096 faces sit at this cap, it takes about 6 s on 2 cores.
+MAX_FACES = 4096
+
+
+class FaceLimitError(ValueError):
+    """Raised when a face lattice or a fan's face closure passes ``MAX_FACES``."""
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} has more than the maximum of {MAX_FACES} faces")
 
 
 class NotStronglyConvexError(ValueError):
@@ -139,7 +157,10 @@ class Cone:
             raise ValueError("operation requires a strongly convex cone")
 
     def faces(self) -> tuple["Cone", ...]:
-        """All faces, the cone itself and the zero cone included, in canonical order."""
+        """All faces, the cone itself and the zero cone included, in canonical order.
+
+        Raises ``FaceLimitError`` once there are more than ``MAX_FACES``.
+        """
         self._require_strongly_convex()
         if self._faces is not None:
             return self._faces
@@ -154,6 +175,8 @@ class Cone:
                 cut = current & zero
                 if cut not in seen:
                     seen[cut] = _canonical_cone((), cut, self.rank)
+                    if len(seen) > MAX_FACES:
+                        raise FaceLimitError(f"the face lattice of a rank-{self.rank} cone")
                     queue.append(cut)
         result = tuple(sorted(seen.values(), key=Cone.sort_key))
         object.__setattr__(self, "_faces", result)
@@ -202,14 +225,8 @@ class Cone:
         """The cone cut out by the inequalities of both cones."""
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
-        # resume from other's V-description: its rays modulo its lineality, each
-        # with its zero set on other's inequalities, so only self's are inserted
-        processed = other.dual.generators
-        lineality_pairs = set(other._lineality_rows) | {negated(v) for v in other._lineality_rows}
-        rays = [(r, sum(1 << j for j, d in enumerate(processed) if not sum(map(mul, d, r))))
-                for r in other.generators if r not in lineality_pairs]
-        lin_rows, rays, _ = _double_description(
-            self.dual.generators, self.rank, (other._lineality_rows, rays, processed))
+        # resume from other's V-description, so only self's inequalities are inserted
+        lin_rows, rays, _ = _double_description(self.dual.generators, self.rank, _start_from(other))
         return _canonical_cone(lin_rows, rays, self.rank)
 
     def sort_key(self) -> tuple:
@@ -258,9 +275,22 @@ def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
         object.__setattr__(cone, name, value)
 
 
+def _start_from(cone: Cone) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]], int]:
+    """The ``start`` that resumes a double description from a cone's V-description.
+
+    That is the cone's lineality basis, its rays modulo that space each
+    with its zero set on the cone's dual generators, and their number.
+    """
+    processed = cone.dual.generators
+    lineality_pairs = set(cone._lineality_rows) | {negated(v) for v in cone._lineality_rows}
+    rays = [(r, sum(1 << j for j, d in enumerate(processed) if not sum(map(mul, d, r))))
+            for r in cone.generators if r not in lineality_pairs]
+    return cone._lineality_rows, rays, len(processed)
+
+
 def _double_description(normals: Sequence[Vector], rank: int,
-                        start: tuple[Sequence[Vector], Sequence[tuple[Vector, int]],
-                                     Sequence[Vector]] | None = None
+                        start: tuple[Sequence[Vector], Sequence[tuple[Vector, int]], int]
+                        | None = None
                         ) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...]]:
     """V-description of the solution set of ``dot(a, x) >= 0`` for each a in normals.
 
@@ -274,14 +304,14 @@ def _double_description(normals: Sequence[Vector], rank: int,
     lineality (Motzkin et al. 1953).
 
     The insertion starts from ``start`` when given: (lineality, rays,
-    processed), a basis of the lineality space of a cone, its extreme rays
-    modulo that space each paired with its mask over ``processed``, and
-    inequalities cutting out exactly that cone.  The normals then take the
-    bits after those of ``processed``, and the result is the one the
-    insertion of ``processed`` followed by ``normals`` would give, since
-    it does not depend on the insertion order.  With no start the
-    insertion starts from the whole space: the standard basis as
-    lineality, no rays and nothing processed.
+    processed), a lattice basis of the lineality space of a cone, its
+    extreme rays modulo that space each paired with its mask over the
+    inequalities cutting out exactly that cone, and the number of those
+    inequalities.  The normals then take the bits after those, and the
+    result is the one the insertion of those inequalities followed by
+    ``normals`` would give, since it does not depend on the insertion
+    order.  With no start the insertion starts from the whole space: the
+    standard basis as lineality, no rays and nothing processed.
 
     While the new normal a pairs nonzero with the lineality, the step
     projects along a lineality vector b0 with ``dot(a, b0) > 0``.  That
@@ -299,42 +329,57 @@ def _double_description(normals: Sequence[Vector], rank: int,
     processed normal's pairing by a positive factor or add two pairings of
     one sign.
 
-    A normal opens a projection step exactly when it is outside the span
-    of the normals before it, so those normals, with the processed ones of
-    the start, span all of them and cut out the same saturated lineality
-    lattice; its kernel is taken of them alone.
+    The lineality is kept as a lattice basis of its integer points, a
+    saturated lattice, and a projection step finds b0 by integer Euclid
+    steps on the pairings: the vector of smallest nonzero pairing p_k is
+    subtracted q times from each other one, with q the nearest integer to
+    p_j / p_k, until a single vector pairs nonzero.  These steps are
+    unimodular, so the basis stays a lattice basis; an integer point of the
+    lineality pairs to zero with a exactly when its coefficient on b0 is
+    zero, so the other vectors are a lattice basis of the new lineality,
+    and b0, a basis vector of a saturated lattice, is primitive.  Pivoting
+    on the smallest pairing keeps the entries small.  The canonical rows
+    are the Hermite form of the final basis, unique for its lattice and so
+    the Hermite basis of the kernel of the normals: no kernel is taken.
 
     All arithmetic is integral: a candidate ray r is replaced across the
     hyperplane of a new inequality a by combinations like
     ``dot(a, p) * r_neg - dot(a, r_neg) * p`` whose pairings cancel exactly.
     """
     if start is None:
-        start = (_standard_basis(rank), (), ())
-    lin: list[Vector] = list(start[0])
+        start = (_standard_basis(rank), (), 0)
+    lin: list[Sequence[int]] = list(start[0])
     rays: list[tuple[Vector, int]] = list(start[1])  # (ray, mask)
-    # the normals that opened a projection step, after the processed ones
-    opened: list[Vector] = list(start[2])
-    for i, a in enumerate(normals, len(opened)):
+    for i, a in enumerate(normals, start[2]):
         bit = 1 << i
         pair_lin = [sum(map(mul, a, l)) for l in lin]
         if any(pair_lin):
-            k = next(i for i, p in enumerate(pair_lin) if p)
-            b0, p0 = lin.pop(k), pair_lin.pop(k)
+            # Euclid on the pairings, pivoting on the smallest, until one is left
+            # (live holds |p_j| and j; q is p_j / p_k rounded to the nearest integer)
+            live = [(abs(p), j) for j, p in enumerate(pair_lin) if p]
+            while len(live) > 1:
+                k = min(live)[1]
+                pk, bk = pair_lin[k], lin[k]
+                for _, j in live:
+                    if j != k:
+                        q = (2 * pair_lin[j] + pk) // (2 * pk)
+                        pair_lin[j] -= q * pk
+                        lin[j] = [x - q * y for x, y in zip(lin[j], bk)]
+                live = [(abs(p), j) for _, j in live if (p := pair_lin[j])]
+            k = live[0][1]
+            b0, p0 = lin.pop(k), pair_lin[k]
             if p0 < 0:
                 b0, p0 = negated(b0), -p0
-            opened.append(a)
-            # project every other lineality vector and every ray onto the hyperplane of a
-            kept = len(lin)
+            # project every ray onto the hyperplane of a
             projected = []
-            for v, pv in zip(lin + [r for r, _ in rays],
-                             pair_lin + [sum(map(mul, a, r)) for r, _ in rays]):
-                if pv:
-                    w = [p0 * x - pv * y for x, y in zip(v, b0)]
+            for r, m in rays:
+                pr = sum(map(mul, a, r))
+                if pr:
+                    w = [p0 * x - pr * y for x, y in zip(r, b0)]
                     g = gcd(*w)
-                    v = tuple([c // g for c in w])
-                projected.append(v)
-            lin = projected[:kept]
-            rays = [(r, m | bit) for r, (_, m) in zip(projected[kept:], rays)] + [(b0, bit - 1)]
+                    r = tuple([c // g for c in w])
+                projected.append((r, m | bit))
+            rays = projected + [(tuple(b0), bit - 1)]
         else:
             scored = [(r, m, sum(map(mul, a, r))) for r, m in rays]
             pos = [(r, m, p) for r, m, p in scored if p > 0]
@@ -349,8 +394,9 @@ def _double_description(normals: Sequence[Vector], rank: int,
                             m & z == z and m != pm and m != nm for _, m, _ in scored):
                         w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
                         rays.append((w, z | bit))
-    lin_rows = _kernel_or_identity(opened, rank) if lin else []
-    return (tuple(lin_rows), *_reduce_off_lineality(rays, lin_rows))
+    _hermite_eliminate(lin, rank)
+    lin_rows = tuple(map(tuple, lin))
+    return (lin_rows, *_reduce_off_lineality(rays, lin_rows))
 
 
 @lru_cache(maxsize=16)
@@ -374,8 +420,11 @@ def _reduce_off_lineality(rays: Sequence[tuple[Vector, int]], lin_rows: Sequence
     echelon form with positive pivots, so clearing their pivot columns in
     pivot order (``_reduce_row``) leaves a positive multiple of the unique
     residue with zero pivot coordinates, and ``primitive`` makes that
-    multiple canonical.  With no rows each ray is left as it is.
+    multiple canonical.  With no rows the rays are the distinct primitive
+    extreme rays of a pointed cone already, and are only sorted.
     """
-    pivots = [next(j for j, c in enumerate(row) if c) for row in lin_rows]
-    reduced = sorted({primitive(_reduce_row(ray, lin_rows, pivots)): mask for ray, mask in rays}.items())
+    if lin_rows:
+        pivots = [next(j for j, c in enumerate(row) if c) for row in lin_rows]
+        rays = {primitive(_reduce_row(ray, lin_rows, pivots)): mask for ray, mask in rays}.items()
+    reduced = sorted(rays)
     return tuple(r for r, _ in reduced), tuple(m for _, m in reduced)

@@ -1,8 +1,9 @@
 """Fans: finite face-closed collections of strongly convex cones.
 
-Validation checks the defining compatibility condition, that the
-intersection of any two cones is a face of each, on the input cones only,
-and then closes them under faces.  The faces need no check of their own:
+Validation closes the input cones under faces, at most ``MAX_FACES``
+cones in all, and checks the defining compatibility condition, that the
+intersection of any two cones is a face of each, on the input cones
+only.  The faces need no check of their own:
 if two cones meet in a face of each, then so does every pair of their
 faces (Cox-Little-Schenck, Toric Varieties, section 3.1).  A failed check
 reports the offending pair of input cones together with their intersection
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .cones import Cone
+from .cones import MAX_FACES, Cone, FaceLimitError
 
 
 class FanValidationError(ValueError):
@@ -45,14 +46,18 @@ class Fan:
                 raise ValueError(f"cone {c.generators} lives in rank {c.rank}, expected {rank}")
             if not c.is_strongly_convex:
                 raise ValueError(f"cone {c.generators} is not strongly convex")
-        # only the caller's cones are checked, so a failure is reported in
-        # their terms; their faces then meet correctly (module docstring)
         distinct = sorted(set(cone_list), key=Cone.sort_key)
-        _check_pairs(distinct)
+        # the closure is bounded before any pair is checked; the largest
+        # cones go first, so the faces of one cover the cones below it
         closed: set[Cone] = set()
-        for c in cone_list:
+        for c in reversed(distinct):
             if c not in closed:
                 closed.update(c.faces())
+                if len(closed) > MAX_FACES:
+                    raise FaceLimitError("the face closure of the fan")
+        # only the caller's cones are checked, so a failure is reported in
+        # their terms; their faces then meet correctly (module docstring)
+        _check_pairs(distinct)
         if not closed:
             closed.add(Cone.zero(rank))
         ordered = sorted(closed, key=Cone.sort_key)

@@ -7,7 +7,9 @@ transformation matrices alongside the reduced matrix so callers can
 verify the defining identities directly.  Each form is one elimination
 on one matrix, and its transforms ride along as an identity block of
 extra columns (U) or, for Smith, extra rows (V), so ``invariant_factors``
-and the canonicalising step of ``integer_kernel_basis`` carry none.  Both
+and the canonicalising step of ``integer_kernel_basis`` carry none; the
+cone layer runs that same step, ``_hermite_eliminate``, on the lattice
+basis of a lineality space it keeps, and takes no kernel.  Both
 clear each entry below a pivot with one call of ``_clear_entry``, a
 determinant-one 2x2 row step (plain elimination when the pivot divides
 the entry, an extended-gcd step otherwise); Smith's column steps are the

@@ -34,6 +34,11 @@ MAX_RANK = 256
 # them, so its time grows with the square of this count: verifying a
 # planar fan x P^1 with this many maximal cones takes about 7 s on 2 cores.
 MAX_FAN_CONES = 768
+# Most generators a cone document, or one cone of a fan document, may list.
+# The dual of the rank-4 cone over the moment curve has the most facets a
+# cone on that many rays can have in rank 4 (McMullen's upper bound
+# theorem), and ``verify`` on it takes about 7 s on 2 cores at this count.
+MAX_CONE_GENERATORS = 384
 
 Geometry = Union[Cone, Fan]
 
@@ -108,8 +113,15 @@ def parse_cone_document(doc: Any) -> Cone:
     gens_field = doc["generators"]
     if not isinstance(gens_field, list):
         raise ValueError("'generators' must be a list of integer vectors")
+    _check_generator_count(gens_field, "cone document")
     generators = [decode_vector(g, rank) for g in gens_field]
     return Cone(generators, rank)
+
+
+def _check_generator_count(gens_field: list, what: str) -> None:
+    if len(gens_field) > MAX_CONE_GENERATORS:
+        raise ValueError(f"{what} lists {len(gens_field)} generators, "
+                         f"over the maximum of {MAX_CONE_GENERATORS}")
 
 
 def fan_to_document(fan: Fan) -> dict:
@@ -131,12 +143,11 @@ def parse_fan_document(doc: Any) -> Fan:
     if len(cones_field) > MAX_FAN_CONES:
         raise ValueError(
             f"fan lists {len(cones_field)} cones, over the maximum of {MAX_FAN_CONES}")
-    cones = []
-    for gens in cones_field:
+    for pos, gens in enumerate(cones_field):
         if not isinstance(gens, list):
             raise ValueError("each fan cone must be a list of integer vectors")
-        cones.append(Cone([decode_vector(g, rank) for g in gens], rank))
-    return Fan(cones, rank)
+        _check_generator_count(gens, f"fan cone {pos}")
+    return Fan([Cone([decode_vector(g, rank) for g in gens], rank) for gens in cones_field], rank)
 
 
 def parse_geometry_document(doc: Any) -> Geometry:

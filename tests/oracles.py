@@ -18,7 +18,7 @@ from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from toricfree.cones import Cone, _canonical_cone, _double_description
 from toricfree.klyachko import DecompositionCertificate, tangent_family, verify_certificate
-from toricfree.lattice import RationalSubspace, dot, vec
+from toricfree.lattice import RationalSubspace, dot, identity_matrix, integer_kernel_basis, vec
 
 
 def sympy_solve_integer(rows: list[list[int]], rhs: list[int]) -> tuple[int, ...] | None:
@@ -232,3 +232,14 @@ def intersection_from_scratch(a: Cone, b: Cone) -> Cone:
     normals = list(a.dual.generators) + list(b.dual.generators)
     lin_rows, rays, _ = _double_description(normals, a.rank)
     return _canonical_cone(lin_rows, rays, a.rank)
+
+
+def lineality_by_kernel(normals: list[tuple[int, ...]], rank: int) -> list[tuple[int, ...]]:
+    """Hermite basis of the lineality space of ``dot(a, x) >= 0`` for a in normals.
+
+    That space is the kernel of the normals, taken by ``integer_kernel_basis``
+    (a Hermite form with its transform), or all of Z^rank when there are none.
+    """
+    if not normals:
+        return [vec(row) for row in identity_matrix(rank)]
+    return integer_kernel_basis([list(a) for a in normals])

@@ -8,15 +8,18 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from toricfree.cli import _build_parser, _encode, main
+from toricfree.cones import MAX_FACES
 from toricfree.corpus import default_config, named_examples, sample_cones
 from toricfree.fans import Fan
 from toricfree.serialize import (
+    MAX_CONE_GENERATORS,
     MAX_FAN_CONES,
     MAX_RANK,
     cone_to_document,
@@ -282,6 +285,36 @@ def test_fan_cone_count_is_bounded(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", path)
     assert code == 2 and out == ""
     assert f"maximum of {MAX_FAN_CONES}" in err
+
+
+def orthant(rank, sign=1):
+    return [[sign * int(i == j) for j in range(rank)] for i in range(rank)]
+
+
+@pytest.mark.parametrize("cones", [
+    [orthant(14)],  # one cone with 16,384 faces
+    [orthant(12), orthant(12, -1)],  # two cones at the cap, meeting in the apex
+], ids=["rank-14-orthant", "two-rank-12-orthants"])
+def test_fan_face_closure_is_bounded(capsys, tmp_path, cones):
+    # verify decides every cone of the closure: the cap ends it before that
+    path = write_json(tmp_path, "orthant-fan.json", {"rank": len(cones[0]), "cones": cones})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", path)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("toricfree: error:") and f"maximum of {MAX_FACES}" in err
+
+
+def test_cone_generator_count_is_bounded(capsys, tmp_path):
+    gens = [[1, k] for k in range(MAX_CONE_GENERATORS + 1)]
+    cone_file = write_json(tmp_path, "cone.json", {"rank": 2, "generators": gens})
+    fan_file = write_json(tmp_path, "fan.json", {"rank": 2, "cones": [[[1, 0]], gens]})
+    for argv in (("smooth", cone_file), ("verify", fan_file)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("toricfree: error:") and f"maximum of {MAX_CONE_GENERATORS}" in err
+    cone = parse_cone_document({"rank": 2, "generators": gens[:-1]})
+    assert cone.rays() == ((1, 0), (1, MAX_CONE_GENERATORS - 1))
 
 
 @pytest.mark.parametrize("command", ["sweep", "generate"])

@@ -11,15 +11,17 @@ from oracles import (
     intersection_from_scratch,
     is_extreme_by_rank,
     is_face_by_supporting_hyperplane,
+    lineality_by_kernel,
 )
 from toricfree.cones import (
     Cone,
     NotStronglyConvexError,
     _double_description,
+    _start_from,
     dual_cone,
     linearly_independent_rays,
 )
-from toricfree.lattice import dot, identity_matrix, integer_kernel_basis, matrix_rank, primitive
+from toricfree.lattice import dot, matrix_rank, primitive
 
 
 def random_strongly_convex_cones(seed, count, ranks=(2, 3, 4), bound=5, max_extra=2):
@@ -291,16 +293,12 @@ def test_perp_sublattice_examples():
 
 def test_perp_sublattice_is_kernel_of_generators():
     """The dual's lineality basis is the Hermite kernel of the generators."""
-    def kernel(c):
-        gens = [list(g) for g in c.generators]
-        return integer_kernel_basis(gens) if gens else [tuple(r) for r in identity_matrix(c.rank)]
-
     cones = random_strongly_convex_cones(seed=112, count=40, ranks=(1, 2, 3, 4))
     rng = random.Random(113)
     for c in cones:
         other = rng.choice([d for d in cones if d.rank == c.rank])
         for x in (c, c.dual, c.intersection(other), *c.faces()):
-            assert x.perp_sublattice() == kernel(x)
+            assert x.perp_sublattice() == lineality_by_kernel(x.generators, x.rank)
 
 
 def test_weight_class_reduces_mod_perp():
@@ -388,6 +386,46 @@ def test_double_description_masks_are_exact():
             for ray, mask in zip(rays, masks):
                 for i, a in enumerate(normals):
                     assert bool(mask >> i & 1) == (dot(a, ray) == 0)
+
+
+def test_double_description_lineality_matches_kernel_oracle():
+    """The lattice basis the insertion carries ends as the Hermite kernel of the normals.
+
+    Normals are drawn from a sublattice of random rank, so the lineality is
+    often nonzero, with zero, repeated and dependent normals mixed in; the
+    resumed starts are the ones ``Cone.intersection`` takes.
+    """
+    rng = random.Random(1501)
+    lineal = resumed = 0
+    for n in range(1, 9):
+        cones = []
+        for _ in range(30):
+            bound = rng.choice([3, 1000, 10 ** 6])
+            base = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            normals = [tuple(sum(rng.randint(-1, 1) * b[j] for b in base) for j in range(n))
+                       for _ in range(rng.randint(0, n + 2))]
+            for _ in range(rng.randint(0, 3)):
+                if not normals:
+                    break
+                a, b = rng.choice(normals), rng.choice(normals)
+                extra = rng.choice([a, tuple(3 * x for x in a), tuple(x - y for x, y in zip(a, b)),
+                                    (0,) * n])
+                normals.insert(rng.randint(0, len(normals)), extra)
+            want = lineality_by_kernel(normals, n)
+            assert _double_description(normals, n)[0] == tuple(want)
+            lineal += bool(want)
+            try:
+                cones.append(Cone(normals, n))
+            except NotStronglyConvexError:
+                pass
+        pool = cones + [c.dual for c in cones]
+        for _ in range(80):
+            a = rng.choice(pool)
+            b = rng.choice([a, a.dual, rng.choice(pool)])
+            got = _double_description(a.dual.generators, n, _start_from(b))[0]
+            assert got == tuple(lineality_by_kernel(list(b.dual.generators + a.dual.generators), n))
+            resumed += bool(got)
+    assert lineal >= 120 and resumed >= 60
 
 
 def test_dual_cone_function_alias():
