@@ -29,6 +29,7 @@ from .klyachko import sections_dimension
 from .lattice import is_primitive
 from .serialize import (
     cone_to_document,
+    decode_int,
     locally_free_report,
     parse_geometry_document,
     recheck_report,
@@ -42,11 +43,12 @@ AFFIRMATIVE, NEGATIVE, ERROR = 0, 1, 2
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
+    """A vector flag: each comma-separated part is read by ``decode_int``, as in documents."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(map(decode_int, text.split(",")))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+            f"expected comma-separated integers, got {text!r}: {exc}") from None
 
 
 @functools.cache

@@ -7,17 +7,18 @@ their lineality space enters the generator list as explicit plus/minus
 pairs of basis vectors, so membership is always the single uniform test
 "pairs nonnegatively against every dual generator".  The double
 description carries its lineality space as a lattice basis, changed only
-by unimodular integer Euclid steps, so its canonical Hermite basis is one
-Hermite form of that basis with no transform and no kernel is taken.  It
-reduces its rays modulo that space against the Hermite basis, with the
-same pivot-order step as ``RationalSubspace``: an echelon basis is all
-the step needs.  Face lattices, and the face closures of fans, stop at
-``MAX_FACES`` cones.
+by the unimodular Euclid steps of ``lattice._split_off``, so its canonical
+Hermite basis is one Hermite form of that basis with no transform: the
+kernel of the normals by the steps of ``lattice._kernel_basis``, which
+also names the line in a rejected input.  It reduces its rays modulo that
+space against the Hermite basis, with the same pivot-order step as
+``RationalSubspace``: an echelon basis is all the step needs.  Face
+lattices, and the face closures of fans, stop at ``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd
 from operator import and_, mul
 from typing import Iterable, Sequence
@@ -26,10 +27,11 @@ from .lattice import (
     RationalSubspace,
     Vector,
     _hermite_eliminate,
+    _kernel_basis,
     _reduce_row,
+    _split_off,
+    _standard_basis,
     dot,
-    identity_matrix,
-    integer_kernel_basis,
     is_zero,
     matrix_rank,
     negated,
@@ -93,7 +95,7 @@ class Cone:
         # the lineality space is the smallest face, so it holds a generator
         # iff it is not zero: one on which every dual ray vanishes
         if reduce(and_, masks, every):
-            raise NotStronglyConvexError(_kernel_or_identity(lin_rows + dual_rays, rank)[0])
+            raise NotStronglyConvexError(_kernel_basis(lin_rows + dual_rays, rank)[0])
         # the facets through g cut out its smallest face, so g is extreme
         # iff no other generator lies on all of them
         extreme = tuple(g for j, g in enumerate(gens)
@@ -112,7 +114,7 @@ class Cone:
     @property
     def dim(self) -> int:
         if self._dim is None:
-            object.__setattr__(self, "_dim", matrix_rank([list(g) for g in self.generators]))
+            object.__setattr__(self, "_dim", matrix_rank(self.generators))
         return self._dim
 
     @property
@@ -330,17 +332,12 @@ def _double_description(normals: Sequence[Vector], rank: int,
     one sign.
 
     The lineality is kept as a lattice basis of its integer points, a
-    saturated lattice, and a projection step finds b0 by integer Euclid
-    steps on the pairings: the vector of smallest nonzero pairing p_k is
-    subtracted q times from each other one, with q the nearest integer to
-    p_j / p_k, until a single vector pairs nonzero.  These steps are
-    unimodular, so the basis stays a lattice basis; an integer point of the
-    lineality pairs to zero with a exactly when its coefficient on b0 is
-    zero, so the other vectors are a lattice basis of the new lineality,
-    and b0, a basis vector of a saturated lattice, is primitive.  Pivoting
-    on the smallest pairing keeps the entries small.  The canonical rows
-    are the Hermite form of the final basis, unique for its lattice and so
-    the Hermite basis of the kernel of the normals: no kernel is taken.
+    saturated lattice, and a projection step takes b0 and its pairing p0
+    from ``_split_off``, whose unimodular Euclid steps leave the other
+    vectors a lattice basis of the new lineality.  The canonical rows are
+    the Hermite form of the final basis, unique for its lattice and so the
+    Hermite basis of the kernel of the normals, the one ``_kernel_basis``
+    gives by the same steps.
 
     All arithmetic is integral: a candidate ray r is replaced across the
     hyperplane of a new inequality a by combinations like
@@ -352,24 +349,8 @@ def _double_description(normals: Sequence[Vector], rank: int,
     rays: list[tuple[Vector, int]] = list(start[1])  # (ray, mask)
     for i, a in enumerate(normals, start[2]):
         bit = 1 << i
-        pair_lin = [sum(map(mul, a, l)) for l in lin]
-        if any(pair_lin):
-            # Euclid on the pairings, pivoting on the smallest, until one is left
-            # (live holds |p_j| and j; q is p_j / p_k rounded to the nearest integer)
-            live = [(abs(p), j) for j, p in enumerate(pair_lin) if p]
-            while len(live) > 1:
-                k = min(live)[1]
-                pk, bk = pair_lin[k], lin[k]
-                for _, j in live:
-                    if j != k:
-                        q = (2 * pair_lin[j] + pk) // (2 * pk)
-                        pair_lin[j] -= q * pk
-                        lin[j] = [x - q * y for x, y in zip(lin[j], bk)]
-                live = [(abs(p), j) for _, j in live if (p := pair_lin[j])]
-            k = live[0][1]
-            b0, p0 = lin.pop(k), pair_lin[k]
-            if p0 < 0:
-                b0, p0 = negated(b0), -p0
+        if split := _split_off(lin, a):
+            b0, p0 = split
             # project every ray onto the hyperplane of a
             projected = []
             for r, m in rays:
@@ -397,19 +378,6 @@ def _double_description(normals: Sequence[Vector], rank: int,
     _hermite_eliminate(lin, rank)
     lin_rows = tuple(map(tuple, lin))
     return (lin_rows, *_reduce_off_lineality(rays, lin_rows))
-
-
-@lru_cache(maxsize=16)
-def _standard_basis(rank: int) -> tuple[Vector, ...]:
-    """The standard basis of Z^rank, built once per rank."""
-    return tuple(vec(row) for row in identity_matrix(rank))
-
-
-def _kernel_or_identity(rows: Sequence[Vector], rank: int) -> list[Vector]:
-    """``integer_kernel_basis`` of the rows, or the standard basis of Z^rank when there are none."""
-    if not rows:
-        return list(_standard_basis(rank))
-    return integer_kernel_basis([list(r) for r in rows])
 
 
 def _reduce_off_lineality(rays: Sequence[tuple[Vector, int]], lin_rows: Sequence[Vector]

@@ -233,7 +233,7 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     # one Smith decomposition serves every ray: rays no more numerous than the
     # rank are independent iff its first len(rays) diagonal entries are nonzero,
     # and the witness for ray idx solves rays @ m = e_idx, read off column idx of U
-    smith = smith_normal_form([list(u) for u in rays]) if len(rays) <= n else None
+    smith = smith_normal_form(rays) if len(rays) <= n else None
     if smith is None or not all(smith[0][i][i] for i in range(len(rays))):
         return LocalFreenessReport(False, failure="dependent rays")
     witnesses: dict[Vector, Vector] = {}

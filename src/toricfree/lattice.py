@@ -2,18 +2,20 @@
 
 Everything here runs on Python's arbitrary-precision ``int``; no floating
 point is used anywhere.  Vectors are plain tuples of ints, matrices are
-lists of rows.  The normal forms (Hermite, Smith) return the
+lists of rows; the entry points copy a matrix with ``vec``'s entry check
+and check its row lengths.  The normal forms (Hermite, Smith) return the
 transformation matrices alongside the reduced matrix so callers can
 verify the defining identities directly.  Each form is one elimination
 on one matrix, and its transforms ride along as an identity block of
 extra columns (U) or, for Smith, extra rows (V), so ``invariant_factors``
-and the canonicalising step of ``integer_kernel_basis`` carry none; the
-cone layer runs that same step, ``_hermite_eliminate``, on the lattice
-basis of a lineality space it keeps, and takes no kernel.  Both
-clear each entry below a pivot with one call of ``_clear_entry``, a
-determinant-one 2x2 row step (plain elimination when the pivot divides
-the entry, an extended-gcd step otherwise); Smith's column steps are the
-same step on columns, and pass over rows that are zero in both.
+carries none.  Both clear each entry below a pivot with one call of
+``_clear_entry``, a determinant-one 2x2 row step (plain elimination when
+the pivot divides the entry, an extended-gcd step otherwise); Smith's
+column steps are the same step on columns, and pass over rows that are
+zero in both.  A kernel takes no transform: ``_split_off`` splits each
+row off the standard basis by unimodular Euclid steps, and one Hermite
+form with no transform, ``_hermite_eliminate``, makes the rest canonical.  The double
+description of the cone layer runs the same two steps on its lineality.
 Rational subspaces and ``matrix_rank`` share one fraction-free
 elimination (cross-multiplication with a gcd reduction per row, after
 Bareiss 1968 and Cohen, *A Course in Computational Algebraic Number
@@ -106,7 +108,14 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def copy_matrix(a: Sequence[Sequence[int]]) -> Matrix:
-    return [list(row) for row in a]
+    """A copy of a, its entries through ``operator.index`` as in ``vec``; rows of one length.
+
+    A float raises TypeError and rows of different lengths ValueError.
+    """
+    rows = [list(map(index, row)) for row in a]
+    if len(lengths := set(map(len, rows))) > 1:
+        raise ValueError(f"ragged matrix: row lengths {sorted(lengths)}")
+    return rows
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:
@@ -161,7 +170,7 @@ def matrix_rank(a: Sequence[Sequence[int]]) -> int:
     """
     basis: list[Sequence[int]] = []
     pivots: list[int] = []
-    for row in a:
+    for row in copy_matrix(a):
         if len(basis) == len(row):
             break
         _echelon_insert(basis, pivots, row)
@@ -217,8 +226,9 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
     positive pivots, entries above each pivot reduced into [0, pivot),
     and zero rows collected at the bottom.  U is read off [a | I].
     """
-    n = len(a[0]) if a else 0
-    hu = [list(row) + e for row, e in zip(a, identity_matrix(len(a)))]
+    rows = copy_matrix(a)
+    n = len(rows[0]) if rows else 0
+    hu = [row + e for row, e in zip(rows, identity_matrix(len(rows)))]
     _hermite_eliminate(hu, n)
     return [row[:n] for row in hu], [row[n:] for row in hu]
 
@@ -282,9 +292,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
     with nonnegative entries d_1 | d_2 | ... (nonzero factors first).
     U and V are read off [a | I] stacked over I.
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    d = [list(row) + e for row, e in zip(a, identity_matrix(m))] + identity_matrix(n)
+    rows = copy_matrix(a)
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    d = [row + e for row, e in zip(rows, identity_matrix(m))] + identity_matrix(n)
     _smith_eliminate(d, m, n)
     return [row[:n] for row in d[:m]], [row[n:] for row in d[:m]], d[m:]
 
@@ -306,7 +317,7 @@ def solve_integer_system(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vector
     m = len(a)
     if len(b) != m:
         raise ValueError(f"system has {m} equations but {len(b)} right-hand sides")
-    return solve_in_smith_form(smith_normal_form(a), b)
+    return solve_in_smith_form(smith_normal_form(a), vec(b))
 
 
 def solve_in_smith_form(smith: tuple[Matrix, Matrix, Matrix], b: Sequence[int]) -> Vector | None:
@@ -333,17 +344,62 @@ def solve_in_smith_form(smith: tuple[Matrix, Matrix, Matrix], b: Sequence[int]) 
 def integer_kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
     """Canonical basis of the saturated kernel {x in Z^n : a @ x = 0}.
 
-    Works on a with n columns; when a is empty the kernel is all of Z^n.
-    The rows returned are the Hermite normal form of a kernel basis, so the
-    result is canonical for the kernel as a sublattice.
+    Works on a with n columns, so a must not be empty.  The rows returned
+    are the Hermite normal form of a kernel basis, so the result is
+    canonical for the kernel as a sublattice; the basis comes from Euclid
+    steps on the standard basis, not from a Hermite transform.
     """
-    if not a:
+    rows = copy_matrix(a)
+    if not rows:
         raise ValueError("cannot infer ambient rank from an empty matrix; pass explicit rows")
-    n = len(a[0])
-    h, w = hermite_normal_form(transpose(a))
-    kernel_rows = [w[i] for i in range(n) if is_zero(h[i])]
-    _hermite_eliminate(kernel_rows, n)
-    return [vec(row) for row in kernel_rows if not is_zero(row)]
+    return _kernel_basis(rows, len(rows[0]))
+
+
+@lru_cache(maxsize=16)
+def _standard_basis(rank: int) -> tuple[Vector, ...]:
+    """The standard basis of Z^rank, built once per rank."""
+    return tuple(vec(row) for row in identity_matrix(rank))
+
+
+def _split_off(basis: list[Sequence[int]], a: Sequence[int]) -> tuple[Sequence[int], int] | None:
+    """Pop the one vector of a lattice basis that pairs nonzero with a, after Euclid steps.
+
+    The vector of smallest nonzero pairing p_k is subtracted q times from
+    each other one, q the nearest integer to p_j / p_k, until one vector b0
+    pairs nonzero; b0 is popped and returned with its pairing, made
+    positive.  The steps are unimodular, so what is left is a basis of the
+    lattice's points on the hyperplane of a.  None when every pairing is 0.
+    """
+    pairings = [sum(map(mul, a, b)) for b in basis]
+    if not any(pairings):
+        return None
+    # live holds |p_j| and j for each nonzero pairing
+    live = [(abs(p), j) for j, p in enumerate(pairings) if p]
+    while len(live) > 1:
+        k = min(live)[1]
+        pk, bk = pairings[k], basis[k]
+        for _, j in live:
+            if j != k:
+                q = (2 * pairings[j] + pk) // (2 * pk)
+                pairings[j] -= q * pk
+                basis[j] = [x - q * y for x, y in zip(basis[j], bk)]
+        live = [(abs(p), j) for _, j in live if (p := pairings[j])]
+    k = live[0][1]
+    b0, p0 = basis.pop(k), pairings[k]
+    return (b0, p0) if p0 > 0 else (negated(b0), -p0)
+
+
+def _kernel_basis(rows: Iterable[Sequence[int]], rank: int) -> list[Vector]:
+    """Hermite basis of the saturated kernel in Z^rank of rows of length rank (Z^rank for none).
+
+    ``_split_off`` leaves a lattice basis of the kernel, and its Hermite
+    form is unique for the lattice.
+    """
+    basis: list[Sequence[int]] = list(_standard_basis(rank))
+    for row in rows:
+        _split_off(basis, row)
+    _hermite_eliminate(basis, rank)
+    return [tuple(b) for b in basis]
 
 
 def extends_to_lattice_basis(vectors: Sequence[Sequence[int]]) -> bool:

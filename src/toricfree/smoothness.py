@@ -34,7 +34,7 @@ def is_smooth_cone(cone: Cone) -> SmoothnessReport:
     # the cone dimension is the rank of the rays, so only independent rays reach the Smith form
     if len(rays) != cone.dim:
         return SmoothnessReport(False, reason=f"{len(rays)} rays but dimension {cone.dim}")
-    for f in invariant_factors([list(u) for u in rays]):
+    for f in invariant_factors(rays):
         if f != 1:
             return SmoothnessReport(
                 False, reason=f"invariant factor {f} exceeds 1", invariant_factor=f)

@@ -18,7 +18,15 @@ from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from toricfree.cones import Cone, _canonical_cone, _double_description
 from toricfree.klyachko import DecompositionCertificate, tangent_family, verify_certificate
-from toricfree.lattice import RationalSubspace, dot, identity_matrix, integer_kernel_basis, vec
+from toricfree.lattice import (
+    RationalSubspace,
+    dot,
+    hermite_normal_form,
+    identity_matrix,
+    is_zero,
+    transpose,
+    vec,
+)
 
 
 def sympy_solve_integer(rows: list[list[int]], rhs: list[int]) -> tuple[int, ...] | None:
@@ -234,12 +242,28 @@ def intersection_from_scratch(a: Cone, b: Cone) -> Cone:
     return _canonical_cone(lin_rows, rays, a.rank)
 
 
+def kernel_by_hermite_transform(a: list[list[int]]) -> list[tuple[int, ...]]:
+    """Hermite basis of the saturated kernel of a nonempty integer matrix, by a transform.
+
+    The rows of the unimodular transform U with U @ a^T in Hermite form
+    that meet its zero rows are a basis of the kernel; their own Hermite
+    form is the canonical one.  The package's ``integer_kernel_basis``
+    takes Euclid steps on a lattice basis instead.  U's entries explode on
+    large matrices (Kannan & Bachem 1979), so keep the inputs small.
+    """
+    n = len(a[0])
+    h, u = hermite_normal_form(transpose(a))
+    kernel_rows = [u[i] for i in range(n) if is_zero(h[i])]
+    return [vec(row) for row in hermite_normal_form(kernel_rows)[0] if not is_zero(row)]
+
+
 def lineality_by_kernel(normals: list[tuple[int, ...]], rank: int) -> list[tuple[int, ...]]:
     """Hermite basis of the lineality space of ``dot(a, x) >= 0`` for a in normals.
 
-    That space is the kernel of the normals, taken by ``integer_kernel_basis``
-    (a Hermite form with its transform), or all of Z^rank when there are none.
+    That space is the kernel of the normals, taken by
+    ``kernel_by_hermite_transform``, or all of Z^rank when there are none.
     """
     if not normals:
         return [vec(row) for row in identity_matrix(rank)]
-    return integer_kernel_basis([list(a) for a in normals])
+    return kernel_by_hermite_transform([list(a) for a in normals])
+

@@ -180,6 +180,21 @@ def test_sections_validation(capsys, orthant_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, bad", [
+    (["--ray", "\u0661,\u0660"], "\u0661"),  # Arabic-Indic digits, which int() reads as 1 and 0
+    (["--ray", "1_0,0"], "1_0"),
+    (["--ray", " 1,+0"], " 1"),
+    (["--ray", "-1,3"], None),
+    (["--ray=-1,3"], None),
+], ids=["arabic-indic-digits", "underscore", "space-and-plus", "negative", "negative-folded"])
+def test_sections_flags_parse_integers_like_documents(capsys, orthant_file, flag, bad):
+    code, _, err = run_cli(capsys, "sections", orthant_file, *flag, "--weight", "0,0")
+    if bad is None:
+        assert code == 0
+    else:
+        assert code == 2 and repr(bad) in err
+
+
 def test_generate_emits_parseable_lines(capsys):
     code, out, _ = run_cli(capsys, "generate", "--seed", "11", "--rank", "3",
                            "--count", "5")

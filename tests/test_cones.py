@@ -13,6 +13,7 @@ from oracles import (
     is_face_by_supporting_hyperplane,
     lineality_by_kernel,
 )
+from timing import deadline
 from toricfree.cones import (
     Cone,
     NotStronglyConvexError,
@@ -426,6 +427,15 @@ def test_double_description_lineality_matches_kernel_oracle():
             assert got == tuple(lineality_by_kernel(list(b.dual.generators + a.dual.generators), n))
             resumed += bool(got)
     assert lineal >= 120 and resumed >= 60
+
+
+def test_line_in_a_rank_24_cone_is_named_quickly():
+    # the kernel that named the line once took minutes on this input
+    rng = random.Random(2030)
+    gens = [[rng.randint(0, 1000) for _ in range(24)] for _ in range(24)]
+    with deadline(10), pytest.raises(NotStronglyConvexError) as info:
+        Cone(gens + [[-c for c in gens[0]]], 24)
+    assert info.value.witness == primitive(gens[0])
 
 
 def test_dual_cone_function_alias():

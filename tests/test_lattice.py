@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_rank, fraction_rref_rows, sympy_invariant_factors, sympy_solve_integer
+from oracles import (
+    fraction_rank,
+    fraction_rref_rows,
+    kernel_by_hermite_transform,
+    sympy_invariant_factors,
+    sympy_solve_integer,
+)
+from timing import deadline
 from toricfree.lattice import (
     RationalSubspace,
     content,
@@ -160,6 +167,26 @@ def test_solve_integer_system_unsolvable_cases():
     assert transpose([]) == []
     with pytest.raises(ValueError):
         solve_integer_system([[1, 2]], [1, 2])
+    with pytest.raises(TypeError):
+        solve_integer_system([[2]], [1.0])
+
+
+@pytest.mark.parametrize("call", [
+    determinant,
+    matrix_rank,
+    hermite_normal_form,
+    smith_normal_form,
+    invariant_factors,
+    integer_kernel_basis,
+    lambda a: solve_integer_system(a, [0] * len(a)),
+], ids=["determinant", "matrix_rank", "hermite_normal_form", "smith_normal_form",
+        "invariant_factors", "integer_kernel_basis", "solve_integer_system"])
+def test_entry_points_take_integer_matrices_only(call):
+    # a float is never rounded and a short row never truncates the others
+    with pytest.raises(TypeError):
+        call([[1.5, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        call([[1, 2], [3]])
 
 
 @settings(max_examples=200)
@@ -173,6 +200,40 @@ def test_integer_kernel_basis_spans_saturated_kernel(a):
     if kernel:
         # saturated sublattices have unit invariant factors
         assert extends_to_lattice_basis(kernel)
+
+
+def test_integer_kernel_basis_matches_hermite_transform_oracle():
+    # ranks 1-8 with zero, repeated and dependent rows; the oracle's
+    # transform grows fast, so the matrices stay at most 11 columns wide
+    rng = random.Random(1608)
+    ranks = set()
+    for rank in range(1, 9):
+        for _ in range(12):
+            n = rank + rng.randint(0, 3)
+            bound = rng.choice((3, 10**6))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(rank)]
+            for _ in range(rng.randint(0, 3)):
+                u, v = rng.choice(rows), rng.choice(rows)
+                rows.append(rng.choice([[0] * n, list(u), [2 * x - 3 * y for x, y in zip(u, v)]]))
+            rng.shuffle(rows)
+            ranks.add(matrix_rank(rows))
+            assert integer_kernel_basis(rows) == kernel_by_hermite_transform(rows)
+    assert ranks == set(range(1, 9))
+
+
+# SHA-256 of the kernel below as the Hermite-transform kernel computed it;
+# that took over a minute on this matrix.
+PINNED_DENSE_KERNEL_DIGEST = "1641ec5d10b5f477d3a6a8332fe1b041fa37b4d4c229a02c173a744306fbddd7"
+
+
+def test_dense_kernel_is_fast_and_pinned():
+    rng = random.Random(7)
+    a = [[rng.randint(-10**6, 10**6) for _ in range(30)] for _ in range(29)]
+    with deadline(10):
+        kernel = integer_kernel_basis(a)
+    assert len(kernel) == 1 and is_primitive(kernel[0])
+    assert mat_vec(a, kernel[0]) == (0,) * 29
+    assert hashlib.sha256(repr(kernel).encode()).hexdigest() == PINNED_DENSE_KERNEL_DIGEST
 
 
 def test_extends_to_lattice_basis_examples():
