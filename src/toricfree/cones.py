@@ -12,8 +12,13 @@ Hermite basis is one Hermite form of that basis with no transform: the
 kernel of the normals by the steps of ``lattice._kernel_basis``, which
 also names the line in a rejected input.  It reduces its rays modulo that
 space against the Hermite basis, with the same pivot-order step as
-``RationalSubspace``: an echelon basis is all the step needs.  Face
-lattices, and the face closures of fans, stop at ``MAX_FACES`` cones.
+``RationalSubspace``: an echelon basis is all the step needs.  A cone
+builds that reduction, and so its dual, only when the dual is first read:
+``Cone(...)`` keeps the Hermite rows of its annihilator, which
+``perp_sublattice`` and ``weight_class`` read directly, and the dual rays
+as the double description left them with their incidence masks, which
+it reads for extremality at once.  Face lattices, and the face closures
+of fans, stop at ``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
@@ -75,7 +80,8 @@ class Cone:
     canonical generator tuple, so equal cones are interchangeable everywhere.
     """
 
-    __slots__ = ("rank", "generators", "_lineality_rows", "_dual", "_dim", "_faces")
+    __slots__ = ("rank", "generators", "_lineality_rows", "_perp", "_dual_rays", "_dual",
+                 "_dim", "_faces")
 
     def __init__(self, generators: Iterable[Sequence[int]], rank: int):
         if rank < 1:
@@ -89,20 +95,21 @@ class Cone:
                 continue
             gens.append(primitive(v))
         gens = sorted(set(gens))
-        lin_rows, dual_rays, masks = _double_description(gens, rank)
+        lin_rows, dual_rays = _insert_normals(gens, rank)
         # bit j of a dual ray's mask is set iff the ray vanishes on gens[j]
+        masks = [m for _, m in dual_rays]
         every = (1 << len(gens)) - 1
         # the lineality space is the smallest face, so it holds a generator
         # iff it is not zero: one on which every dual ray vanishes
         if reduce(and_, masks, every):
-            raise NotStronglyConvexError(_kernel_basis(lin_rows + dual_rays, rank)[0])
+            raise NotStronglyConvexError(
+                _kernel_basis(lin_rows + tuple(r for r, _ in dual_rays), rank)[0])
         # the facets through g cut out its smallest face, so g is extreme
         # iff no other generator lies on all of them
         extreme = tuple(g for j, g in enumerate(gens)
                         if reduce(and_, [m for m in masks if m >> j & 1], every) == 1 << j)
         # the dual's lineality space is the annihilator of this cone
-        _set_slots(self, rank, extreme, (), _canonical_cone(lin_rows, dual_rays, rank),
-                   rank - len(lin_rows))
+        _set_slots(self, rank, extreme, (), lin_rows, dual_rays, rank - len(lin_rows))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Cone is immutable")
@@ -127,11 +134,25 @@ class Cone:
 
     @property
     def dual(self) -> "Cone":
-        """The dual cone in the paired lattice, computed once and cached."""
+        """The dual cone in the paired lattice, built the first time it is read."""
         if self._dual is None:
-            lin_rows, rays, _ = _double_description(self.generators, self.rank)
+            lin_rows = self._annihilator()
+            rays, _ = _reduce_off_lineality(self._dual_rays, lin_rows)
             object.__setattr__(self, "_dual", _canonical_cone(lin_rows, rays, self.rank))
+            object.__setattr__(self, "_dual_rays", None)
         return self._dual
+
+    def _annihilator(self) -> tuple[Vector, ...]:
+        """Hermite rows of the annihilator, the dual's lineality space, computed once.
+
+        A cone built by ``_canonical_cone`` runs its double description
+        here, and keeps the unreduced dual rays for ``dual``.
+        """
+        if self._perp is None:
+            lin_rows, rays = _insert_normals(self.generators, self.rank)
+            object.__setattr__(self, "_perp", lin_rows)
+            object.__setattr__(self, "_dual_rays", rays)
+        return self._perp
 
     @property
     def facet_normals(self) -> tuple[Vector, ...]:
@@ -199,9 +220,10 @@ class Cone:
         """Canonical basis of the annihilator of the cone in the dual lattice.
 
         These are the lattice vectors pairing to zero with every generator:
-        the dual's lineality basis, Hermite-reduced rows of a saturated sublattice.
+        the dual's lineality basis, Hermite-reduced rows of a saturated
+        sublattice.  Reading them does not build the dual.
         """
-        return list(self.dual.lineality_basis)
+        return list(self._annihilator())
 
     def weight_class(self, m: Sequence[int]) -> Vector:
         """Canonical representative of a dual-lattice vector modulo the annihilator.
@@ -213,7 +235,7 @@ class Cone:
         w = list(vec(m))
         if len(w) != self.rank:
             raise ValueError(f"weight length {len(w)}, expected {self.rank}")
-        for row in self.perp_sublattice():
+        for row in self._annihilator():
             pivot = next(j for j, c in enumerate(row) if c)
             q = w[pivot] // row[pivot]
             if q:
@@ -270,10 +292,12 @@ def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: in
 
 
 def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
-               lin_rows: tuple[Vector, ...], dual: Cone | None = None,
+               lin_rows: tuple[Vector, ...], perp: tuple[Vector, ...] | None = None,
+               dual_rays: Sequence[tuple[Vector, int]] | None = None,
                dim: int | None = None) -> None:
-    """Fill every slot of a cone; the faces start uncomputed."""
-    for name, value in zip(Cone.__slots__, (rank, generators, lin_rows, dual, dim, None)):
+    """Fill every slot of a cone; the dual and the faces start unbuilt."""
+    values = (rank, generators, lin_rows, perp, dual_rays, None, dim, None)
+    for name, value in zip(Cone.__slots__, values):
         object.__setattr__(cone, name, value)
 
 
@@ -299,8 +323,24 @@ def _double_description(normals: Sequence[Vector], rank: int,
     Returns (lineality_rows, extreme_rays, masks): a canonical basis of the
     lineality space, the sorted primitive extreme rays of a complement of
     it inside the solution cone, and for each ray the bitmask of the
-    normals vanishing on it (bit i set iff ``dot(normals[i], ray) == 0``),
-    which ``Cone.__init__`` reads its generators' zero sets off.
+    normals vanishing on it (bit i set iff ``dot(normals[i], ray) == 0``).
+    That is ``_insert_normals`` with its rays reduced modulo the lineality.
+    """
+    lin_rows, rays = _insert_normals(normals, rank, start)
+    return (lin_rows, *_reduce_off_lineality(rays, lin_rows))
+
+
+def _insert_normals(normals: Sequence[Vector], rank: int,
+                    start: tuple[Sequence[Vector], Sequence[tuple[Vector, int]], int]
+                    | None = None
+                    ) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]]]:
+    """The double description of ``_double_description``, before its final reduction.
+
+    Returns the canonical basis of the lineality space and the extreme
+    rays modulo it, each paired with its mask, as the insertion left them:
+    neither reduced modulo that space nor sorted.  ``Cone.__init__`` reads
+    its generators' zero sets off the masks, which reduction would not
+    change, and leaves the reduction to the first read of its dual.
     Inequalities are inserted one at a time, and the rays kept between
     insertions are always exactly the extreme rays modulo the current
     lineality (Motzkin et al. 1953).
@@ -376,8 +416,7 @@ def _double_description(normals: Sequence[Vector], rank: int,
                         w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
                         rays.append((w, z | bit))
     _hermite_eliminate(lin, rank)
-    lin_rows = tuple(map(tuple, lin))
-    return (lin_rows, *_reduce_off_lineality(rays, lin_rows))
+    return tuple(map(tuple, lin)), rays
 
 
 def _reduce_off_lineality(rays: Sequence[tuple[Vector, int]], lin_rows: Sequence[Vector]

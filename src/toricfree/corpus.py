@@ -3,7 +3,9 @@
 Random cones come from rejection sampling with Python's Mersenne Twister
 (`random.Random`), which is reproducible across platforms and versions;
 the algorithm identifier below travels with every report so a sweep can
-be replayed from its seed.
+be replayed from its seed.  Each integer is drawn from the generator's
+raw bits by ``_uniform``, the rule ``randint`` follows, so the stream is
+``randint``'s without depending on how ``randint`` is written.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .cones import Cone, NotStronglyConvexError
 from .fans import Fan, fan_from_generators
@@ -78,11 +80,26 @@ def sample_cones(config: GeneratorConfig, count: int) -> list[Cone]:
     return list(islice(iter_random_cones(config), count))
 
 
+def _uniform(getrandbits: Callable[[int], int], low: int, high: int) -> int:
+    """A uniform integer in [low, high] from ``getrandbits``, as ``randint`` draws it.
+
+    That is CPython's ``_randbelow`` rule on the width n = high - low + 1:
+    draw n.bit_length() bits, again while the result is at least n.  A
+    one-value range still draws bits.
+    """
+    n = high - low + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return low + r
+
+
 def _draw_cone(rng: random.Random, config: GeneratorConfig) -> Cone:
+    bits, bound = rng.getrandbits, config.bound
     for _ in range(REJECTION_LIMIT):
-        k = rng.randint(config.min_generators, config.max_generators)
-        gens = [[rng.randint(-config.bound, config.bound) for _ in range(config.rank)]
-                for _ in range(k)]
+        k = _uniform(bits, config.min_generators, config.max_generators)
+        gens = [[_uniform(bits, -bound, bound) for _ in range(config.rank)] for _ in range(k)]
         if any(all(c == 0 for c in g) for g in gens):
             continue
         try:

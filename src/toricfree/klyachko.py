@@ -6,23 +6,27 @@ level 0, the line through the ray generator at level 1, zero from level 2
 on.  On a cone, local freeness amounts to a weight-graded splitting of the
 ambient space that reproduces every ray filtration; such a splitting is a
 checkable certificate, and for the tangent sheaf it exists exactly when
-integral dual weights with delta pairings against the rays do.
+integral dual weights with delta pairings against the rays do.  The
+decider finds those weights by Euclid steps and a triangular solve, with
+no Smith form, and reports each as the canonical representative of its
+class modulo the annihilator; smoothness keeps the only Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping, Sequence
 
 from .cones import Cone
 from .lattice import (
     RationalSubspace,
     Vector,
+    _split_off,
+    _standard_basis,
     determinant,
     dot,
     is_primitive,
-    smith_normal_form,
-    solve_in_smith_form,
     vec,
 )
 
@@ -224,29 +228,56 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
 
     The verdict is true exactly when the extreme rays are linearly
     independent and each ray generator admits an integral dual weight
-    pairing 1 with it and 0 with every other ray.  On success the emitted
-    certificate assigns the line through each ray generator to its witness
-    class, with any left-over directions carried by the zero class.
+    pairing 1 with it and 0 with every other ray.  Each witness is reported
+    as its class's canonical representative, ``cone.weight_class``: two
+    weights with those pairings differ by an element of the annihilator,
+    so the class does not depend on how the weight was found.  On success
+    the emitted certificate assigns the line through each ray generator to
+    its witness class, with any left-over directions carried by the zero
+    class.
+
+    No Smith form is taken.  Ray u_j is split off the standard basis in
+    turn (``_split_off``), which sets aside b_j with <u_j, b_j> > 0 and
+    leaves a basis of the lattice points on which u_1, ..., u_j vanish.  So
+    b_1, ..., b_k and what is left form a lattice basis on which
+    T[j][i] = <u_j, b_i> is lower triangular with a nonzero diagonal, and
+    a split finds nothing to set aside exactly when u_j is dependent on the
+    rays before it (more rays than the rank are dependent at once).  A
+    weight m = sum y_i b_i pairs delta_ij with the rays iff T y = e_i on
+    the first k coordinates, and forward substitution gives the one
+    rational solution, so an integral witness exists iff every quotient it
+    takes is exact.
     """
     n = cone.rank
     rays = cone.rays()
-    # one Smith decomposition serves every ray: rays no more numerous than the
-    # rank are independent iff its first len(rays) diagonal entries are nonzero,
-    # and the witness for ray idx solves rays @ m = e_idx, read off column idx of U
-    smith = smith_normal_form(rays) if len(rays) <= n else None
-    if smith is None or not all(smith[0][i][i] for i in range(len(rays))):
+    if len(rays) > n:
         return LocalFreenessReport(False, failure="dependent rays")
+    basis = list(_standard_basis(n))
+    split: list[Sequence[int]] = []
+    table: list[list[int]] = []  # row j holds T[j][0..j]
+    for u in rays:
+        step = _split_off(basis, u)
+        if step is None:
+            return LocalFreenessReport(False, failure="dependent rays")
+        split.append(step[0])
+        table.append([sum(map(mul, u, b)) for b in split])
     witnesses: dict[Vector, Vector] = {}
-    for idx, u in enumerate(rays):
-        rhs = [1 if j == idx else 0 for j in range(len(rays))]
-        m = solve_in_smith_form(smith, rhs)
-        if m is None:
-            return LocalFreenessReport(
-                False, failure=f"no integral dual weight for ray {u}", failing_ray=u)
-        witnesses[u] = m
+    for i, u in enumerate(rays):
+        # y_l = 0 for l < i, so m sums b_l from l = i on
+        m, y = [0] * n, []
+        for j in range(i, len(rays)):
+            row = table[j]
+            y_j, rest = divmod((j == i) - sum(map(mul, row[i:j], y)), row[j])
+            if rest:
+                return LocalFreenessReport(
+                    False, failure=f"no integral dual weight for ray {u}", failing_ray=u)
+            y.append(y_j)
+            if y_j:
+                m = [x + y_j * c for x, c in zip(m, split[j])]
+        witnesses[u] = cone.weight_class(m)
     # each ray's certificate line is its filtration at level 1, built once for the self-check too
     family = tangent_family(cone)
-    entries = [(cone.weight_class(witnesses[u]), family[u].at(1)) for u in rays]
+    entries = [(witnesses[u], family[u].at(1)) for u in rays]
     # the rays are independent here, so they span less than Q^n exactly when
     # len(rays) < n; the orthogonal complement of their span is the annihilator
     if len(rays) < n:

@@ -369,22 +369,39 @@ def _split_off(basis: list[Sequence[int]], a: Sequence[int]) -> tuple[Sequence[i
     pairs nonzero; b0 is popped and returned with its pairing, made
     positive.  The steps are unimodular, so what is left is a basis of the
     lattice's points on the hyperplane of a.  None when every pairing is 0.
+
+    Ties go to the lowest index.  A round leaves every other pairing at
+    most |p_k| / 2 in size, so the pivot of the next round is found among
+    them in the same pass that updates them.
     """
     pairings = [sum(map(mul, a, b)) for b in basis]
-    if not any(pairings):
+    # live holds, in index order, each j with a nonzero pairing; k is the pivot
+    live = [j for j, p in enumerate(pairings) if p]
+    if not live:
         return None
-    # live holds |p_j| and j for each nonzero pairing
-    live = [(abs(p), j) for j, p in enumerate(pairings) if p]
+    k = live[0]
+    if len(live) > 1:
+        best = abs(pairings[k])
+        for j in live:
+            if abs(pairings[j]) < best:
+                k, best = j, abs(pairings[j])
     while len(live) > 1:
-        k = min(live)[1]
         pk, bk = pairings[k], basis[k]
-        for _, j in live:
+        survivors, pivot, best = [], k, 0
+        for j in live:
             if j != k:
-                q = (2 * pairings[j] + pk) // (2 * pk)
-                pairings[j] -= q * pk
-                basis[j] = [x - q * y for x, y in zip(basis[j], bk)]
-        live = [(abs(p), j) for _, j in live if (p := pairings[j])]
-    k = live[0][1]
+                p = pairings[j]
+                q = (2 * p + pk) // (2 * pk)
+                if q:
+                    p -= q * pk
+                    pairings[j] = p
+                    basis[j] = [x - q * y for x, y in zip(basis[j], bk)]
+                if not p:
+                    continue
+                if not best or abs(p) < best:
+                    pivot, best = j, abs(p)
+            survivors.append(j)
+        live, k = survivors, pivot
     b0, p0 = basis.pop(k), pairings[k]
     return (b0, p0) if p0 > 0 else (negated(b0), -p0)
 

@@ -3,7 +3,9 @@
 Integer solving goes through sympy's Smith decomposition rather than the
 package's own solver, and the local-freeness oracle enumerates the whole
 forced weight box instead of reusing the decision procedure, so each
-comparison genuinely crosses two routes.
+comparison genuinely crosses two routes.  The local-freeness witnesses
+are also found a second way, by the package's Smith form with its
+transforms, which the decider itself no longer takes.
 """
 
 from __future__ import annotations
@@ -17,13 +19,20 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from toricfree.cones import Cone, _canonical_cone, _double_description
-from toricfree.klyachko import DecompositionCertificate, tangent_family, verify_certificate
+from toricfree.klyachko import (
+    DecompositionCertificate,
+    LocalFreenessReport,
+    tangent_family,
+    verify_certificate,
+)
 from toricfree.lattice import (
     RationalSubspace,
     dot,
     hermite_normal_form,
     identity_matrix,
     is_zero,
+    smith_normal_form,
+    solve_in_smith_form,
     transpose,
     vec,
 )
@@ -100,6 +109,30 @@ def brute_force_locally_free(cone: Cone) -> bool:
         entries.append((cone.weight_class((0,) * n), ray_span.orthogonal_complement()))
     cert = DecompositionCertificate(cone, entries)
     return verify_certificate(cone, tangent_family(cone), cert)
+
+
+def witnesses_by_smith(cone: Cone) -> LocalFreenessReport:
+    """Local-freeness witnesses from one Smith form with its transforms.
+
+    Rays no more numerous than the rank are independent iff the first
+    len(rays) diagonal entries of their Smith form are nonzero, and the
+    witness for ray i solves rays @ m = e_i in Smith coordinates.  The
+    report carries the raw solutions, no certificate, and the first ray
+    with no integral solution.  Transform entries grow fast with the rank,
+    so keep the inputs small.
+    """
+    rays = cone.rays()
+    smith = smith_normal_form(rays) if len(rays) <= cone.rank else None
+    if smith is None or not all(smith[0][i][i] for i in range(len(rays))):
+        return LocalFreenessReport(False, failure="dependent rays")
+    witnesses = {}
+    for idx, u in enumerate(rays):
+        m = solve_in_smith_form(smith, [int(j == idx) for j in range(len(rays))])
+        if m is None:
+            return LocalFreenessReport(
+                False, failure=f"no integral dual weight for ray {u}", failing_ray=u)
+        witnesses[u] = m
+    return LocalFreenessReport(True, witnesses=witnesses)
 
 
 def diagnose_by_partial_sums(cone: Cone, family, cert: DecompositionCertificate) -> str | None:

@@ -524,6 +524,41 @@ def test_cone_layer_is_pinned():
     assert digest.hexdigest() == PINNED_CONE_DIGEST
 
 
+def dual_records(cones):
+    """What each cone reports of its dual, with the annihilator read before the dual too.
+
+    Per cone: the annihilator before the dual is read, the dual's
+    generators and lineality basis, the facet normals, the faces, an
+    intersection each way with the previous cone of its rank, the
+    annihilator again, and the annihilators of a face, of the dual and
+    of the intersection, cones that are built without ``Cone(...)``.
+    """
+    previous: dict[int, Cone] = {}
+    for c in cones:
+        before = c.perp_sublattice()
+        other = previous.get(c.rank, Cone.zero(c.rank))
+        meet = c.intersection(other)
+        faces = c.faces()
+        yield [before, c.dual.generators, c.dual.lineality_basis, c.facet_normals,
+               [f.generators for f in faces], meet.generators, c.perp_sublattice(),
+               faces[len(faces) // 2].perp_sublattice(), c.dual.perp_sublattice(),
+               meet.perp_sublattice(), other.intersection(c).generators]
+        previous[c.rank] = c
+
+
+# SHA-256 of the records above, recorded while every cone still built its
+# dual in the constructor.
+PINNED_DUAL_DIGEST = "c56e8c9f5ad6f1e26def94e59227f1257c7346ff6d5848be7eb6e9ef09d9f38a"
+
+
+def test_lazy_dual_is_pinned():
+    digest = hashlib.sha256()
+    cones = random_strongly_convex_cones(seed=4242, count=400, ranks=(1, 2, 3, 4, 5))
+    for record in dual_records(cones):
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == PINNED_DUAL_DIGEST
+
+
 def high_rank_inputs(kind, seed, count=1, ranks=range(6, 13)):
     """Seeded generator lists of ranks 6-12, past the ranks pinned above.
 

@@ -1,6 +1,10 @@
 """Deterministic generation and the named example library."""
 
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toricfree.cones import Cone
 from toricfree.corpus import (
@@ -15,8 +19,21 @@ from toricfree.corpus import (
     named_examples,
     random_cone,
     sample_cones,
+    _uniform,
 )
 from toricfree.fans import Fan
+
+
+@given(seed=st.integers(0, 2**64), bound=st.integers(1, 2**70),
+       low=st.integers(0, MAX_GENERATORS), width=st.integers(0, 10))
+def test_uniform_draws_the_randint_stream(seed, bound, low, width):
+    # coordinates in [-bound, bound], then generator counts in [low, low + width],
+    # min = max included; the two generators must end in the same state too
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert _uniform(ours.getrandbits, -bound, bound) == theirs.randint(-bound, bound)
+        assert _uniform(ours.getrandbits, low, low + width) == theirs.randint(low, low + width)
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_streams_are_bit_identical():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from oracles import brute_force_locally_free, diagnose_by_partial_sums
+from oracles import brute_force_locally_free, diagnose_by_partial_sums, witnesses_by_smith
+from timing import deadline
 from toricfree.cones import Cone, NotStronglyConvexError
 from toricfree.fans import fan_from_generators, validate_fan
 from toricfree.klyachko import (
@@ -265,6 +266,75 @@ def test_emitted_certificates_verify_on_random_corpus():
                 for u2 in c.rays():
                     assert dot(m, u2) == (1 if u2 == u else 0)
     assert count > 50
+
+
+def seeded_cones_ranks_1_to_6(seed=1717, per_rank=80):
+    """Seeded cones of ranks 1-6, about half of them drawn from at most rank-many generators."""
+    rng = random.Random(seed)
+    cones = []
+    for n in range(1, 7):
+        found = 0
+        while found < per_rank:
+            bound = rng.choice((1, 2, 3, 5))
+            k = rng.randint(1, n + 2 if rng.random() < 0.5 else n)
+            gens = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+            try:
+                cones.append(Cone(gens, n))
+            except (NotStronglyConvexError, ValueError):
+                continue
+            found += 1
+    return cones
+
+
+def test_witnesses_match_the_smith_oracle_and_are_canonical():
+    outcomes = set()
+    for c in seeded_cones_ranks_1_to_6():
+        rep = decide_tangent_locally_free(c)
+        want = witnesses_by_smith(c)
+        assert (rep.verdict, rep.failure, rep.failing_ray) == (
+            want.verdict, want.failure, want.failing_ray), c
+        if rep.verdict:
+            assert rep.witnesses == {u: c.weight_class(m) for u, m in want.witnesses.items()}
+            rays = c.rays()
+            for u, w in rep.witnesses.items():
+                assert w == c.weight_class(w)
+                assert [dot(w, v) for v in rays] == [int(v == u) for v in rays]
+        else:
+            assert rep.witnesses is None and rep.certificate is None
+        outcomes.add((c.rank, rep.verdict, rep.failure == "dependent rays"))
+    # every rank gives positive cones, every rank from 2 on a ray with no
+    # witness, and every rank from 3 on dependent rays (rank 1 cones are
+    # smooth, and a pointed rank-2 cone has independent rays)
+    assert {(n, True, False) for n in range(1, 7)} <= outcomes
+    assert {(n, False, False) for n in range(2, 7)} <= outcomes
+    assert {(n, False, True) for n in range(3, 7)} <= outcomes
+
+
+def rank30_cone(seed, count):
+    rng = random.Random(seed)
+    return Cone([[rng.randint(0, 1000) for _ in range(30)] for _ in range(count)], 30)
+
+
+# the first ray of the dense cone with no witness, as the Smith form found it
+RANK30_FAILING_RAY = (13, 310, 246, 628, 253, 33, 467, 562, 57, 301, 111, 417, 211, 205, 745,
+                      964, 280, 31, 996, 56, 580, 807, 955, 454, 337, 517, 115, 663, 124, 379)
+
+
+def test_rank_30_ci_cones_are_decided_quickly():
+    # a Smith form with transforms took about 40 s on the first cone, and
+    # gave the second a 38,742-bit witness that could not be written out
+    with deadline(10):
+        dense = decide_tangent_locally_free(rank30_cone(2030, 30))
+        lineal_cone = rank30_cone(5, 20)
+        lineal = decide_tangent_locally_free(lineal_cone)
+    assert not dense.verdict
+    assert dense.failing_ray == RANK30_FAILING_RAY
+    assert dense.failure == f"no integral dual weight for ray {RANK30_FAILING_RAY}"
+    assert lineal.verdict and len(lineal.witnesses) == 20
+    assert max(abs(c).bit_length() for w in lineal.witnesses.values() for c in w) <= 200
+    rays = lineal_cone.rays()
+    for u, w in lineal.witnesses.items():
+        assert [dot(w, v) for v in rays] == [int(v == u) for v in rays]
 
 
 def _tampered_entries(cone, entries, rng):
