@@ -10,15 +10,16 @@ description carries its lineality space as a lattice basis, changed only
 by the unimodular Euclid steps of ``lattice._split_off``, so its canonical
 Hermite basis is one Hermite form of that basis with no transform: the
 kernel of the normals by the steps of ``lattice._kernel_basis``, which
-also names the line in a rejected input.  It reduces its rays modulo that
-space against the Hermite basis, with the same pivot-order step as
-``RationalSubspace``: an echelon basis is all the step needs.  A cone
-builds that reduction, and so its dual, only when the dual is first read:
-``Cone(...)`` keeps the Hermite rows of its annihilator, which
-``perp_sublattice`` and ``weight_class`` read directly, and the dual rays
-as the double description left them with their incidence masks, which
-it reads for extremality at once.  Face lattices, and the face closures
-of fans, stop at ``MAX_FACES`` cones.
+also names the line in a rejected input.  It leaves its rays neither
+reduced modulo that space nor sorted: ``_canonical_cone`` does both, the
+reduction against the Hermite basis with the same pivot-order step as
+``RationalSubspace``, since an echelon basis is all the step needs.  A
+cone builds its dual only when the dual is first read: ``Cone(...)``
+keeps the Hermite rows of its annihilator, which ``perp_sublattice`` and
+``weight_class`` read directly, and the dual rays as the double
+description left them with their incidence masks, which it reads for
+extremality at once.  Face lattices, and the face closures of fans, stop
+at ``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class Cone:
                 continue
             gens.append(primitive(v))
         gens = sorted(set(gens))
-        lin_rows, dual_rays = _insert_normals(gens, rank)
+        lin_rows, dual_rays = _double_description(gens, rank)
         # bit j of a dual ray's mask is set iff the ray vanishes on gens[j]
         masks = [m for _, m in dual_rays]
         every = (1 << len(gens)) - 1
@@ -137,7 +138,7 @@ class Cone:
         """The dual cone in the paired lattice, built the first time it is read."""
         if self._dual is None:
             lin_rows = self._annihilator()
-            rays, _ = _reduce_off_lineality(self._dual_rays, lin_rows)
+            rays = [r for r, _ in self._dual_rays]
             object.__setattr__(self, "_dual", _canonical_cone(lin_rows, rays, self.rank))
             object.__setattr__(self, "_dual_rays", None)
         return self._dual
@@ -149,7 +150,7 @@ class Cone:
         here, and keeps the unreduced dual rays for ``dual``.
         """
         if self._perp is None:
-            lin_rows, rays = _insert_normals(self.generators, self.rank)
+            lin_rows, rays = _double_description(self.generators, self.rank)
             object.__setattr__(self, "_perp", lin_rows)
             object.__setattr__(self, "_dual_rays", rays)
         return self._perp
@@ -161,8 +162,7 @@ class Cone:
         Together with the span constraints these are the irredundant
         inequalities cutting the cone out of its linear span.
         """
-        lin = set(self.dual._lineality_rows) | {negated(v) for v in self.dual._lineality_rows}
-        return tuple(g for g in self.dual.generators if g not in lin)
+        return _rays_beyond_lineality(self.dual)
 
     def contains(self, v: Sequence[int]) -> bool:
         w = vec(v)
@@ -250,8 +250,8 @@ class Cone:
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
         # resume from other's V-description, so only self's inequalities are inserted
-        lin_rows, rays, _ = _double_description(self.dual.generators, self.rank, _start_from(other))
-        return _canonical_cone(lin_rows, rays, self.rank)
+        lin_rows, rays = _double_description(self.dual.generators, self.rank, other)
+        return _canonical_cone(lin_rows, [r for r, _ in rays], self.rank)
 
     def sort_key(self) -> tuple:
         return (self.dim, self.generators)
@@ -281,13 +281,23 @@ def linearly_independent_rays(cone: Cone) -> bool:
 def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: int) -> Cone:
     """The cone spanned by a lineality basis, as plus/minus pairs, and rays.
 
-    The only builder that trusts its input, and so skips the double
-    description: the rows and rays must already be canonical, as the output
-    of ``_double_description`` or a subset of a cone's generators is.
+    The only builder that skips the double description, and the only place
+    that reduces rays modulo a lineality space.  The rows must be the
+    Hermite basis ``_double_description`` returns, and the rays its extreme
+    rays modulo that space or a subset of a pointed cone's generators.  The
+    Hermite rows are in echelon form with positive pivots, so clearing
+    their pivot columns in pivot order (``_reduce_row``) leaves a positive
+    multiple of the unique residue with zero pivot coordinates, and
+    ``primitive`` makes that multiple canonical.  With no rows the rays are
+    the distinct primitive extreme rays of a pointed cone already, and are
+    only sorted.
     """
+    if lin_rows:
+        pivots = [next(j for j, c in enumerate(row) if c) for row in lin_rows]
+        rays = {primitive(_reduce_row(ray, lin_rows, pivots)) for ray in rays}
+        rays = [*lin_rows, *map(negated, lin_rows), *rays]
     cone = object.__new__(Cone)
-    generators = tuple(sorted([negated(v) for v in lin_rows] + list(lin_rows) + list(rays)))
-    _set_slots(cone, rank, generators, tuple(lin_rows))
+    _set_slots(cone, rank, tuple(sorted(rays)), tuple(lin_rows))
     return cone
 
 
@@ -301,59 +311,33 @@ def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
         object.__setattr__(cone, name, value)
 
 
-def _start_from(cone: Cone) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]], int]:
-    """The ``start`` that resumes a double description from a cone's V-description.
-
-    That is the cone's lineality basis, its rays modulo that space each
-    with its zero set on the cone's dual generators, and their number.
-    """
-    processed = cone.dual.generators
-    lineality_pairs = set(cone._lineality_rows) | {negated(v) for v in cone._lineality_rows}
-    rays = [(r, sum(1 << j for j, d in enumerate(processed) if not sum(map(mul, d, r))))
-            for r in cone.generators if r not in lineality_pairs]
-    return cone._lineality_rows, rays, len(processed)
+def _rays_beyond_lineality(cone: Cone) -> tuple[Vector, ...]:
+    """A cone's generators other than the plus/minus pairs of its lineality basis."""
+    pairs = set(cone._lineality_rows) | set(map(negated, cone._lineality_rows))
+    return tuple(g for g in cone.generators if g not in pairs)
 
 
-def _double_description(normals: Sequence[Vector], rank: int,
-                        start: tuple[Sequence[Vector], Sequence[tuple[Vector, int]], int]
-                        | None = None
-                        ) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...]]:
+def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None = None
+                        ) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]]]:
     """V-description of the solution set of ``dot(a, x) >= 0`` for each a in normals.
 
-    Returns (lineality_rows, extreme_rays, masks): a canonical basis of the
-    lineality space, the sorted primitive extreme rays of a complement of
-    it inside the solution cone, and for each ray the bitmask of the
-    normals vanishing on it (bit i set iff ``dot(normals[i], ray) == 0``).
-    That is ``_insert_normals`` with its rays reduced modulo the lineality.
-    """
-    lin_rows, rays = _insert_normals(normals, rank, start)
-    return (lin_rows, *_reduce_off_lineality(rays, lin_rows))
+    Returns the canonical Hermite basis of the lineality space and the
+    extreme rays modulo it, each paired with its mask (bit i set iff
+    ``dot(normals[i], ray) == 0``), as the insertion left them: neither
+    reduced modulo that space nor sorted.  ``_canonical_cone`` does both;
+    ``Cone.__init__`` reads its generators' zero sets off the masks, which
+    reduction would not change.  Inequalities are inserted one at a time,
+    and the rays kept between insertions are always exactly the extreme
+    rays modulo the current lineality (Motzkin et al. 1953).
 
-
-def _insert_normals(normals: Sequence[Vector], rank: int,
-                    start: tuple[Sequence[Vector], Sequence[tuple[Vector, int]], int]
-                    | None = None
-                    ) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]]]:
-    """The double description of ``_double_description``, before its final reduction.
-
-    Returns the canonical basis of the lineality space and the extreme
-    rays modulo it, each paired with its mask, as the insertion left them:
-    neither reduced modulo that space nor sorted.  ``Cone.__init__`` reads
-    its generators' zero sets off the masks, which reduction would not
-    change, and leaves the reduction to the first read of its dual.
-    Inequalities are inserted one at a time, and the rays kept between
-    insertions are always exactly the extreme rays modulo the current
-    lineality (Motzkin et al. 1953).
-
-    The insertion starts from ``start`` when given: (lineality, rays,
-    processed), a lattice basis of the lineality space of a cone, its
-    extreme rays modulo that space each paired with its mask over the
-    inequalities cutting out exactly that cone, and the number of those
-    inequalities.  The normals then take the bits after those, and the
-    result is the one the insertion of those inequalities followed by
-    ``normals`` would give, since it does not depend on the insertion
-    order.  With no start the insertion starts from the whole space: the
-    standard basis as lineality, no rays and nothing processed.
+    The insertion resumes from the cone ``start`` when given: from its
+    lineality basis and its other generators, each masked over the
+    generators of its dual, the inequalities cutting out exactly that
+    cone.  The normals then take the bits after those, and the result is
+    the one the insertion of those inequalities followed by ``normals``
+    would give, since it does not depend on the insertion order.  With no
+    start the insertion starts from the whole space: the standard basis as
+    lineality, no rays and nothing processed.
 
     While the new normal a pairs nonzero with the lineality, the step
     projects along a lineality vector b0 with ``dot(a, b0) > 0``.  That
@@ -384,10 +368,16 @@ def _insert_normals(normals: Sequence[Vector], rank: int,
     ``dot(a, p) * r_neg - dot(a, r_neg) * p`` whose pairings cancel exactly.
     """
     if start is None:
-        start = (_standard_basis(rank), (), 0)
-    lin: list[Sequence[int]] = list(start[0])
-    rays: list[tuple[Vector, int]] = list(start[1])  # (ray, mask)
-    for i, a in enumerate(normals, start[2]):
+        lin: list[Sequence[int]] = list(_standard_basis(rank))
+        rays: list[tuple[Vector, int]] = []  # (ray, mask)
+        processed = 0
+    else:
+        inequalities = start.dual.generators
+        lin = list(start._lineality_rows)
+        rays = [(r, sum(1 << j for j, d in enumerate(inequalities) if not sum(map(mul, d, r))))
+                for r in _rays_beyond_lineality(start)]
+        processed = len(inequalities)
+    for i, a in enumerate(normals, processed):
         bit = 1 << i
         if split := _split_off(lin, a):
             b0, p0 = split
@@ -417,21 +407,3 @@ def _insert_normals(normals: Sequence[Vector], rank: int,
                         rays.append((w, z | bit))
     _hermite_eliminate(lin, rank)
     return tuple(map(tuple, lin)), rays
-
-
-def _reduce_off_lineality(rays: Sequence[tuple[Vector, int]], lin_rows: Sequence[Vector]
-                          ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Sorted canonical representatives of rays modulo the lineality space, and their masks.
-
-    The rays come paired with their masks.  The Hermite rows are in
-    echelon form with positive pivots, so clearing their pivot columns in
-    pivot order (``_reduce_row``) leaves a positive multiple of the unique
-    residue with zero pivot coordinates, and ``primitive`` makes that
-    multiple canonical.  With no rows the rays are the distinct primitive
-    extreme rays of a pointed cone already, and are only sorted.
-    """
-    if lin_rows:
-        pivots = [next(j for j, c in enumerate(row) if c) for row in lin_rows]
-        rays = {primitive(_reduce_row(ray, lin_rows, pivots)): mask for ray, mask in rays}.items()
-    reduced = sorted(rays)
-    return tuple(r for r, _ in reduced), tuple(m for _, m in reduced)

@@ -15,7 +15,7 @@ class modulo the annihilator; smoothness keeps the only Smith form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 from typing import Mapping, Sequence
 
 from .cones import Cone
@@ -45,7 +45,7 @@ class Filtration:
         previous = RationalSubspace.full(ambient)
         canonical: list[tuple[int, RationalSubspace]] = []
         last = None
-        for i, sub in sorted(steps, key=lambda s: s[0]):
+        for i, sub in sorted(((index(i), sub) for i, sub in steps), key=lambda s: s[0]):
             if sub.ambient != ambient:
                 raise ValueError("subspace ambient dimension mismatch")
             if i == last:
@@ -55,7 +55,7 @@ class Filtration:
                 continue
             if not previous.contains_subspace(sub):
                 raise ValueError(f"filtration increases at level {i}")
-            canonical.append((int(i), sub))
+            canonical.append((i, sub))
             previous = sub
         if previous.dim != 0:
             raise ValueError("filtration must reach the zero subspace")
@@ -131,7 +131,7 @@ def sections_dimension(ray: Sequence[int], m: Sequence[int]) -> int:
     """
     u = vec(ray)
     filt = tangent_filtration(u, len(u))
-    return filt.at(-dot(m, u)).dim
+    return filt.at(-dot(vec(m), u)).dim
 
 
 @dataclass(frozen=True)

@@ -317,18 +317,9 @@ def solve_integer_system(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vector
     m = len(a)
     if len(b) != m:
         raise ValueError(f"system has {m} equations but {len(b)} right-hand sides")
-    return solve_in_smith_form(smith_normal_form(a), vec(b))
-
-
-def solve_in_smith_form(smith: tuple[Matrix, Matrix, Matrix], b: Sequence[int]) -> Vector | None:
-    """``solve_integer_system`` for a matrix given by its ``smith_normal_form``.
-
-    Solving several systems with one matrix this way decomposes it once.
-    """
-    d, u, v = smith
-    m = len(d)
+    d, u, v = smith_normal_form(a)
     n = len(v)
-    c = mat_vec(u, b)
+    c = mat_vec(u, vec(b))
     y = [0] * n
     for i in range(m):
         di = d[i][i] if i < n else 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from . import __version__
 from .cones import Cone
@@ -225,34 +225,33 @@ def _tool_stamp() -> dict:
     return {"name": "toricfree", "version": __version__}
 
 
-def smooth_report(geometry: Geometry) -> dict:
-    entries = []
-    for cone in geometry_cones(geometry):
-        entries.append({
-            "cone": cone_to_document(cone),
-            "smooth": smoothness_to_document(is_smooth_cone(cone)),
-        })
+def _cone_report(kind: str, geometry: Geometry, entry: Callable[[Cone], dict],
+                 passes: Callable[[dict], bool]) -> dict:
+    """The report of a per-cone command: tool stamp, kind, verdict, and one entry per cone.
+
+    The verdict holds iff every entry passes.
+    """
+    entries = [entry(cone) for cone in geometry_cones(geometry)]
     return {
         "tool": _tool_stamp(),
-        "kind": "smooth",
-        "verdict": all(e["smooth"]["verdict"] for e in entries),
+        "kind": kind,
+        "verdict": all(map(passes, entries)),
         "entries": entries,
     }
+
+
+def smooth_report(geometry: Geometry) -> dict:
+    return _cone_report("smooth", geometry, lambda cone: {
+        "cone": cone_to_document(cone),
+        "smooth": smoothness_to_document(is_smooth_cone(cone)),
+    }, lambda e: e["smooth"]["verdict"])
 
 
 def locally_free_report(geometry: Geometry) -> dict:
-    entries = []
-    for cone in geometry_cones(geometry):
-        entries.append({
-            "cone": cone_to_document(cone),
-            "locally_free": freeness_to_document(decide_tangent_locally_free(cone)),
-        })
-    return {
-        "tool": _tool_stamp(),
-        "kind": "locally-free",
-        "verdict": all(e["locally_free"]["verdict"] for e in entries),
-        "entries": entries,
-    }
+    return _cone_report("locally-free", geometry, lambda cone: {
+        "cone": cone_to_document(cone),
+        "locally_free": freeness_to_document(decide_tangent_locally_free(cone)),
+    }, lambda e: e["locally_free"]["verdict"])
 
 
 def agreement_to_entry(record: AgreementRecord) -> dict:
@@ -265,13 +264,9 @@ def agreement_to_entry(record: AgreementRecord) -> dict:
 
 
 def verify_report(geometry: Geometry) -> dict:
-    entries = [agreement_to_entry(check_zariski_lipman(c)) for c in geometry_cones(geometry)]
-    return {
-        "tool": _tool_stamp(),
-        "kind": "verify",
-        "verdict": all(e["agree"] for e in entries),
-        "entries": entries,
-    }
+    return _cone_report("verify", geometry,
+                        lambda cone: agreement_to_entry(check_zariski_lipman(cone)),
+                        lambda e: e["agree"])
 
 
 def sweep_report(summary: SweepSummary, config_doc: dict) -> dict:

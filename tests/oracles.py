@@ -32,7 +32,7 @@ from toricfree.lattice import (
     identity_matrix,
     is_zero,
     smith_normal_form,
-    solve_in_smith_form,
+    solve_integer_system,
     transpose,
     vec,
 )
@@ -112,14 +112,14 @@ def brute_force_locally_free(cone: Cone) -> bool:
 
 
 def witnesses_by_smith(cone: Cone) -> LocalFreenessReport:
-    """Local-freeness witnesses from one Smith form with its transforms.
+    """Local-freeness witnesses from Smith forms with their transforms.
 
     Rays no more numerous than the rank are independent iff the first
     len(rays) diagonal entries of their Smith form are nonzero, and the
-    witness for ray i solves rays @ m = e_i in Smith coordinates.  The
-    report carries the raw solutions, no certificate, and the first ray
-    with no integral solution.  Transform entries grow fast with the rank,
-    so keep the inputs small.
+    witness for ray i solves rays @ m = e_i in Smith coordinates, by
+    ``solve_integer_system``.  The report carries the raw solutions, no
+    certificate, and the first ray with no integral solution.  Transform
+    entries grow fast with the rank, so keep the inputs small.
     """
     rays = cone.rays()
     smith = smith_normal_form(rays) if len(rays) <= cone.rank else None
@@ -127,7 +127,7 @@ def witnesses_by_smith(cone: Cone) -> LocalFreenessReport:
         return LocalFreenessReport(False, failure="dependent rays")
     witnesses = {}
     for idx, u in enumerate(rays):
-        m = solve_in_smith_form(smith, [int(j == idx) for j in range(len(rays))])
+        m = solve_integer_system(rays, [int(j == idx) for j in range(len(rays))])
         if m is None:
             return LocalFreenessReport(
                 False, failure=f"no integral dual weight for ray {u}", failing_ray=u)
@@ -271,8 +271,8 @@ def is_face_by_supporting_hyperplane(f: Cone, c: Cone) -> bool:
 def intersection_from_scratch(a: Cone, b: Cone) -> Cone:
     """The intersection by one double description from the whole space over both cones' normals."""
     normals = list(a.dual.generators) + list(b.dual.generators)
-    lin_rows, rays, _ = _double_description(normals, a.rank)
-    return _canonical_cone(lin_rows, rays, a.rank)
+    lin_rows, rays = _double_description(normals, a.rank)
+    return _canonical_cone(lin_rows, [r for r, _ in rays], a.rank)
 
 
 def kernel_by_hermite_transform(a: list[list[int]]) -> list[tuple[int, ...]]:

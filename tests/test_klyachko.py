@@ -68,6 +68,16 @@ def test_filtration_validation():
         Filtration(2, [(1, RationalSubspace.span(3, [(1, 0, 0)]))])
 
 
+def test_filtration_rejects_non_integer_breakpoints():
+    # truncating 0.2 and 0.9 to 0 once let this through with breakpoints (0, 0)
+    line = RationalSubspace.span(2, [(1, 0)])
+    zero = RationalSubspace.zero(2)
+    with pytest.raises(TypeError):
+        Filtration(2, [(0.2, line), (0.9, zero)])
+    with pytest.raises(TypeError):
+        Filtration(2, [(1, line), (2.0, zero)])
+
+
 def test_tangent_filtration_levels():
     f = tangent_filtration((1, 0), 2)
     assert f.at(0).dim == 2
@@ -106,6 +116,14 @@ def test_sections_dimension_thresholds():
     assert sections_dimension((1, 0), (-1, 7)) == 1
     assert sections_dimension((1, 0), (-2, 0)) == 0
     assert sections_dimension((1, 0, 0), (5, 1, 2)) == 3
+
+
+def test_sections_dimension_rejects_non_integer_weights():
+    # a weight is read like a ray: (-0.5, 3) once gave 2
+    with pytest.raises(TypeError):
+        sections_dimension((1, 0), (-0.5, 3))
+    with pytest.raises(TypeError):
+        Cone([(1, 0)], 2).weight_class((0.5, 1))
 
 
 def test_sections_dimension_closed_form_random():

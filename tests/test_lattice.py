@@ -483,7 +483,9 @@ def pinned_matrices():
 
 # SHA-256 of the exact outputs below, recorded before the elimination
 # steps in lattice.py were shared; the transforms U and V fix the
-# witnesses that reports carry, so they must not drift.
+# solutions ``solve_integer_system`` returns, and with them the witnesses
+# of the Smith oracle in tests/oracles.py.  Reports no longer carry
+# Smith-transform witnesses: the decider's are class representatives.
 PINNED_NORMAL_FORM_DIGEST = "618d366bcd3a631d3ebf381791c7442adec4e03931336ca030e1f11f0d3106fa"
 
 

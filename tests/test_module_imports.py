@@ -1,8 +1,11 @@
-"""Rational arithmetic stays confined to the lattice module.
+"""Import rules between the modules of the package.
 
-Every other module works on integers only; ``RationalSubspace`` is the
-one place that still accepts ``Fraction`` input, and clears its
-denominators on the way in.
+Rational arithmetic stays confined to the lattice module: every other
+module works on integers only; ``RationalSubspace`` is the one place that
+still accepts ``Fraction`` input, and clears its denominators on the way
+in.  The two deciders stay independent: neither ``smoothness`` nor
+``klyachko`` reaches the other through the package's imports, so their
+agreement is evidence and not one computation run twice.
 """
 
 import ast
@@ -11,13 +14,28 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toricfree"
 
 
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def imported_modules(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             yield node.module
+
+
+def package_imports(path, stems):
+    """Modules of the package a module imports, by name, however the import is spelled."""
+    found = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.append(node.module)
+            found.update(part for name in names for part in name.split(".") if part in stems)
+    return found
 
 
 def test_only_lattice_imports_fractions():
@@ -26,3 +44,20 @@ def test_only_lattice_imports_fractions():
     users = {p.name for p in modules
              if any(m.split(".")[0] == "fractions" for m in imported_modules(p))}
     assert users <= {"lattice.py"}
+
+
+def test_deciders_do_not_import_each_other():
+    stems = {p.stem for p in PACKAGE.glob("*.py")}
+    assert {"smoothness", "klyachko"} <= stems
+    graph = {stem: package_imports(PACKAGE / f"{stem}.py", stems) for stem in stems}
+
+    def reachable(start):
+        seen, queue = set(), [start]
+        while queue:
+            for module in graph[queue.pop()] - seen:
+                seen.add(module)
+                queue.append(module)
+        return seen
+
+    assert "klyachko" not in reachable("smoothness")
+    assert "smoothness" not in reachable("klyachko")
