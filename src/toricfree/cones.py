@@ -5,21 +5,14 @@ generating set.  For strongly convex cones that set is the sorted tuple of
 primitive extreme ray generators.  Dual cones need not be strongly convex;
 their lineality space enters the generator list as explicit plus/minus
 pairs of basis vectors, so membership is always the single uniform test
-"pairs nonnegatively against every dual generator".  The double
-description carries its lineality space as a lattice basis, changed only
-by the unimodular Euclid steps of ``lattice._split_off``, so its canonical
-Hermite basis is one Hermite form of that basis with no transform: the
-kernel of the normals by the steps of ``lattice._kernel_basis``, which
-also names the line in a rejected input.  It leaves its rays neither
-reduced modulo that space nor sorted: ``_canonical_cone`` does both, the
-reduction against the Hermite basis with the same pivot-order step as
-``RationalSubspace``, since an echelon basis is all the step needs.  A
-cone builds its dual only when the dual is first read: ``Cone(...)``
-keeps the Hermite rows of its annihilator, which ``perp_sublattice`` and
-``weight_class`` read directly, and the dual rays as the double
-description left them with their incidence masks, which it reads for
-extremality at once.  Face lattices, and the face closures of fans, stop
-at ``MAX_FACES`` cones.
+"pairs nonnegatively against every dual generator".  Every fact about a
+cone's dual comes from one double description of its generators, kept in
+one slot: ``Cone(...)`` fills it and reads the incidence masks for
+extremality at once, and any other cone fills it on first need.  It holds
+the Hermite rows of the annihilator, which ``perp_sublattice`` and
+``weight_class`` read directly, and the dual rays as the insertion left
+them, which ``dual`` hands to ``_canonical_cone`` when it is first read.
+Face lattices, and the face closures of fans, stop at ``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
@@ -77,12 +70,14 @@ class Cone:
     ``Cone(generators, rank)`` rejects input spanning a line and reduces
     the generators to the sorted primitive extreme rays.  Cones whose
     generators are already canonical (duals, faces, intersections) are
-    built by ``_canonical_cone`` alone.  Equality and hashing use only the
-    canonical generator tuple, so equal cones are interchangeable everywhere.
+    built by ``_canonical_cone`` alone.  Every cone runs the double
+    description of its generators at most once, into ``_described``.
+    Equality and hashing use only the canonical generator tuple, so equal
+    cones are interchangeable everywhere.
     """
 
-    __slots__ = ("rank", "generators", "_lineality_rows", "_perp", "_dual_rays", "_dual",
-                 "_dim", "_faces")
+    __slots__ = ("rank", "generators", "lineality_basis", "_described", "_dual", "_dim",
+                 "_faces")
 
     def __init__(self, generators: Iterable[Sequence[int]], rank: int):
         if rank < 1:
@@ -96,7 +91,8 @@ class Cone:
                 continue
             gens.append(primitive(v))
         gens = sorted(set(gens))
-        lin_rows, dual_rays = _double_description(gens, rank)
+        described = _double_description(gens, rank)
+        lin_rows, dual_rays = described
         # bit j of a dual ray's mask is set iff the ray vanishes on gens[j]
         masks = [m for _, m in dual_rays]
         every = (1 << len(gens)) - 1
@@ -109,8 +105,7 @@ class Cone:
         # iff no other generator lies on all of them
         extreme = tuple(g for j, g in enumerate(gens)
                         if reduce(and_, [m for m in masks if m >> j & 1], every) == 1 << j)
-        # the dual's lineality space is the annihilator of this cone
-        _set_slots(self, rank, extreme, (), lin_rows, dual_rays, rank - len(lin_rows))
+        _set_slots(self, rank, extreme, (), described, rank - len(lin_rows))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Cone is immutable")
@@ -127,33 +122,23 @@ class Cone:
 
     @property
     def is_strongly_convex(self) -> bool:
-        return not self._lineality_rows
-
-    @property
-    def lineality_basis(self) -> tuple[Vector, ...]:
-        return self._lineality_rows
+        return not self.lineality_basis
 
     @property
     def dual(self) -> "Cone":
         """The dual cone in the paired lattice, built the first time it is read."""
         if self._dual is None:
-            lin_rows = self._annihilator()
-            rays = [r for r, _ in self._dual_rays]
-            object.__setattr__(self, "_dual", _canonical_cone(lin_rows, rays, self.rank))
-            object.__setattr__(self, "_dual_rays", None)
+            lin_rows, rays = self._description()
+            dual = _canonical_cone(lin_rows, [r for r, _ in rays], self.rank)
+            object.__setattr__(self, "_dual", dual)
         return self._dual
 
-    def _annihilator(self) -> tuple[Vector, ...]:
-        """Hermite rows of the annihilator, the dual's lineality space, computed once.
-
-        A cone built by ``_canonical_cone`` runs its double description
-        here, and keeps the unreduced dual rays for ``dual``.
-        """
-        if self._perp is None:
-            lin_rows, rays = _double_description(self.generators, self.rank)
-            object.__setattr__(self, "_perp", lin_rows)
-            object.__setattr__(self, "_dual_rays", rays)
-        return self._perp
+    def _description(self) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]]]:
+        """The annihilator's Hermite rows and the dual rays with their masks, found once."""
+        if self._described is None:
+            object.__setattr__(self, "_described",
+                               _double_description(self.generators, self.rank))
+        return self._described
 
     @property
     def facet_normals(self) -> tuple[Vector, ...]:
@@ -176,7 +161,7 @@ class Cone:
         return self.generators
 
     def _require_strongly_convex(self) -> None:
-        if self._lineality_rows:
+        if self.lineality_basis:
             raise ValueError("operation requires a strongly convex cone")
 
     def faces(self) -> tuple["Cone", ...]:
@@ -223,7 +208,7 @@ class Cone:
         the dual's lineality basis, Hermite-reduced rows of a saturated
         sublattice.  Reading them does not build the dual.
         """
-        return list(self._annihilator())
+        return list(self._description()[0])
 
     def weight_class(self, m: Sequence[int]) -> Vector:
         """Canonical representative of a dual-lattice vector modulo the annihilator.
@@ -235,7 +220,7 @@ class Cone:
         w = list(vec(m))
         if len(w) != self.rank:
             raise ValueError(f"weight length {len(w)}, expected {self.rank}")
-        for row in self._annihilator():
+        for row in self._description()[0]:
             pivot = next(j for j, c in enumerate(row) if c)
             q = w[pivot] // row[pivot]
             if q:
@@ -302,18 +287,17 @@ def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: in
 
 
 def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
-               lin_rows: tuple[Vector, ...], perp: tuple[Vector, ...] | None = None,
-               dual_rays: Sequence[tuple[Vector, int]] | None = None,
+               lin_rows: tuple[Vector, ...], described: tuple | None = None,
                dim: int | None = None) -> None:
     """Fill every slot of a cone; the dual and the faces start unbuilt."""
-    values = (rank, generators, lin_rows, perp, dual_rays, None, dim, None)
+    values = (rank, generators, lin_rows, described, None, dim, None)
     for name, value in zip(Cone.__slots__, values):
         object.__setattr__(cone, name, value)
 
 
 def _rays_beyond_lineality(cone: Cone) -> tuple[Vector, ...]:
     """A cone's generators other than the plus/minus pairs of its lineality basis."""
-    pairs = set(cone._lineality_rows) | set(map(negated, cone._lineality_rows))
+    pairs = set(cone.lineality_basis) | set(map(negated, cone.lineality_basis))
     return tuple(g for g in cone.generators if g not in pairs)
 
 
@@ -373,7 +357,7 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
         processed = 0
     else:
         inequalities = start.dual.generators
-        lin = list(start._lineality_rows)
+        lin = list(start.lineality_basis)
         rays = [(r, sum(1 << j for j, d in enumerate(inequalities) if not sum(map(mul, d, r))))
                 for r in _rays_beyond_lineality(start)]
         processed = len(inequalities)

@@ -70,7 +70,8 @@ class Filtration:
         return tuple(i for i, _ in self.steps)
 
     def at(self, i: int) -> RationalSubspace:
-        """The subspace at level i."""
+        """The subspace at level i, an integer like the breakpoints."""
+        i = index(i)
         current = RationalSubspace.full(self.ambient)
         for j, sub in self.steps:
             if i >= j:
@@ -283,15 +284,10 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     if len(rays) < n:
         entries.append(((0,) * n, RationalSubspace.span(n, cone.perp_sublattice())))
     cert = DecompositionCertificate(cone, entries)
-    _assert_certificate(cone, family, cert)
-    return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)
-
-
-def _assert_certificate(cone: Cone, family: FiltrationFamily,
-                        cert: DecompositionCertificate) -> None:
     problem = diagnose_certificate(cone, family, cert)
     if problem is not None:
         raise AssertionError(f"emitted certificate failed verification: {problem}")
+    return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)
 
 
 @dataclass(frozen=True)

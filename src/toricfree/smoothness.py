@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import Cone
-from .lattice import Vector, invariant_factors
+from .lattice import invariant_factors
 
 
 @dataclass(frozen=True)

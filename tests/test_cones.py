@@ -1,6 +1,7 @@
 """Cone geometry: construction, duality, faces, annihilator sublattices."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     lineality_by_kernel,
 )
 from timing import deadline
+from toricfree import cones
 from toricfree.cones import (
     Cone,
     NotStronglyConvexError,
@@ -452,6 +454,33 @@ def test_dual_cone_function_alias():
 def test_cone_dim_matches_rank_of_generators():
     for c in random_strongly_convex_cones(seed=112, count=60):
         assert c.dim == matrix_rank([list(g) for g in c.generators])
+
+
+def test_one_double_description_per_cone(monkeypatch):
+    calls = []
+    original = cones._double_description
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_double_description", counted)
+    reads = [lambda c: c.dual, lambda c: c.facet_normals, lambda c: c.perp_sublattice(),
+             lambda c: c.weight_class([3] * c.rank)]
+    # a full-dimensional cone with a non-simplicial face lattice, and one with an annihilator
+    for gens in ([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)], [(1, 0, 0), (1, 2, 0)]):
+        for order in itertools.permutations(reads):
+            calls.clear()
+            c = Cone(gens, 3)
+            for read in order + order:
+                read(c)
+            assert len(calls) == 1  # the constructor's
+            faces = Cone(gens, 3).faces()
+            for other in (faces[len(faces) // 2], Cone(gens, 3).dual):
+                calls.clear()
+                for read in order + order:
+                    read(other)
+                assert len(calls) <= 1
 
 
 def test_cone_immutable_and_hashable():

@@ -78,6 +78,16 @@ def test_filtration_rejects_non_integer_breakpoints():
         Filtration(2, [(1, line), (2.0, zero)])
 
 
+def test_filtration_levels_are_integers():
+    # a float level once compared against the breakpoints and answered
+    f = Filtration(2, [(1, RationalSubspace.span(2, [(1, 0)])), (2, RationalSubspace.zero(2))])
+    for level in (1.5, 0.5):
+        with pytest.raises(TypeError):
+            f.at(level)
+    assert f.at(True) == f.at(1)
+    assert f.at(True).dim == 1
+
+
 def test_tangent_filtration_levels():
     f = tangent_filtration((1, 0), 2)
     assert f.at(0).dim == 2

@@ -61,3 +61,24 @@ def test_deciders_do_not_import_each_other():
 
     assert "klyachko" not in reachable("smoothness")
     assert "smoothness" not in reachable("klyachko")
+
+
+def test_no_unused_imports():
+    # __init__ imports names to re-export them; __future__ imports are compiler directives
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in used]
+    assert not unused
