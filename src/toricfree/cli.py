@@ -26,7 +26,6 @@ from .corpus import (
     named_examples,
 )
 from .klyachko import sections_dimension
-from .lattice import is_primitive
 from .serialize import (
     cone_to_document,
     decode_int,
@@ -227,8 +226,6 @@ def _dispatch(args) -> int:
         ray = args.ray
         if len(ray) != geometry.rank:
             raise ValueError(f"--ray has length {len(ray)}, document rank is {geometry.rank}")
-        if not is_primitive(ray):
-            raise ValueError(f"--ray {ray} is not a primitive lattice vector")
         if len(args.weight) != geometry.rank:
             raise ValueError(
                 f"--weight has length {len(args.weight)}, document rank is {geometry.rank}")

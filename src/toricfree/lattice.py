@@ -26,16 +26,14 @@ pivot order.  The residue with zero pivot coordinates is unique, so that
 walk lands on a positive multiple of it whichever echelon basis with
 positive pivots it is given: ``RationalSubspace`` walks its reduced
 basis, and the cone layer walks a Hermite basis of the lineality space.
-A sum of subspaces is the constructor run on both bases.
-``fractions.Fraction`` appears only to clear denominators of rational
-input rows; every other entry, in ``vec`` too, goes through
-``operator.index``, so a float or a string raises TypeError instead of
-being rounded or parsed.
+A sum of subspaces is the constructor run on both bases.  Every entry,
+of a vector, a matrix or a subspace row, goes through ``operator.index``
+as in ``vec``, so a float, a rational or a string raises TypeError
+instead of being rounded, cleared or parsed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from bisect import bisect
 from functools import lru_cache
 from math import gcd, lcm
@@ -427,22 +425,21 @@ class RationalSubspace:
     The stored basis is the reduced row echelon basis with every row scaled
     to a primitive integer vector whose pivot entry is positive.  That basis
     is unique, so two subspaces compare equal exactly when they contain the
-    same vectors.  Instances are immutable and hashable.  Rows with
-    ``Fraction`` entries are accepted and cleared of denominators on input;
-    everything after that is integer elimination.
+    same vectors.  Instances are immutable and hashable.  Rows are read
+    through ``vec``; a rational row is given as an integer multiple of it.
     """
 
     __slots__ = ("ambient", "basis", "_pivots")
 
-    def __init__(self, ambient: int, rows: Iterable[Sequence[Fraction | int]] = ()):
+    def __init__(self, ambient: int, rows: Iterable[Sequence[int]] = ()):
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
         basis: list[Sequence[int]] = []
         pivots: list[int] = []
-        for row in rows:
+        for row in map(vec, rows):
             if len(row) != ambient:
                 raise ValueError(f"row length {len(row)} in ambient dimension {ambient}")
-            _insert_row(basis, pivots, _integer_row(row))
+            _insert_row(basis, pivots, row)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(map(tuple, basis)))
         object.__setattr__(self, "_pivots", tuple(pivots))
@@ -451,7 +448,7 @@ class RationalSubspace:
         raise AttributeError("RationalSubspace is immutable")
 
     @classmethod
-    def span(cls, ambient: int, vectors: Iterable[Sequence[Fraction | int]]) -> "RationalSubspace":
+    def span(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "RationalSubspace":
         return cls(ambient, vectors)
 
     @classmethod
@@ -468,13 +465,11 @@ class RationalSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
-    def contains(self, v: Sequence[Fraction | int]) -> bool:
+    def contains(self, v: Sequence[int]) -> bool:
+        v = vec(v)
         if len(v) != self.ambient:
             raise ValueError(f"vector length {len(v)} in ambient dimension {self.ambient}")
-        return not any(_reduce_row(_integer_row(v), self.basis, self._pivots))
+        return not any(_reduce_row(v, self.basis, self._pivots))
 
     def contains_subspace(self, other: "RationalSubspace") -> bool:
         if self.ambient != other.ambient:
@@ -532,15 +527,6 @@ class RationalSubspace:
     def __repr__(self) -> str:
         rows = ", ".join("(" + ", ".join(str(c) for c in row) + ")" for row in self.basis)
         return f"RationalSubspace({self.ambient}, [{rows}])"
-
-
-def _integer_row(row: Sequence[Fraction | int]) -> Sequence[int]:
-    """A positive integer multiple of a row of ``Fraction`` and ``operator.index`` entries."""
-    if all(type(c) is int for c in row):
-        return row
-    fracs = [c if isinstance(c, Fraction) else index(c) for c in row]
-    den = lcm(*(c.denominator for c in fracs))
-    return [c.numerator * (den // c.denominator) for c in fracs]
 
 
 def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],

@@ -181,9 +181,15 @@ def certificate_to_document(cert: DecompositionCertificate) -> dict:
 
 
 def parse_certificate_document(doc: Any, cone: Cone) -> DecompositionCertificate:
+    """The certificate of a document, its rows bounded before any elimination.
+
+    A certificate the tool writes lists exactly ``rank`` rows in all (a
+    line per ray, the annihilator's rows besides), so more rows than the
+    rank are rejected before a subspace is built from them.
+    """
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError("certificate document requires an 'entries' list")
-    entries = []
+    decoded = []
     for entry in doc["entries"]:
         if not isinstance(entry, dict):
             raise ValueError("certificate entry must be an object")
@@ -191,9 +197,12 @@ def parse_certificate_document(doc: Any, cone: Cone) -> DecompositionCertificate
         basis_field = entry.get("subspace_basis")
         if not isinstance(basis_field, list):
             raise ValueError("certificate entry requires a 'subspace_basis' list")
-        rows = [decode_vector(r, cone.rank) for r in basis_field]
-        entries.append((weight, RationalSubspace.span(cone.rank, rows)))
-    return DecompositionCertificate(cone, entries)
+        decoded.append((weight, [decode_vector(r, cone.rank) for r in basis_field]))
+    if (total := sum(len(rows) for _, rows in decoded)) > cone.rank:
+        raise ValueError(f"certificate lists {total} subspace_basis rows, "
+                         f"over the cone's rank of {cone.rank}")
+    return DecompositionCertificate(
+        cone, [(weight, RationalSubspace.span(cone.rank, rows)) for weight, rows in decoded])
 
 
 def smoothness_to_document(report: SmoothnessReport) -> dict:

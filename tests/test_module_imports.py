@@ -1,11 +1,11 @@
 """Import rules between the modules of the package.
 
-Rational arithmetic stays confined to the lattice module: every other
-module works on integers only; ``RationalSubspace`` is the one place that
-still accepts ``Fraction`` input, and clears its denominators on the way
-in.  The two deciders stay independent: neither ``smoothness`` nor
-``klyachko`` reaches the other through the package's imports, so their
-agreement is evidence and not one computation run twice.
+No module imports ``fractions``: every module, ``RationalSubspace``
+too, works on integers only and reads its entries through
+``operator.index``.  The two deciders stay independent: neither
+``smoothness`` nor ``klyachko`` reaches the other through the package's
+imports, so their agreement is evidence and not one computation run
+twice.
 """
 
 import ast
@@ -38,12 +38,12 @@ def package_imports(path, stems):
     return found
 
 
-def test_only_lattice_imports_fractions():
+def test_no_module_imports_fractions():
     modules = sorted(PACKAGE.glob("*.py"))
     assert any(p.name == "lattice.py" for p in modules)
     users = {p.name for p in modules
              if any(m.split(".")[0] == "fractions" for m in imported_modules(p))}
-    assert users <= {"lattice.py"}
+    assert not users
 
 
 def test_deciders_do_not_import_each_other():

@@ -1,9 +1,11 @@
 """JSON round-trips and report rechecking."""
 
 import json
+import random
 
 import pytest
 
+from timing import deadline
 from toricfree.cones import Cone
 from toricfree.corpus import named_examples
 from toricfree.fans import Fan
@@ -180,6 +182,20 @@ def test_recheck_flags_tampered_certificate():
     cert["entries"][0]["subspace_basis"] = [[1, 1]]
     failures = recheck_report(doc)
     assert len(failures) == 1
+
+
+def test_recheck_bounds_certificate_rows_before_elimination():
+    # 120 dense rows on top of the 119 other lines of a rank-120 orthant's
+    # certificate: eliminating them took seconds, counting them takes none
+    n = 120
+    orthant = Cone([[int(i == j) for j in range(n)] for i in range(n)], n)
+    doc = json.loads(json.dumps(locally_free_report(orthant)))
+    rng = random.Random(1)
+    cert = doc["entries"][0]["locally_free"]["certificate"]
+    cert["entries"][0]["subspace_basis"] = [
+        [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)]
+    with deadline(3), pytest.raises(ValueError, match="239 subspace_basis rows.*rank of 120"):
+        recheck_report(doc)
 
 
 def test_recheck_flags_flipped_verdict():
