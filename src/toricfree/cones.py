@@ -8,11 +8,15 @@ pairs of basis vectors, so membership is always the single uniform test
 "pairs nonnegatively against every dual generator".  Every fact about a
 cone's dual comes from one double description of its generators, kept in
 one slot: ``Cone(...)`` fills it and reads the incidence masks for
-extremality at once, and any other cone fills it on first need.  It holds
-the Hermite rows of the annihilator, which ``perp_sublattice`` and
-``weight_class`` read directly, and the dual rays as the insertion left
-them, which ``dual`` hands to ``_canonical_cone`` when it is first read.
-Face lattices, and the face closures of fans, stop at ``MAX_FACES`` cones.
+extremality at once, and any other cone fills it on first need.  A
+description always belongs to the cone's own generators, so
+``Cone(...)`` keeps its own only when every input generator is extreme.
+It holds the Hermite rows of the annihilator, which ``perp_sublattice``
+and ``weight_class`` read directly, the dual rays as the insertion left
+them, which ``dual`` hands to ``_canonical_cone`` when it is first read,
+and the split record, which ``split_basis`` hands to the local-freeness
+decider.  Face lattices, and the face closures of fans, stop at
+``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .lattice import (
     _split_off,
     _standard_basis,
     dot,
-    is_zero,
     matrix_rank,
     negated,
     primitive,
@@ -71,7 +74,10 @@ class Cone:
     the generators to the sorted primitive extreme rays.  Cones whose
     generators are already canonical (duals, faces, intersections) are
     built by ``_canonical_cone`` alone.  Every cone runs the double
-    description of its generators at most once, into ``_described``.
+    description of its own generators at most once, into ``_described``.
+    ``Cone(...)`` runs it on its input and keeps it as that; when some
+    input generator is not extreme it drops it, so a description read
+    later is a rebuild from the extreme rays, the second run.
     Equality and hashing use only the canonical generator tuple, so equal
     cones are interchangeable everywhere.
     """
@@ -87,12 +93,11 @@ class Cone:
             v = vec(g)
             if len(v) != rank:
                 raise ValueError(f"generator {v} has length {len(v)}, expected {rank}")
-            if is_zero(v):
-                continue
-            gens.append(primitive(v))
+            if d := gcd(*v):
+                gens.append(tuple([c // d for c in v]))
         gens = sorted(set(gens))
         described = _double_description(gens, rank)
-        lin_rows, dual_rays = described
+        lin_rows, dual_rays, _ = described
         # bit j of a dual ray's mask is set iff the ray vanishes on gens[j]
         masks = [m for _, m in dual_rays]
         every = (1 << len(gens)) - 1
@@ -105,7 +110,9 @@ class Cone:
         # iff no other generator lies on all of them
         extreme = tuple(g for j, g in enumerate(gens)
                         if reduce(and_, [m for m in masks if m >> j & 1], every) == 1 << j)
-        _set_slots(self, rank, extreme, (), described, rank - len(lin_rows))
+        # a description's masks and splits index the cone's own generators
+        _set_slots(self, rank, extreme, (), described if len(extreme) == len(gens) else None,
+                   rank - len(lin_rows))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Cone is immutable")
@@ -128,17 +135,26 @@ class Cone:
     def dual(self) -> "Cone":
         """The dual cone in the paired lattice, built the first time it is read."""
         if self._dual is None:
-            lin_rows, rays = self._description()
+            lin_rows, rays, _ = self._description()
             dual = _canonical_cone(lin_rows, [r for r, _ in rays], self.rank)
             object.__setattr__(self, "_dual", dual)
         return self._dual
 
-    def _description(self) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]]]:
-        """The annihilator's Hermite rows and the dual rays with their masks, found once."""
+    def _description(self) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]],
+                                    list[Vector | None]]:
+        """The double description of the cone's own generators, found once."""
         if self._described is None:
             object.__setattr__(self, "_described",
                                _double_description(self.generators, self.rank))
         return self._described
+
+    def split_basis(self) -> list[Vector | None]:
+        """The split record of the cone's double description, one entry per generator.
+
+        Entry j is the b_j with <g_j, b_j> > 0 that ``_split_off`` set aside
+        for g_j, or None where g_j is dependent on the generators before it.
+        """
+        return self._description()[2]
 
     @property
     def facet_normals(self) -> tuple[Vector, ...]:
@@ -235,7 +251,7 @@ class Cone:
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
         # resume from other's V-description, so only self's inequalities are inserted
-        lin_rows, rays = _double_description(self.dual.generators, self.rank, other)
+        lin_rows, rays, _ = _double_description(self.dual.generators, self.rank, other)
         return _canonical_cone(lin_rows, [r for r, _ in rays], self.rank)
 
     def sort_key(self) -> tuple:
@@ -302,7 +318,8 @@ def _rays_beyond_lineality(cone: Cone) -> tuple[Vector, ...]:
 
 
 def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None = None
-                        ) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]]]:
+                        ) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]],
+                                   list[Vector | None]]:
     """V-description of the solution set of ``dot(a, x) >= 0`` for each a in normals.
 
     Returns the canonical Hermite basis of the lineality space and the
@@ -310,9 +327,11 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
     ``dot(normals[i], ray) == 0``), as the insertion left them: neither
     reduced modulo that space nor sorted.  ``_canonical_cone`` does both;
     ``Cone.__init__`` reads its generators' zero sets off the masks, which
-    reduction would not change.  Inequalities are inserted one at a time,
-    and the rays kept between insertions are always exactly the extreme
-    rays modulo the current lineality (Motzkin et al. 1953).
+    reduction would not change.  The third value is the split record: per
+    normal, the vector b0 a projection step set aside for it, or None
+    where it took a Fourier-Motzkin step.  Inequalities are inserted one
+    at a time, and the rays kept between insertions are always exactly the
+    extreme rays modulo the current lineality (Motzkin et al. 1953).
 
     The insertion resumes from the cone ``start`` when given: from its
     lineality basis and its other generators, each masked over the
@@ -361,10 +380,12 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
         rays = [(r, sum(1 << j for j, d in enumerate(inequalities) if not sum(map(mul, d, r))))
                 for r in _rays_beyond_lineality(start)]
         processed = len(inequalities)
+    splits: list[Vector | None] = []
     for i, a in enumerate(normals, processed):
         bit = 1 << i
         if split := _split_off(lin, a):
-            b0, p0 = split
+            b0, p0 = tuple(split[0]), split[1]
+            splits.append(b0)
             # project every ray onto the hyperplane of a
             projected = []
             for r, m in rays:
@@ -374,8 +395,9 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
                     g = gcd(*w)
                     r = tuple([c // g for c in w])
                 projected.append((r, m | bit))
-            rays = projected + [(tuple(b0), bit - 1)]
+            rays = projected + [(b0, bit - 1)]
         else:
+            splits.append(None)
             scored = [(r, m, sum(map(mul, a, r))) for r, m in rays]
             pos = [(r, m, p) for r, m, p in scored if p > 0]
             neg = [(r, m, p) for r, m, p in scored if p < 0]
@@ -390,4 +412,4 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
                         w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
                         rays.append((w, z | bit))
     _hermite_eliminate(lin, rank)
-    return tuple(map(tuple, lin)), rays
+    return tuple(map(tuple, lin)), rays, splits

@@ -5,7 +5,10 @@ Random cones come from rejection sampling with Python's Mersenne Twister
 the algorithm identifier below travels with every report so a sweep can
 be replayed from its seed.  Each integer is drawn from the generator's
 raw bits by ``_uniform``, the rule ``randint`` follows, so the stream is
-``randint``'s without depending on how ``randint`` is written.
+``randint``'s without depending on how ``randint`` is written.  A draw's
+coordinates come from one loop that runs that rule inline, one
+``getrandbits`` call per attempt, so it consumes exactly the words that
+``randint`` would.
 """
 
 from __future__ import annotations
@@ -96,11 +99,20 @@ def _uniform(getrandbits: Callable[[int], int], low: int, high: int) -> int:
 
 
 def _draw_cone(rng: random.Random, config: GeneratorConfig) -> Cone:
-    bits, bound = rng.getrandbits, config.bound
+    bits, bound, rank = rng.getrandbits, config.bound, config.rank
+    # every coordinate is ``_uniform(bits, -bound, bound)``, its loop run inline
+    width = 2 * bound + 1
+    nbits = width.bit_length()
     for _ in range(REJECTION_LIMIT):
         k = _uniform(bits, config.min_generators, config.max_generators)
-        gens = [[_uniform(bits, -bound, bound) for _ in range(config.rank)] for _ in range(k)]
-        if any(all(c == 0 for c in g) for g in gens):
+        coords = []
+        for _ in range(k * rank):
+            r = bits(nbits)
+            while r >= width:
+                r = bits(nbits)
+            coords.append(r - bound)
+        gens = [coords[i:i + rank] for i in range(0, len(coords), rank)]
+        if not all(map(any, gens)):
             continue
         try:
             return Cone(gens, config.rank)

@@ -7,9 +7,11 @@ on.  On a cone, local freeness amounts to a weight-graded splitting of the
 ambient space that reproduces every ray filtration; such a splitting is a
 checkable certificate, and for the tangent sheaf it exists exactly when
 integral dual weights with delta pairings against the rays do.  The
-decider finds those weights by Euclid steps and a triangular solve, with
-no Smith form, and reports each as the canonical representative of its
-class modulo the annihilator; smoothness keeps the only Smith form.
+decider finds those weights by a triangular solve on the basis that the
+cone's double description split off the standard basis, one Euclid-step
+split per ray, with no Smith form, and reports each as the canonical
+representative of its class modulo the annihilator; smoothness keeps the
+only Smith form.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .cones import Cone
 from .lattice import (
     RationalSubspace,
     Vector,
-    _split_off,
-    _standard_basis,
     determinant,
     dot,
     is_primitive,
@@ -111,7 +111,7 @@ def tangent_filtration(ray: Sequence[int], ambient_rank: int) -> Filtration:
     if not is_primitive(u):
         raise ValueError(f"ray generator {u} is not primitive")
     zero = (2, RationalSubspace.zero(ambient_rank))
-    steps = (zero,) if ambient_rank == 1 else ((1, RationalSubspace.span(ambient_rank, [u])), zero)
+    steps = (zero,) if ambient_rank == 1 else ((1, RationalSubspace._line(u)), zero)
     filt = object.__new__(Filtration)
     object.__setattr__(filt, "ambient", ambient_rank)
     object.__setattr__(filt, "steps", steps)
@@ -200,8 +200,8 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
             return "certificate subspace has wrong ambient dimension"
         if sub.dim == 0:
             return f"zero subspace attached to class {m}"
-    total_dim = sum(sub.dim for _, sub in entries)
-    if total_dim != n or not determinant([row for _, sub in entries for row in sub.basis]):
+    dims = [sub.dim for _, sub in entries]
+    if sum(dims) != n or not determinant([row for _, sub in entries for row in sub.basis]):
         return "subspaces do not sum directly to the full space"
     for u in rays:
         filt = family[u]
@@ -210,9 +210,11 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
         levels.add(min(levels) - 1)
         for i in sorted(levels):
             expected = filt.at(i)
-            chosen = [sub for (_, sub), p in zip(entries, pairings) if p >= i]
-            got_dim = sum(sub.dim for sub in chosen)
-            if got_dim != expected.dim or not all(map(expected.contains_subspace, chosen)):
+            got_dim = sum(d for d, p in zip(dims, pairings) if p >= i)
+            # the whole space contains every summand
+            if got_dim != expected.dim or expected.dim != n and not all(
+                    expected.contains_subspace(sub)
+                    for (_, sub), p in zip(entries, pairings) if p >= i):
                 return (f"filtration mismatch at ray {u}, level {i}: "
                         f"summed dimension {got_dim}, filtration dimension {expected.dim}")
     return None
@@ -237,31 +239,25 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     its witness class, with any left-over directions carried by the zero
     class.
 
-    No Smith form is taken.  Ray u_j is split off the standard basis in
-    turn (``_split_off``), which sets aside b_j with <u_j, b_j> > 0 and
-    leaves a basis of the lattice points on which u_1, ..., u_j vanish.  So
-    b_1, ..., b_k and what is left form a lattice basis on which
-    T[j][i] = <u_j, b_i> is lower triangular with a nonzero diagonal, and
-    a split finds nothing to set aside exactly when u_j is dependent on the
-    rays before it (more rays than the rank are dependent at once).  A
-    weight m = sum y_i b_i pairs delta_ij with the rays iff T y = e_i on
-    the first k coordinates, and forward substitution gives the one
-    rational solution, so an integral witness exists iff every quotient it
-    takes is exact.
+    No Smith form is taken, and no split of its own: the double description
+    of the cone's rays split ray u_j off the standard basis in turn, and
+    ``cone.split_basis()`` reads back the b_j it set aside, with
+    <u_j, b_j> > 0, leaving a basis of the lattice points on which
+    u_1, ..., u_j vanish.  So b_1, ..., b_k and what is left form a lattice
+    basis on which T[j][i] = <u_j, b_i> is lower triangular with a nonzero
+    diagonal, and the record holds None, nothing set aside, exactly where
+    u_j is dependent on the rays before it (more rays than the rank are
+    dependent at once).  A weight m = sum y_i b_i pairs delta_ij with the
+    rays iff T y = e_i on the first k coordinates, and forward substitution
+    gives the one rational solution, so an integral witness exists iff
+    every quotient it takes is exact.
     """
     n = cone.rank
     rays = cone.rays()
-    if len(rays) > n:
+    if len(rays) > n or None in (split := cone.split_basis()):
         return LocalFreenessReport(False, failure="dependent rays")
-    basis = list(_standard_basis(n))
-    split: list[Sequence[int]] = []
-    table: list[list[int]] = []  # row j holds T[j][0..j]
-    for u in rays:
-        step = _split_off(basis, u)
-        if step is None:
-            return LocalFreenessReport(False, failure="dependent rays")
-        split.append(step[0])
-        table.append([sum(map(mul, u, b)) for b in split])
+    # row j holds T[j][0..j]
+    table = [[sum(map(mul, u, b)) for b in split[:j + 1]] for j, u in enumerate(rays)]
     witnesses: dict[Vector, Vector] = {}
     for i, u in enumerate(rays):
         # y_l = 0 for l < i, so m sums b_l from l = i on

@@ -132,7 +132,11 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 
 def determinant(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Rows the step would leave as they are go untouched, so a permutation
+    costs only its row swaps.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant requires a square matrix")
@@ -150,7 +154,10 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
+        same = m[k][k] == prev
         for i in range(k + 1, n):
+            if same and not m[i][k]:
+                continue  # the step would scale this row by pivot / prev = 1
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
@@ -450,6 +457,16 @@ class RationalSubspace:
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "RationalSubspace":
         return cls(ambient, vectors)
+
+    @classmethod
+    def _line(cls, u: Vector) -> "RationalSubspace":
+        """The line through a primitive nonzero vector, built canonical with no elimination."""
+        p = next(j for j, c in enumerate(u) if c)
+        line = object.__new__(cls)
+        object.__setattr__(line, "ambient", len(u))
+        object.__setattr__(line, "basis", (u if u[p] > 0 else negated(u),))
+        object.__setattr__(line, "_pivots", (p,))
+        return line
 
     @classmethod
     @lru_cache(maxsize=16)

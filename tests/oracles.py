@@ -5,7 +5,9 @@ package's own solver, and the local-freeness oracle enumerates the whole
 forced weight box instead of reusing the decision procedure, so each
 comparison genuinely crosses two routes.  The local-freeness witnesses
 are also found a second way, by the package's Smith form with its
-transforms, which the decider itself no longer takes.
+transforms, which the decider itself no longer takes, and a third, by
+the decider's own earlier loop that split each ray off the standard
+basis itself instead of reading the cone's split record.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from toricfree.cones import Cone, _canonical_cone, _double_description
 from toricfree.klyachko import (
     DecompositionCertificate,
     LocalFreenessReport,
+    diagnose_certificate,
     tangent_family,
     verify_certificate,
 )
 from toricfree.lattice import (
     RationalSubspace,
+    _split_off,
+    _standard_basis,
     dot,
     hermite_normal_form,
     identity_matrix,
@@ -58,6 +63,12 @@ def sympy_solve_integer(rows: list[list[int]], rhs: list[int]) -> tuple[int, ...
         elif c[i]:
             return None
     return tuple(sum(t_list[i][j] * y[j] for j in range(n)) for i in range(n))
+
+
+def sympy_determinant(rows: list[list[int]]) -> int:
+    """Determinant of a nonempty square integer matrix by sympy's domain matrices."""
+    n = len(rows)
+    return int(DomainMatrix([[ZZ(c) for c in row] for row in rows], (n, n), ZZ).det())
 
 
 def sympy_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
@@ -133,6 +144,50 @@ def witnesses_by_smith(cone: Cone) -> LocalFreenessReport:
                 False, failure=f"no integral dual weight for ray {u}", failing_ray=u)
         witnesses[u] = m
     return LocalFreenessReport(True, witnesses=witnesses)
+
+
+def decide_by_own_splits(cone: Cone) -> LocalFreenessReport:
+    """``decide_tangent_locally_free`` splitting each ray off the standard basis itself.
+
+    The decider reads b_1, ..., b_k from the split record of the cone's
+    double description; this runs the same ``_split_off`` calls in a loop
+    of its own, stopping at the first ray that sets nothing aside, and
+    builds and self-checks the same certificate.
+    """
+    n = cone.rank
+    rays = cone.rays()
+    if len(rays) > n:
+        return LocalFreenessReport(False, failure="dependent rays")
+    basis = list(_standard_basis(n))
+    split: list = []
+    table: list[list[int]] = []  # row j holds T[j][0..j]
+    for u in rays:
+        step = _split_off(basis, u)
+        if step is None:
+            return LocalFreenessReport(False, failure="dependent rays")
+        split.append(step[0])
+        table.append([dot(u, b) for b in split])
+    witnesses = {}
+    for i, u in enumerate(rays):
+        m, y = [0] * n, []
+        for j in range(i, len(rays)):
+            row = table[j]
+            y_j, rest = divmod((j == i) - sum(a * b for a, b in zip(row[i:j], y)), row[j])
+            if rest:
+                return LocalFreenessReport(
+                    False, failure=f"no integral dual weight for ray {u}", failing_ray=u)
+            y.append(y_j)
+            m = [x + y_j * c for x, c in zip(m, split[j])]
+        witnesses[u] = cone.weight_class(m)
+    family = tangent_family(cone)
+    entries = [(witnesses[u], RationalSubspace.span(n, [u])) for u in rays]
+    if len(rays) < n:
+        entries.append(((0,) * n, RationalSubspace.span(n, cone.perp_sublattice())))
+    cert = DecompositionCertificate(cone, entries)
+    problem = diagnose_certificate(cone, family, cert)
+    if problem is not None:
+        raise AssertionError(f"emitted certificate failed verification: {problem}")
+    return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)
 
 
 def diagnose_by_partial_sums(cone: Cone, family, cert: DecompositionCertificate) -> str | None:
@@ -271,7 +326,7 @@ def is_face_by_supporting_hyperplane(f: Cone, c: Cone) -> bool:
 def intersection_from_scratch(a: Cone, b: Cone) -> Cone:
     """The intersection by one double description from the whole space over both cones' normals."""
     normals = list(a.dual.generators) + list(b.dual.generators)
-    lin_rows, rays = _double_description(normals, a.rank)
+    lin_rows, rays, _ = _double_description(normals, a.rank)
     return _canonical_cone(lin_rows, [r for r, _ in rays], a.rank)
 
 

@@ -356,7 +356,7 @@ def test_linearly_independent_rays_matches_fraction_rank():
 
 def canonical_from_scratch(normals, n):
     """Lineality rows and generators of the canonical cone built from the double description."""
-    lin_rows, rays = _double_description(normals, n)
+    lin_rows, rays, _ = _double_description(normals, n)
     cone = _canonical_cone(lin_rows, [r for r, _ in rays], n)
     return cone.lineality_basis, cone.generators
 
@@ -391,7 +391,7 @@ def test_double_description_masks_are_exact():
                 extra = rng.choice([a, tuple(2 * x for x in a), tuple(x + y for x, y in zip(a, b)),
                                     (0,) * n])
                 normals.insert(rng.randint(0, len(normals)), extra)
-            _, rays = _double_description(normals, n)
+            _, rays, _ = _double_description(normals, n)
             for ray, mask in rays:
                 for i, a in enumerate(normals):
                     assert bool(mask >> i & 1) == (dot(a, ray) == 0)
@@ -669,7 +669,7 @@ def test_high_rank_line_witness_against_rank_oracle(kind, seed):
     for n, gens in high_rank_inputs(kind, seed):
         with pytest.raises(NotStronglyConvexError) as exc:
             Cone(gens, n)
-        lin_rows, dual_rays = _double_description([tuple(g) for g in gens], n)
+        lin_rows, dual_rays, _ = _double_description([tuple(g) for g in gens], n)
         dual_rays = tuple(r for r, _ in dual_rays)
         for r in dual_rays:
             assert is_extreme_by_rank(r, gens, len(lin_rows))

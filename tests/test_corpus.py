@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toricfree.cones import Cone
+from toricfree import corpus
+from toricfree.cones import Cone, NotStronglyConvexError
 from toricfree.corpus import (
     MAX_GENERATORS,
     PRNG_ALGORITHM,
@@ -19,6 +20,7 @@ from toricfree.corpus import (
     named_examples,
     random_cone,
     sample_cones,
+    _draw_cone,
     _uniform,
 )
 from toricfree.fans import Fan
@@ -34,6 +36,48 @@ def test_uniform_draws_the_randint_stream(seed, bound, low, width):
         assert _uniform(ours.getrandbits, -bound, bound) == theirs.randint(-bound, bound)
         assert _uniform(ours.getrandbits, low, low + width) == theirs.randint(low, low + width)
     assert ours.getstate() == theirs.getstate()
+
+
+def draw_by_uniform(rng, config):
+    """``_draw_cone`` drawing every number through ``_uniform``, one call per coordinate."""
+    bits, bound = rng.getrandbits, config.bound
+    for _ in range(corpus.REJECTION_LIMIT):
+        k = _uniform(bits, config.min_generators, config.max_generators)
+        gens = [[_uniform(bits, -bound, bound) for _ in range(config.rank)] for _ in range(k)]
+        if any(all(c == 0 for c in g) for g in gens):
+            continue
+        try:
+            return Cone(gens, config.rank)
+        except NotStronglyConvexError:
+            continue
+    raise GenerationBudgetError(
+        f"no strongly convex cone found in {corpus.REJECTION_LIMIT} attempts for {config}")
+
+
+def outcome(draw, rng, config):
+    try:
+        return draw(rng, config)
+    except GenerationBudgetError as exc:
+        return str(exc)
+
+
+def test_one_loop_draw_consumes_the_uniform_stream(monkeypatch):
+    # a small budget makes the crowded ranges run out of attempts now and then,
+    # so the failing draw is compared as well
+    monkeypatch.setattr(corpus, "REJECTION_LIMIT", 2)
+    draws = failed = 0
+    for rank in range(2, 7):
+        for bound in range(1, 10):
+            for low, high in ((0, 0), (0, rank + 2), (1, rank), (rank, 2 * rank + 2)):
+                config = GeneratorConfig(rank, low, high, bound, seed=rank * 100 + bound)
+                ours, theirs = random.Random(config.seed), random.Random(config.seed)
+                for _ in range(10):
+                    got = outcome(_draw_cone, ours, config)
+                    assert got == outcome(draw_by_uniform, theirs, config)
+                    assert ours.getstate() == theirs.getstate()
+                    draws += 1
+                    failed += isinstance(got, str)
+    assert draws == 1800 and failed >= 50
 
 
 def test_streams_are_bit_identical():

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from oracles import brute_force_locally_free, diagnose_by_partial_sums, witnesses_by_smith
+from oracles import (
+    brute_force_locally_free,
+    decide_by_own_splits,
+    diagnose_by_partial_sums,
+    witnesses_by_smith,
+)
 from timing import deadline
+from toricfree import cones
 from toricfree.cones import Cone, NotStronglyConvexError
 from toricfree.fans import fan_from_generators, validate_fan
 from toricfree.klyachko import (
@@ -19,7 +25,8 @@ from toricfree.klyachko import (
     tangent_filtration,
     verify_certificate,
 )
-from toricfree.lattice import RationalSubspace, dot, is_primitive
+from toricfree.lattice import RationalSubspace, dot, is_primitive, primitive
+from toricfree.serialize import freeness_to_document
 
 
 def random_cones(seed, count, ranks=(2, 3, 4), bound=5):
@@ -456,3 +463,49 @@ def test_fan_of_rays_always_locally_free():
     fan = validate_fan([Cone([(1, 2)], 2), Cone([(-1, 0)], 2), Cone([(3, -1)], 2)])
     report = decide_tangent_locally_free_on_fan(fan)
     assert report.verdict
+
+
+def test_split_record_matches_the_deciders_own_splits(monkeypatch):
+    """The split basis read from the double description is the one a loop of its own finds.
+
+    About 40% of the inputs get a non-extreme generator, the sum of two
+    drawn ones, and such a cone keeps no description from its constructor:
+    the decider rebuilds it from the cone's own rays, one more double
+    description, whenever it reaches the record.
+    """
+    calls = []
+    original = cones._double_description
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_double_description", counted)
+    rng = random.Random(2111)
+    outcomes, rebuilt = {}, 0
+    for n in range(1, 7):
+        for bound in range(1, 10):
+            for _ in range(75):
+                gens = [[rng.randint(-bound, bound) for _ in range(n)]
+                        for _ in range(rng.randint(1, n + 2))]
+                if len(gens) > 1 and rng.random() < 0.4:
+                    a, b = rng.sample(gens, 2)
+                    gens.insert(rng.randint(0, len(gens)), [x + y for x, y in zip(a, b)])
+                calls.clear()
+                try:
+                    cone = Cone(gens, n)
+                except NotStronglyConvexError:
+                    continue
+                ours = freeness_to_document(decide_tangent_locally_free(cone))
+                distinct = {primitive(g) for g in gens if any(g)}
+                redundant = len(distinct) > len(cone.generators)
+                rebuild = redundant and len(cone.generators) <= n
+                assert len(calls) == 1 + rebuild
+                if rebuild:
+                    assert calls[1] == (cone.generators, n)
+                    rebuilt += 1
+                assert ours == freeness_to_document(decide_by_own_splits(cone))
+                kind = ours.get("failure", "free").split(" for ")[0]
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert rebuilt >= 800
+    assert min(outcomes.values()) >= 400 and len(outcomes) == 3
