@@ -83,7 +83,7 @@ class Cone:
     """
 
     __slots__ = ("rank", "generators", "lineality_basis", "_described", "_dual", "_dim",
-                 "_faces")
+                 "_faces", "_perp_pivots")
 
     def __init__(self, generators: Iterable[Sequence[int]], rank: int):
         if rank < 1:
@@ -231,13 +231,16 @@ class Cone:
 
         The representative is obtained by top-down reduction against the
         Hermite basis of ``perp_sublattice``, so equal classes always reduce
-        to the same tuple.
+        to the same tuple.  The rows' pivots are found on the first call.
         """
         w = list(vec(m))
         if len(w) != self.rank:
             raise ValueError(f"weight length {len(w)}, expected {self.rank}")
-        for row in self._description()[0]:
-            pivot = next(j for j, c in enumerate(row) if c)
+        rows = self._description()[0]
+        if self._perp_pivots is None:
+            object.__setattr__(self, "_perp_pivots",
+                               tuple(next(j for j, c in enumerate(row) if c) for row in rows))
+        for row, pivot in zip(rows, self._perp_pivots):
             q = w[pivot] // row[pivot]
             if q:
                 w = [a - q * b for a, b in zip(w, row)]
@@ -305,8 +308,8 @@ def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: in
 def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
                lin_rows: tuple[Vector, ...], described: tuple | None = None,
                dim: int | None = None) -> None:
-    """Fill every slot of a cone; the dual and the faces start unbuilt."""
-    values = (rank, generators, lin_rows, described, None, dim, None)
+    """Fill every slot of a cone; the dual, the faces and the pivots start unbuilt."""
+    values = (rank, generators, lin_rows, described, None, dim, None, None)
     for name, value in zip(Cone.__slots__, values):
         object.__setattr__(cone, name, value)
 

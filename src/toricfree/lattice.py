@@ -8,13 +8,18 @@ transformation matrices alongside the reduced matrix so callers can
 verify the defining identities directly.  Each form is one elimination
 on one matrix, and its transforms ride along as an identity block of
 extra columns (U) or, for Smith, extra rows (V), so ``invariant_factors``
-carries none.  Both clear each entry below a pivot with one call of
-``_clear_entry``, a determinant-one 2x2 row step (plain elimination when
-the pivot divides the entry, an extended-gcd step otherwise); Smith's
-column steps are the same step on columns, and pass over rows that are
-zero in both.  A kernel takes no transform: ``_split_off`` splits each
-row off the standard basis by unimodular Euclid steps, and one Hermite
-form with no transform, ``_hermite_eliminate``, makes the rest canonical.  The double
+carries none.  Every unimodular elimination (Hermite, Smith and the
+kernel's splits) takes one Euclid step: pivot on the smallest nonzero
+entry and subtract from the others the nearest integer multiple
+q = (2p + p_k) // (2p_k) of it, which leaves each remainder at most half
+the pivot, until only the pivot is left.
+``_euclid`` runs that loop on the pairings of a list of rows; a Hermite
+form runs it on each column, and ``_split_off`` on a lattice basis's
+pairings with a vector.  The Smith form takes one such step on the
+pivot's row and column at a time and searches for the smallest entry
+again.  A kernel takes no transform: ``_split_off`` splits each row off
+the standard basis, and one Hermite form with no transform,
+``_hermite_eliminate``, makes the rest canonical.  The double
 description of the cone layer runs the same two steps on its lineality.
 Rational subspaces and ``matrix_rank`` share one fraction-free
 elimination (cross-multiplication with a gcd reduction per row, after
@@ -81,21 +86,6 @@ def primitive(v: Iterable[int]) -> Vector:
 
 def is_primitive(v: Sequence[int]) -> bool:
     return content(v) == 1
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with g = a*x + b*y and g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -182,37 +172,58 @@ def matrix_rank(a: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def _clear_entry(mat: Matrix, i: int, j: int, col: int) -> None:
-    """Clear mat[j][col] against the nonzero pivot mat[i][col] by one determinant-one 2x2 row step.
+def _euclid(rows: list[Sequence[int]], live: list[int], pairings: list[int]) -> int:
+    """Unimodular Euclid steps on rows until one pairs nonzero; its index.
 
-    When the pivot divides the entry this is plain elimination, which
-    leaves row i as it is; otherwise it is the extended-gcd step, which
-    turns the pivot into gcd(pivot, entry).
+    pairings[j] is row j's pairing and live lists, in index order, each j
+    whose pairing is nonzero.  The row k of smallest |p_k| is subtracted
+    q times from each other live row, q the nearest integer to p_j / p_k,
+    and rows whose pairing drops to zero leave; the pairings are updated
+    with the rows.  Ties go to the lowest index.  A round leaves every
+    other pairing at most |p_k| / 2 in size, so the pivot of the next
+    round is found among them in the same pass that updates them.
     """
-    ri, rj = mat[i], mat[j]
-    a, b = ri[col], rj[col]
-    if b % a == 0:
-        q = b // a
-        mat[j] = [s - q * p for p, s in zip(ri, rj)]
-    else:
-        g, x, y = xgcd(a, b)
-        z, w = b // g, a // g
-        mat[i] = [x * p + y * s for p, s in zip(ri, rj)]
-        mat[j] = [w * s - z * p for p, s in zip(ri, rj)]
+    k = live[0]
+    best = abs(pairings[k])
+    for j in live:
+        if abs(pairings[j]) < best:
+            k, best = j, abs(pairings[j])
+    while len(live) > 1:
+        pk, rk = pairings[k], rows[k]
+        survivors, pivot, best = [], k, 0
+        for j in live:
+            if j != k:
+                p = pairings[j]
+                q = (2 * p + pk) // (2 * pk)
+                if q:
+                    p -= q * pk
+                    pairings[j] = p
+                    rows[j] = [x - q * y for x, y in zip(rows[j], rk)]
+                if not p:
+                    continue
+                if not best or abs(p) < best:
+                    pivot, best = j, abs(p)
+            survivors.append(j)
+        live, k = survivors, pivot
+    return k
 
 
 def _hermite_eliminate(h: Matrix, ncols: int) -> None:
-    """Bring the first ncols columns of h to Hermite form in place; further columns ride along."""
+    """Bring the first ncols columns of h to Hermite form in place; further columns ride along.
+
+    Each column's entries are the pairings of ``_euclid`` on the rows not
+    yet holding a pivot; the one row left nonzero becomes the next pivot
+    row, made positive, and the rows above are reduced into [0, pivot).
+    """
     m = len(h)
     row = 0
     for col in range(ncols):
-        pivot = next((i for i in range(row, m) if h[i][col]), None)
-        if pivot is None:
+        live = [i for i in range(row, m) if h[i][col]]
+        if not live:
             continue
-        h[row], h[pivot] = h[pivot], h[row]
-        for i in range(row + 1, m):
-            if h[i][col]:
-                _clear_entry(h, row, i, col)
+        pairings = [r[col] for r in h]
+        k = _euclid(h, live, pairings)
+        h[row], h[k] = h[k], h[row]
         if h[row][col] < 0:
             h[row] = [-c for c in h[row]]
         top = h[row]
@@ -239,7 +250,15 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
 
 
 def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
-    """Bring the top-left m x n block of d to Smith form in place; further rows and columns ride along."""
+    """Bring the top-left m x n block of d to Smith form in place; further rows and columns ride along.
+
+    The smallest nonzero entry of the block left is moved to (t, t), and
+    row t and column t are reduced by nearest-integer multiples of it, the
+    step of ``_euclid``.  Any remainder is at most half the pivot, so the
+    search runs again until row t and column t are clear.  When the pivot
+    then fails to divide the rest of the block, the offending row is added
+    to row t and the search runs again too.
+    """
     t = 0
     while t < min(m, n):
         # smallest nonzero entry, first in row-major order on ties (a unit is never beaten)
@@ -256,37 +275,27 @@ def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
         if pj != t:
             for r in d:
                 r[t], r[pj] = r[pj], r[t]
-        while True:
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    _clear_entry(d, t, i, t)
-            for j in range(t + 1, n):
-                a, b = d[t][t], d[t][j]
-                if not b:
-                    continue
-                # the column step; rows zero in both columns stay zero
-                if b % a == 0:
-                    q = b // a
-                    for r in d:
-                        if r[t]:
-                            r[j] -= q * r[t]
-                else:
-                    g, x, y = xgcd(a, b)
-                    z, w = b // g, a // g
-                    for r in d:
-                        p, s = r[t], r[j]
-                        if p or s:
-                            r[t], r[j] = x * p + y * s, w * s - z * p
-            if any(d[i][t] for i in range(t + 1, m)):
-                continue  # the column ops can reintroduce entries below the pivot
-            off = next((i for i in range(t + 1, m)
-                        if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
-            if off is None:
-                break
-            # pull the offending row up, then re-reduce
-            d[t] = [p + s for p, s in zip(d[t], d[off])]
-        if d[t][t] < 0:
-            d[t] = [-c for c in d[t]]
+        top = d[t]
+        p = top[t]
+        for i in range(t + 1, m):
+            q = (2 * d[i][t] + p) // (2 * p)
+            if q:
+                d[i] = [s - q * c for c, s in zip(top, d[i])]
+        for j in range(t + 1, n):
+            q = (2 * top[j] + p) // (2 * p)
+            if q:
+                # the column step; rows zero in column t stay as they are
+                for r in d:
+                    if r[t]:
+                        r[j] -= q * r[t]
+        if any(d[i][t] for i in range(t + 1, m)) or any(top[t + 1:n]):
+            continue
+        off = next((i for i in range(t + 1, m) if any(c % p for c in d[i][t + 1:n])), None)
+        if off is not None:
+            d[t] = [a + b for a, b in zip(top, d[off])]
+            continue
+        if p < 0:
+            d[t] = [-c for c in top]
         t += 1
 
 
@@ -360,44 +369,16 @@ def _standard_basis(rank: int) -> tuple[Vector, ...]:
 def _split_off(basis: list[Sequence[int]], a: Sequence[int]) -> tuple[Sequence[int], int] | None:
     """Pop the one vector of a lattice basis that pairs nonzero with a, after Euclid steps.
 
-    The vector of smallest nonzero pairing p_k is subtracted q times from
-    each other one, q the nearest integer to p_j / p_k, until one vector b0
-    pairs nonzero; b0 is popped and returned with its pairing, made
-    positive.  The steps are unimodular, so what is left is a basis of the
-    lattice's points on the hyperplane of a.  None when every pairing is 0.
-
-    Ties go to the lowest index.  A round leaves every other pairing at
-    most |p_k| / 2 in size, so the pivot of the next round is found among
-    them in the same pass that updates them.
+    ``_euclid`` runs on the pairings with a until one vector b0 pairs
+    nonzero; b0 is popped and returned with its pairing, made positive.
+    The steps are unimodular, so what is left is a basis of the lattice's
+    points on the hyperplane of a.  None when every pairing is 0.
     """
     pairings = [sum(map(mul, a, b)) for b in basis]
-    # live holds, in index order, each j with a nonzero pairing; k is the pivot
     live = [j for j, p in enumerate(pairings) if p]
     if not live:
         return None
-    k = live[0]
-    if len(live) > 1:
-        best = abs(pairings[k])
-        for j in live:
-            if abs(pairings[j]) < best:
-                k, best = j, abs(pairings[j])
-    while len(live) > 1:
-        pk, bk = pairings[k], basis[k]
-        survivors, pivot, best = [], k, 0
-        for j in live:
-            if j != k:
-                p = pairings[j]
-                q = (2 * p + pk) // (2 * pk)
-                if q:
-                    p -= q * pk
-                    pairings[j] = p
-                    basis[j] = [x - q * y for x, y in zip(basis[j], bk)]
-                if not p:
-                    continue
-                if not best or abs(p) < best:
-                    pivot, best = j, abs(p)
-            survivors.append(j)
-        live, k = survivors, pivot
+    k = _euclid(basis, live, pairings)
     b0, p0 = basis.pop(k), pairings[k]
     return (b0, p0) if p0 > 0 else (negated(b0), -p0)
 

@@ -1,13 +1,15 @@
 """Independent oracles used only by the test suite.
 
 Integer solving goes through sympy's Smith decomposition rather than the
-package's own solver, and the local-freeness oracle enumerates the whole
-forced weight box instead of reusing the decision procedure, so each
-comparison genuinely crosses two routes.  The local-freeness witnesses
-are also found a second way, by the package's Smith form with its
-transforms, which the decider itself no longer takes, and a third, by
-the decider's own earlier loop that split each ray off the standard
-basis itself instead of reading the cone's split record.
+package's own solver, the normal forms are checked against sympy's and
+against the extended-gcd elimination the package once ran, and the
+local-freeness oracle enumerates the whole forced weight box instead of
+reusing the decision procedure, so each comparison genuinely crosses two
+routes.  The local-freeness witnesses are also found a second way, by
+the package's Smith form with its transforms, which the decider itself
+no longer takes, and a third, by the decider's own earlier loop that
+split each ray off the standard basis itself instead of reading the
+cone's split record.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import gcd
 
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from toricfree.cones import Cone, _canonical_cone, _double_description
@@ -32,8 +35,8 @@ from toricfree.lattice import (
     RationalSubspace,
     _split_off,
     _standard_basis,
+    copy_matrix,
     dot,
-    hermite_normal_form,
     identity_matrix,
     is_zero,
     smith_normal_form,
@@ -69,6 +72,23 @@ def sympy_determinant(rows: list[list[int]]) -> int:
     """Determinant of a nonempty square integer matrix by sympy's domain matrices."""
     n = len(rows)
     return int(DomainMatrix([[ZZ(c) for c in row] for row in rows], (n, n), ZZ).det())
+
+
+def sympy_hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
+    """The package's row-style Hermite form H of a nonempty matrix, by sympy.
+
+    sympy's form W = x @ V is column-style, with each column's last nonzero
+    entry as its pivot, pivots in rising rows, the entries right of a pivot
+    reduced and the zero columns dropped.  Taking x as the transpose of
+    rows with its rows reversed, and reversing W's rows and columns, gives
+    the transpose of H with pivots first and the entries left of a pivot
+    reduced; H's zero rows are put back at the bottom.
+    """
+    m, n = len(rows), len(rows[0])
+    x = transpose(rows)[::-1]
+    w = sympy_hnf(DomainMatrix([[ZZ(c) for c in row] for row in x], (n, m), ZZ)).to_list()
+    h = transpose([[int(c) for c in row[::-1]] for row in w[::-1]])
+    return h + [[0] * n for _ in range(m - len(h))]
 
 
 def sympy_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
@@ -336,13 +356,15 @@ def kernel_by_hermite_transform(a: list[list[int]]) -> list[tuple[int, ...]]:
     The rows of the unimodular transform U with U @ a^T in Hermite form
     that meet its zero rows are a basis of the kernel; their own Hermite
     form is the canonical one.  The package's ``integer_kernel_basis``
-    takes Euclid steps on a lattice basis instead.  U's entries explode on
-    large matrices (Kannan & Bachem 1979), so keep the inputs small.
+    takes Euclid steps on a lattice basis instead, and the transform here
+    is the extended-gcd one of ``xgcd_hermite_normal_form``, so no step is
+    shared.  U's entries explode on large matrices (Kannan & Bachem 1979),
+    so keep the inputs small.
     """
     n = len(a[0])
-    h, u = hermite_normal_form(transpose(a))
+    h, u = xgcd_hermite_normal_form(transpose(a))
     kernel_rows = [u[i] for i in range(n) if is_zero(h[i])]
-    return [vec(row) for row in hermite_normal_form(kernel_rows)[0] if not is_zero(row)]
+    return [vec(row) for row in xgcd_hermite_normal_form(kernel_rows)[0] if not is_zero(row)]
 
 
 def lineality_by_kernel(normals: list[tuple[int, ...]], rank: int) -> list[tuple[int, ...]]:
@@ -355,3 +377,145 @@ def lineality_by_kernel(normals: list[tuple[int, ...]], rank: int) -> list[tuple
         return [vec(row) for row in identity_matrix(rank)]
     return kernel_by_hermite_transform([list(a) for a in normals])
 
+
+
+# The extended-gcd elimination that ``toricfree.lattice`` ran before all
+# its eliminations took the smallest-pivot Euclid step, kept as the second
+# algorithm for the normal forms.  H and D are unique, so they must agree
+# with the package's; the transforms U and V need not.  It is slow on
+# dense input: about 30 s for a 30 x 30 Hermite form with entries up to 10^6.
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended gcd: returns (g, x, y) with g = a*x + b*y and g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _clear_entry(mat: list[list[int]], i: int, j: int, col: int) -> None:
+    """Clear mat[j][col] against the nonzero pivot mat[i][col] by one determinant-one 2x2 row step.
+
+    When the pivot divides the entry this is plain elimination, which
+    leaves row i as it is; otherwise it is the extended-gcd step, which
+    turns the pivot into gcd(pivot, entry).
+    """
+    ri, rj = mat[i], mat[j]
+    a, b = ri[col], rj[col]
+    if b % a == 0:
+        q = b // a
+        mat[j] = [s - q * p for p, s in zip(ri, rj)]
+    else:
+        g, x, y = xgcd(a, b)
+        z, w = b // g, a // g
+        mat[i] = [x * p + y * s for p, s in zip(ri, rj)]
+        mat[j] = [w * s - z * p for p, s in zip(ri, rj)]
+
+
+def _xgcd_hermite_eliminate(h: list[list[int]], ncols: int) -> None:
+    """Bring the first ncols columns of h to Hermite form in place; further columns ride along."""
+    m = len(h)
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, m) if h[i][col]), None)
+        if pivot is None:
+            continue
+        h[row], h[pivot] = h[pivot], h[row]
+        for i in range(row + 1, m):
+            if h[i][col]:
+                _clear_entry(h, row, i, col)
+        if h[row][col] < 0:
+            h[row] = [-c for c in h[row]]
+        top = h[row]
+        p = top[col]
+        for i in range(row):
+            q = h[i][col] // p
+            if q:
+                h[i] = [s - q * c for c, s in zip(top, h[i])]
+        row += 1
+
+
+def _xgcd_smith_eliminate(d: list[list[int]], m: int, n: int) -> None:
+    """Bring the top-left m x n block of d to Smith form in place; further rows and columns ride along."""
+    t = 0
+    while t < min(m, n):
+        # smallest nonzero entry, first in row-major order on ties (a unit is never beaten)
+        best, pi, pj = 0, t, t
+        for i in range(t, m):
+            for j, c in enumerate(d[i][t:n], t):
+                if c and (abs(c) < best or not best):
+                    best, pi, pj = abs(c), i, j
+            if best == 1:
+                break
+        if not best:
+            break
+        d[t], d[pi] = d[pi], d[t]
+        if pj != t:
+            for r in d:
+                r[t], r[pj] = r[pj], r[t]
+        while True:
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    _clear_entry(d, t, i, t)
+            for j in range(t + 1, n):
+                a, b = d[t][t], d[t][j]
+                if not b:
+                    continue
+                # the column step; rows zero in both columns stay zero
+                if b % a == 0:
+                    q = b // a
+                    for r in d:
+                        if r[t]:
+                            r[j] -= q * r[t]
+                else:
+                    g, x, y = xgcd(a, b)
+                    z, w = b // g, a // g
+                    for r in d:
+                        p, s = r[t], r[j]
+                        if p or s:
+                            r[t], r[j] = x * p + y * s, w * s - z * p
+            if any(d[i][t] for i in range(t + 1, m)):
+                continue  # the column ops can reintroduce entries below the pivot
+            off = next((i for i in range(t + 1, m)
+                        if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
+            if off is None:
+                break
+            # pull the offending row up, then re-reduce
+            d[t] = [p + s for p, s in zip(d[t], d[off])]
+        if d[t][t] < 0:
+            d[t] = [-c for c in d[t]]
+        t += 1
+
+
+def xgcd_hermite_normal_form(a) -> tuple[list[list[int]], list[list[int]]]:
+    """``hermite_normal_form`` on the extended-gcd elimination: (H, U) with H = U @ a."""
+    rows = copy_matrix(a)
+    n = len(rows[0]) if rows else 0
+    hu = [row + e for row, e in zip(rows, identity_matrix(len(rows)))]
+    _xgcd_hermite_eliminate(hu, n)
+    return [row[:n] for row in hu], [row[n:] for row in hu]
+
+
+def xgcd_smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """``smith_normal_form`` on the extended-gcd elimination: (D, U, V) with D = U @ a @ V."""
+    rows = copy_matrix(a)
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    d = [row + e for row, e in zip(rows, identity_matrix(m))] + identity_matrix(n)
+    _xgcd_smith_eliminate(d, m, n)
+    return [row[:n] for row in d[:m]], [row[n:] for row in d[:m]], d[m:]
+
+
+def xgcd_invariant_factors(a) -> tuple[int, ...]:
+    """``invariant_factors`` on the extended-gcd elimination, with no transform."""
+    d = copy_matrix(a)
+    m, n = len(d), len(d[0]) if d else 0
+    _xgcd_smith_eliminate(d, m, n)
+    return tuple(d[i][i] for i in range(min(m, n)) if d[i][i])

@@ -14,8 +14,13 @@ from oracles import (
     fraction_rref_rows,
     kernel_by_hermite_transform,
     sympy_determinant,
+    sympy_hermite_normal_form,
     sympy_invariant_factors,
     sympy_solve_integer,
+    xgcd,
+    xgcd_hermite_normal_form,
+    xgcd_invariant_factors,
+    xgcd_smith_normal_form,
 )
 from timing import deadline
 from toricfree.lattice import (
@@ -38,7 +43,6 @@ from toricfree.lattice import (
     solve_integer_system,
     transpose,
     vec,
-    xgcd,
 )
 
 int_entries = st.integers(min_value=-20, max_value=20)
@@ -53,6 +57,19 @@ def int_matrices(draw, max_dim=5, entries=int_entries):
 
 def pivot(row):
     return next(j for j, c in enumerate(row) if c)
+
+
+def assert_hermite_form(h):
+    """Zero rows at the bottom, staircase pivots, positive pivots, reduced above."""
+    nonzero = [row for row in h if not is_zero(row)]
+    assert h[:len(nonzero)] == nonzero
+    pivots = [pivot(row) for row in nonzero]
+    assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
+    for i, row in enumerate(nonzero):
+        p = pivots[i]
+        assert row[p] > 0
+        for j in range(i):
+            assert 0 <= nonzero[j][p] < row[p]
 
 
 def test_primitive_examples():
@@ -81,16 +98,7 @@ def test_hermite_normal_form_contract(a):
     h, u = hermite_normal_form(a)
     assert mat_mul(u, a) == h
     assert abs(determinant(u)) == 1
-    nonzero = [row for row in h if not is_zero(row)]
-    # zero rows at the bottom, staircase pivots, positive pivot, reduced above
-    assert h[:len(nonzero)] == nonzero
-    pivots = [pivot(row) for row in nonzero]
-    assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-    for i, row in enumerate(nonzero):
-        p = pivots[i]
-        assert row[p] > 0
-        for j in range(i):
-            assert 0 <= nonzero[j][p] < row[p]
+    assert_hermite_form(h)
 
 
 @settings(max_examples=200)
@@ -117,6 +125,35 @@ def test_smith_normal_form_contract(a):
 @given(int_matrices(max_dim=4))
 def test_invariant_factors_match_sympy(a):
     assert invariant_factors(a) == sympy_invariant_factors(a)
+
+
+def test_dense_normal_forms_are_fast_and_exact():
+    # the extended-gcd elimination took 28.9 s on one dense 30 x 30 Hermite
+    # form; the checks run outside the deadline, each oracle only up to the
+    # size it handles within about a quarter of a second
+    rng = random.Random(2230)
+    shapes = [(k, k) for k in (1, 3, 8, 16, 24, 30)] + [(8, 16), (16, 8), (20, 30), (30, 20)]
+    matrices = [[[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(m)]
+                for m, n in shapes]
+    matrices.append(_product(rng, 24, 12, 24, 288))  # rank 12, entries up to 10^6
+    for a in matrices:
+        m, n = len(a), len(a[0])
+        with deadline(3):
+            h, u = hermite_normal_form(a)
+            d, du, dv = smith_normal_form(a)
+            factors = invariant_factors(a)
+        assert mat_mul(u, a) == h and abs(determinant(u)) == 1
+        assert_hermite_form(h)
+        assert mat_mul(mat_mul(du, a), dv) == d
+        assert abs(determinant(du)) == abs(determinant(dv)) == 1
+        assert factors == tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
+        if max(m, n) <= 16:
+            assert h == xgcd_hermite_normal_form(a)[0]
+        if max(m, n) <= 24:
+            assert factors == xgcd_invariant_factors(a)
+        if max(m, n) <= 20:
+            assert h == sympy_hermite_normal_form(a)
+            assert factors == sympy_invariant_factors(a)
 
 
 def test_determinant_matches_sympy_on_sparse_and_dense_matrices():
@@ -527,10 +564,10 @@ def pinned_matrices():
 
 
 # SHA-256 of the exact outputs below, recorded before the elimination
-# steps in lattice.py were shared; the transforms U and V fix the
-# solutions ``solve_integer_system`` returns, and with them the witnesses
-# of the Smith oracle in tests/oracles.py.  Reports no longer carry
-# Smith-transform witnesses: the decider's are class representatives.
+# steps in lattice.py were shared, and computed here from the extended-gcd
+# elimination kept in tests/oracles.py, so it pins that oracle as the
+# code the package once ran.  The package's H and D are the same, being
+# unique; its transforms U and V are not, and are pinned separately below.
 PINNED_NORMAL_FORM_DIGEST = "618d366bcd3a631d3ebf381791c7442adec4e03931336ca030e1f11f0d3106fa"
 
 
@@ -539,15 +576,37 @@ def test_normal_forms_are_pinned():
     assert all(abs(c) <= 10**6 for a in large for row in a for c in row)
     digest = hashlib.sha256()
     for a in small + large:
-        digest.update(repr((hermite_normal_form(a), smith_normal_form(a),
+        digest.update(repr((xgcd_hermite_normal_form(a), xgcd_smith_normal_form(a),
                             matrix_rank(a))).encode())
     assert digest.hexdigest() == PINNED_NORMAL_FORM_DIGEST
 
 
+# SHA-256 of the package's exact outputs on the same set.  The transforms
+# U and V fix the solutions ``solve_integer_system`` returns, and with them
+# the witnesses of the Smith oracle in tests/oracles.py.  Reports carry no
+# Smith-transform witnesses: the decider's are class representatives.
+PINNED_EUCLID_NORMAL_FORM_DIGEST = "8c39086257c228f1ad53a15e260164e2dd3bec9c3e4342ac44942b472c7f0653"
+
+
+def test_normal_forms_match_the_oracle_and_are_pinned():
+    small, large = pinned_matrices()
+    digest = hashlib.sha256()
+    for a in small + large:
+        (h, u), (d, du, dv), rank = hermite_normal_form(a), smith_normal_form(a), matrix_rank(a)
+        assert h == xgcd_hermite_normal_form(a)[0]
+        assert d == xgcd_smith_normal_form(a)[0]
+        assert rank == len([row for row in h if not is_zero(row)])
+        assert mat_mul(u, a) == h and mat_mul(mat_mul(du, a), dv) == d
+        assert abs(determinant(u)) == abs(determinant(du)) == abs(determinant(dv)) == 1
+        digest.update(repr(((h, u), (d, du, dv), rank)).encode())
+    assert digest.hexdigest() == PINNED_EUCLID_NORMAL_FORM_DIGEST
+
+
 # SHA-256 of the outputs below, recorded while both functions still ran the
 # full normal forms with their transforms.  The kernels of large[2],
-# large[3] and the transposed stacked matrix are left out: their first
-# Hermite form grows U to hundreds of bits and takes minutes.
+# large[3] and the transposed stacked matrix are left out: the extended-gcd
+# Hermite form that once ended every kernel did not finish on them, so
+# they were never pinned; test_large_kernels_are_fast_and_saturated checks them.
 PINNED_KERNEL_DIGEST = "07f33399d94cd5236b51d06a02ff6d48761e6e55ea00dfafb7567c668cac91c2"
 
 
@@ -559,6 +618,18 @@ def test_kernels_and_invariant_factors_are_pinned():
     for a in [b for s in small for b in (s, transpose(s)) if b] + large[:2]:
         digest.update(repr(integer_kernel_basis(a)).encode())
     assert digest.hexdigest() == PINNED_KERNEL_DIGEST
+
+
+def test_large_kernels_are_fast_and_saturated():
+    _, large = pinned_matrices()
+    for a in (large[2], large[3], transpose(large[1])):
+        with deadline(2):
+            kernel = integer_kernel_basis(a)
+        assert all(mat_vec(a, v) == (0,) * len(a) for v in kernel)
+        assert len(kernel) == len(a[0]) - matrix_rank(a)
+        assert_hermite_form(kernel)
+        # saturated: the basis extends to one of Z^n
+        assert invariant_factors(kernel) == (1,) * len(kernel)
 
 
 def test_matrix_rank_on_large_matrices():
