@@ -14,13 +14,14 @@ entry and subtract from the others the nearest integer multiple
 q = (2p + p_k) // (2p_k) of it, which leaves each remainder at most half
 the pivot, until only the pivot is left.
 ``_euclid`` runs that loop on the pairings of a list of rows; a Hermite
-form runs it on each column, and ``_split_off`` on a lattice basis's
-pairings with a vector.  The Smith form takes one such step on the
-pivot's row and column at a time and searches for the smallest entry
-again.  A kernel takes no transform: ``_split_off`` splits each row off
+form and a Smith form run it on each pivot's column, and ``_split_off``
+on a lattice basis's pairings with a vector.  ``_kernel_basis`` is the
+only kernel, and takes no transform: ``_split_off`` splits each row off
 the standard basis, and one Hermite form with no transform,
-``_hermite_eliminate``, makes the rest canonical.  The double
-description of the cone layer runs the same two steps on its lineality.
+``_hermite_eliminate``, makes the rest canonical.  A subspace's
+orthogonal complement and an integer solution of a @ x = b are both read
+off it.  The double description of the cone layer runs the same two
+steps on its lineality.
 Rational subspaces and ``matrix_rank`` share one fraction-free
 elimination (cross-multiplication with a gcd reduction per row, after
 Bareiss 1968 and Cohen, *A Course in Computational Algebraic Number
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import index, mul, neg
 from typing import Iterable, Sequence
 
@@ -115,6 +116,8 @@ def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> Vector:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    """a @ b, both operands copied through ``copy_matrix``."""
+    a, b = copy_matrix(a), copy_matrix(b)
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimension mismatch")
     bt = transpose(b)
@@ -252,35 +255,29 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
 def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
     """Bring the top-left m x n block of d to Smith form in place; further rows and columns ride along.
 
-    The smallest nonzero entry of the block left is moved to (t, t), and
-    row t and column t are reduced by nearest-integer multiples of it, the
-    step of ``_euclid``.  Any remainder is at most half the pivot, so the
-    search runs again until row t and column t are clear.  When the pivot
-    then fails to divide the rest of the block, the offending row is added
-    to row t and the search runs again too.
+    For each pivot t, ``_euclid`` clears column t below row t (a zero
+    column swaps in the first later nonzero one, or the block is done)
+    and row t is reduced by nearest-integer multiples of the pivot.  The
+    smallest remainder, at most half the pivot and the leftmost on ties,
+    is swapped into column t, and the step runs again.  When
+    the pivot then fails to divide the rest of the block, the offending
+    row is added to row t, which leaves a remainder too.
     """
     t = 0
     while t < min(m, n):
-        # smallest nonzero entry, first in row-major order on ties (a unit is never beaten)
-        best, pi, pj = 0, t, t
-        for i in range(t, m):
-            for j, c in enumerate(d[i][t:n], t):
-                if c and (abs(c) < best or not best):
-                    best, pi, pj = abs(c), i, j
-            if best == 1:
+        live = [i for i in range(t, m) if d[i][t]]
+        if not live:
+            j = next((j for j in range(t + 1, n) if any(d[i][j] for i in range(t, m))), None)
+            if j is None:
                 break
-        if not best:
-            break
-        d[t], d[pi] = d[pi], d[t]
-        if pj != t:
             for r in d:
-                r[t], r[pj] = r[pj], r[t]
+                r[t], r[j] = r[j], r[t]
+            continue
+        k = _euclid(d, live, [r[t] for r in d])
+        d[t], d[k] = d[k], d[t]
         top = d[t]
         p = top[t]
-        for i in range(t + 1, m):
-            q = (2 * d[i][t] + p) // (2 * p)
-            if q:
-                d[i] = [s - q * c for c, s in zip(top, d[i])]
+        best, pj = 0, t
         for j in range(t + 1, n):
             q = (2 * top[j] + p) // (2 * p)
             if q:
@@ -288,7 +285,12 @@ def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
                 for r in d:
                     if r[t]:
                         r[j] -= q * r[t]
-        if any(d[i][t] for i in range(t + 1, m)) or any(top[t + 1:n]):
+            c = abs(top[j])
+            if c and (not best or c < best):
+                best, pj = c, j
+        if best:
+            for r in d:
+                r[t], r[pj] = r[pj], r[t]
             continue
         off = next((i for i in range(t + 1, m) if any(c % p for c in d[i][t + 1:n])), None)
         if off is not None:
@@ -325,25 +327,25 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def solve_integer_system(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vector | None:
     """One integer solution x of a @ x = b, or None when no integer solution exists.
 
-    The solution is pinned down deterministically: in Smith coordinates every
-    free component is set to zero, so equal inputs always give equal outputs.
+    The kernel of [a | -b] holds (x, s) exactly when a @ x = s b, and its
+    last coordinates form the ideal of the s that occur.  ``_euclid`` on
+    them leaves one kernel vector with the generator of that ideal last;
+    a solution exists when the generator is a unit, and that vector, made
+    to end in 1, gives it.  The steps are deterministic, so equal inputs
+    always give equal outputs.
     """
-    m = len(a)
-    if len(b) != m:
-        raise ValueError(f"system has {m} equations but {len(b)} right-hand sides")
-    d, u, v = smith_normal_form(a)
-    n = len(v)
-    c = mat_vec(u, vec(b))
-    y = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < n else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return mat_vec(v, y)
+    rows = copy_matrix(a)
+    if len(b) != len(rows):
+        raise ValueError(f"system has {len(rows)} equations but {len(b)} right-hand sides")
+    n = len(rows[0]) if rows else 0
+    kernel: list[Sequence[int]] = _kernel_basis([row + [-c] for row, c in zip(rows, vec(b))], n + 1)
+    pairings = [x[n] for x in kernel]
+    live = [j for j, s in enumerate(pairings) if s]
+    if not live:
+        return None
+    k = _euclid(kernel, live, pairings)
+    s = pairings[k]
+    return tuple([s * c for c in kernel[k][:n]]) if abs(s) == 1 else None
 
 
 def integer_kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
@@ -420,6 +422,7 @@ class RationalSubspace:
     __slots__ = ("ambient", "basis", "_pivots")
 
     def __init__(self, ambient: int, rows: Iterable[Sequence[int]] = ()):
+        ambient = index(ambient)
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
         basis: list[Sequence[int]] = []
@@ -491,24 +494,10 @@ class RationalSubspace:
     def orthogonal_complement(self) -> "RationalSubspace":
         """Complement with respect to the standard dot product on Q^n.
 
-        For each free column f the kernel vector is read off the stored
-        rows by back substitution, scaled by the lcm of the pivot entries
-        to stay integral.
+        The saturated integer kernel of the stored rows, ``_kernel_basis``,
+        spans it over Q.
         """
-        n = self.ambient
-        pivots = self._pivots
-        scale = lcm(*(row[p] for row, p in zip(self.basis, pivots)))
-        pivot_set = set(pivots)
-        kernel = []
-        for f in range(n):
-            if f in pivot_set:
-                continue
-            v = [0] * n
-            v[f] = scale
-            for row, p in zip(self.basis, pivots):
-                v[p] = -row[f] * (scale // row[p])
-            kernel.append(v)
-        return RationalSubspace(n, kernel)
+        return RationalSubspace(self.ambient, _kernel_basis(self.basis, self.ambient))
 
     def integer_basis(self) -> list[Vector]:
         """The stored basis: RREF rows rescaled to primitive integer vectors."""

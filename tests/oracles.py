@@ -1,9 +1,10 @@
 """Independent oracles used only by the test suite.
 
-Integer solving goes through sympy's Smith decomposition rather than the
-package's own solver, the normal forms are checked against sympy's and
-against the extended-gcd elimination the package once ran, and the
-local-freeness oracle enumerates the whole forced weight box instead of
+Integer solving goes through sympy's Smith decomposition, and through
+the package's Smith form with its transforms, rather than the package's
+own solver, which reads solutions off a kernel; the normal forms are
+checked against sympy's and against the extended-gcd elimination the
+package once ran, and the local-freeness oracle enumerates the whole forced weight box instead of
 reusing the decision procedure, so each comparison genuinely crosses two
 routes.  The local-freeness witnesses are also found a second way, by
 the package's Smith form with its transforms, which the decider itself
@@ -39,8 +40,8 @@ from toricfree.lattice import (
     dot,
     identity_matrix,
     is_zero,
+    mat_vec,
     smith_normal_form,
-    solve_integer_system,
     transpose,
     vec,
 )
@@ -142,13 +143,37 @@ def brute_force_locally_free(cone: Cone) -> bool:
     return verify_certificate(cone, tangent_family(cone), cert)
 
 
+def solve_by_smith(a: list[list[int]], b: list[int]) -> tuple[int, ...] | None:
+    """One integer solution of a @ x = b in the package's Smith coordinates, or None.
+
+    The package's ``solve_integer_system`` once ran this; it now reads the
+    solution off a kernel.  Every free Smith coordinate is set to zero.
+    """
+    m = len(a)
+    if len(b) != m:
+        raise ValueError(f"system has {m} equations but {len(b)} right-hand sides")
+    d, u, v = smith_normal_form(a)
+    n = len(v)
+    c = mat_vec(u, vec(b))
+    y = [0] * n
+    for i in range(m):
+        di = d[i][i] if i < n else 0
+        if di:
+            if c[i] % di:
+                return None
+            y[i] = c[i] // di
+        elif c[i]:
+            return None
+    return mat_vec(v, y)
+
+
 def witnesses_by_smith(cone: Cone) -> LocalFreenessReport:
     """Local-freeness witnesses from Smith forms with their transforms.
 
     Rays no more numerous than the rank are independent iff the first
     len(rays) diagonal entries of their Smith form are nonzero, and the
     witness for ray i solves rays @ m = e_i in Smith coordinates, by
-    ``solve_integer_system``.  The report carries the raw solutions, no
+    ``solve_by_smith``.  The report carries the raw solutions, no
     certificate, and the first ray with no integral solution.  Transform
     entries grow fast with the rank, so keep the inputs small.
     """
@@ -158,7 +183,7 @@ def witnesses_by_smith(cone: Cone) -> LocalFreenessReport:
         return LocalFreenessReport(False, failure="dependent rays")
     witnesses = {}
     for idx, u in enumerate(rays):
-        m = solve_integer_system(rays, [int(j == idx) for j in range(len(rays))])
+        m = solve_by_smith(rays, [int(j == idx) for j in range(len(rays))])
         if m is None:
             return LocalFreenessReport(
                 False, failure=f"no integral dual weight for ray {u}", failing_ray=u)

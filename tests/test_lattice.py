@@ -13,6 +13,7 @@ from oracles import (
     fraction_rank,
     fraction_rref_rows,
     kernel_by_hermite_transform,
+    solve_by_smith,
     sympy_determinant,
     sympy_hermite_normal_form,
     sympy_invariant_factors,
@@ -145,6 +146,9 @@ def test_dense_normal_forms_are_fast_and_exact():
         assert mat_mul(u, a) == h and abs(determinant(u)) == 1
         assert_hermite_form(h)
         assert mat_mul(mat_mul(du, a), dv) == d
+        # the transforms stay small: 6,207 bits at most here, where the Smith
+        # form that searched the whole block for each pivot reached 26,283
+        assert max(abs(c).bit_length() for row in du + dv for c in row) <= 10_000
         assert abs(determinant(du)) == abs(determinant(dv)) == 1
         assert factors == tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
         if max(m, n) <= 16:
@@ -249,8 +253,11 @@ def test_solve_integer_system_unsolvable_cases():
     invariant_factors,
     integer_kernel_basis,
     lambda a: solve_integer_system(a, [0] * len(a)),
+    lambda a: mat_mul(a, a),
+    lambda a: mat_mul([[1, 2]], a),
 ], ids=["determinant", "matrix_rank", "hermite_normal_form", "smith_normal_form",
-        "invariant_factors", "integer_kernel_basis", "solve_integer_system"])
+        "invariant_factors", "integer_kernel_basis", "solve_integer_system", "mat_mul",
+        "mat_mul_right_operand"])
 def test_entry_points_take_integer_matrices_only(call):
     # a float is never rounded and a short row never truncates the others
     with pytest.raises(TypeError):
@@ -395,6 +402,8 @@ def test_non_integer_entries_are_rejected():
             RationalSubspace.span(2, [bad])
         with pytest.raises(TypeError):
             RationalSubspace.full(2).contains(bad)
+    with pytest.raises(TypeError):
+        RationalSubspace(2.5)
     assert vec([True, False]) == (1, 0)
     assert RationalSubspace.span(2, [[True, False]]).basis == ((1, 0),)
 
@@ -581,11 +590,13 @@ def test_normal_forms_are_pinned():
     assert digest.hexdigest() == PINNED_NORMAL_FORM_DIGEST
 
 
-# SHA-256 of the package's exact outputs on the same set.  The transforms
-# U and V fix the solutions ``solve_integer_system`` returns, and with them
-# the witnesses of the Smith oracle in tests/oracles.py.  Reports carry no
-# Smith-transform witnesses: the decider's are class representatives.
-PINNED_EUCLID_NORMAL_FORM_DIGEST = "8c39086257c228f1ad53a15e260164e2dd3bec9c3e4342ac44942b472c7f0653"
+# SHA-256 of the package's exact outputs on the same set.  H and D are
+# unique; the transforms U and V are not, and fix the solutions of
+# ``solve_by_smith`` in tests/oracles.py, and with them the raw witnesses
+# of its Smith oracle.  Neither reaches a report: the package's solver
+# reads its solutions off a kernel, and the decider's witnesses are class
+# representatives.
+PINNED_EUCLID_NORMAL_FORM_DIGEST = "a1f7247b41115cf4e27e66bf06370987b3d95664283e25ecadb8521a0e24840a"
 
 
 def test_normal_forms_match_the_oracle_and_are_pinned():
@@ -600,6 +611,20 @@ def test_normal_forms_match_the_oracle_and_are_pinned():
         assert abs(determinant(u)) == abs(determinant(du)) == abs(determinant(dv)) == 1
         digest.update(repr(((h, u), (d, du, dv), rank)).encode())
     assert digest.hexdigest() == PINNED_EUCLID_NORMAL_FORM_DIGEST
+
+
+def test_solutions_agree_with_the_smith_oracle_on_the_pinned_set():
+    # solvable right-hand sides a @ x0 and random ones, mostly unsolvable
+    small, large = pinned_matrices()
+    rng = random.Random(2323)
+    for a in small + large:
+        x0 = [rng.randint(-9, 9) for _ in (a[0] if a else ())]
+        for b in (list(mat_vec(a, x0)), [rng.randint(-9, 9) for _ in a]):
+            mine, theirs = solve_integer_system(a, b), solve_by_smith(a, b)
+            assert (mine is None) == (theirs is None)
+            for x in (mine, theirs):
+                assert x is None or list(mat_vec(a, x)) == b
+        assert solve_integer_system(a, list(mat_vec(a, x0))) is not None
 
 
 # SHA-256 of the outputs below, recorded while both functions still ran the
