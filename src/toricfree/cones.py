@@ -8,15 +8,13 @@ pairs of basis vectors, so membership is always the single uniform test
 "pairs nonnegatively against every dual generator".  Every fact about a
 cone's dual comes from one double description of its generators, kept in
 one slot: ``Cone(...)`` fills it and reads the incidence masks for
-extremality at once, and any other cone fills it on first need.  A
-description always belongs to the cone's own generators, so
-``Cone(...)`` keeps its own only when every input generator is extreme.
-It holds the Hermite rows of the annihilator, which ``perp_sublattice``
+extremality at once, and any other cone fills it on first need.  It
+holds the Hermite rows of the annihilator, which ``perp_sublattice``
 and ``weight_class`` read directly, the dual rays as the insertion left
 them, which ``dual`` hands to ``_canonical_cone`` when it is first read,
-and the split record, which ``split_basis`` hands to the local-freeness
-decider.  Face lattices, and the face closures of fans, stop at
-``MAX_FACES`` cones.
+and the split record of the cone's generators, which ``split_basis``
+hands to the local-freeness decider.  Face lattices, and the face
+closures of fans, stop at ``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
@@ -29,10 +27,9 @@ from typing import Iterable, Sequence
 from .lattice import (
     RationalSubspace,
     Vector,
-    _hermite_eliminate,
     _kernel_basis,
     _reduce_row,
-    _split_off,
+    _split_chain,
     _standard_basis,
     dot,
     matrix_rank,
@@ -74,10 +71,10 @@ class Cone:
     the generators to the sorted primitive extreme rays.  Cones whose
     generators are already canonical (duals, faces, intersections) are
     built by ``_canonical_cone`` alone.  Every cone runs the double
-    description of its own generators at most once, into ``_described``.
-    ``Cone(...)`` runs it on its input and keeps it as that; when some
-    input generator is not extreme it drops it, so a description read
-    later is a rebuild from the extreme rays, the second run.
+    description at most once, into ``_described``: ``Cone(...)`` on its
+    input, any other cone on its generators when first needed.  The kept
+    rays' masks index that input, and only ``__init__`` reads them; when
+    an input generator is not extreme it redoes only the split record.
     Equality and hashing use only the canonical generator tuple, so equal
     cones are interchangeable everywhere.
     """
@@ -96,8 +93,7 @@ class Cone:
             if d := gcd(*v):
                 gens.append(tuple([c // d for c in v]))
         gens = sorted(set(gens))
-        described = _double_description(gens, rank)
-        lin_rows, dual_rays, _ = described
+        lin_rows, dual_rays, splits = _double_description(gens, rank)
         # bit j of a dual ray's mask is set iff the ray vanishes on gens[j]
         masks = [m for _, m in dual_rays]
         every = (1 << len(gens)) - 1
@@ -110,9 +106,10 @@ class Cone:
         # iff no other generator lies on all of them
         extreme = tuple(g for j, g in enumerate(gens)
                         if reduce(and_, [m for m in masks if m >> j & 1], every) == 1 << j)
-        # a description's masks and splits index the cone's own generators
-        _set_slots(self, rank, extreme, (), described if len(extreme) == len(gens) else None,
-                   rank - len(lin_rows))
+        if len(extreme) < len(gens):
+            # the split record indexes the cone's own generators
+            splits = _split_chain(extreme, _standard_basis(rank), rank)[0]
+        _set_slots(self, rank, extreme, (), (lin_rows, dual_rays, splits), rank - len(lin_rows))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Cone is immutable")
@@ -151,8 +148,9 @@ class Cone:
     def split_basis(self) -> list[Vector | None]:
         """The split record of the cone's double description, one entry per generator.
 
-        Entry j is the b_j with <g_j, b_j> > 0 that ``_split_off`` set aside
-        for g_j, or None where g_j is dependent on the generators before it.
+        Entry j is the b_j with <g_j, b_j> > 0 that ``_split_chain`` set
+        aside for g_j, splitting the generators off the standard basis in
+        turn, or None where g_j is dependent on the generators before it.
         """
         return self._description()[2]
 
@@ -330,11 +328,10 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
     ``dot(normals[i], ray) == 0``), as the insertion left them: neither
     reduced modulo that space nor sorted.  ``_canonical_cone`` does both;
     ``Cone.__init__`` reads its generators' zero sets off the masks, which
-    reduction would not change.  The third value is the split record: per
-    normal, the vector b0 a projection step set aside for it, or None
-    where it took a Fourier-Motzkin step.  Inequalities are inserted one
-    at a time, and the rays kept between insertions are always exactly the
-    extreme rays modulo the current lineality (Motzkin et al. 1953).
+    reduction would not change.  The third value is the split record.
+    Inequalities are inserted one at a time, and the rays kept between
+    insertions are always exactly the extreme rays modulo the current
+    lineality (Motzkin et al. 1953).
 
     The insertion resumes from the cone ``start`` when given: from its
     lineality basis and its other generators, each masked over the
@@ -345,50 +342,45 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
     start the insertion starts from the whole space: the standard basis as
     lineality, no rays and nothing processed.
 
-    While the new normal a pairs nonzero with the lineality, the step
-    projects along a lineality vector b0 with ``dot(a, b0) > 0``.  That
-    projection maps the old cone modulo its lineality isomorphically onto
-    its slice on the hyperplane of a, so the projected rays and b0 are the
-    new extreme rays with no test.  Otherwise it is a Fourier-Motzkin step:
-    the rays on the nonnegative side stay extreme, and of the combinations
-    of a positive and a negative ray only those formed from adjacent rays
-    are extreme.  Each ray carries its mask over the processed normals,
-    and two rays are adjacent iff the normals Z vanishing on both number
-    at least ``rank - lineality - 2`` and no third ray vanishes on all of Z
-    (the incidence test of Fukuda and Prodon 1996).  The masks stay exact:
-    projecting along the lineality, combining two rays with positive
-    coefficients and reducing modulo the final lineality only scale each
-    processed normal's pairing by a positive factor or add two pairings of
-    one sign.
-
-    The lineality is kept as a lattice basis of its integer points, a
-    saturated lattice, and a projection step takes b0 and its pairing p0
-    from ``_split_off``, whose unimodular Euclid steps leave the other
-    vectors a lattice basis of the new lineality.  The canonical rows are
-    the Hermite form of the final basis, unique for its lattice and so the
-    Hermite basis of the kernel of the normals, the one ``_kernel_basis``
-    gives by the same steps.
+    The lineality and the split record come first, from one
+    ``_split_chain`` of the normals off the starting lineality basis: its
+    Hermite rows are the canonical lineality basis, and a normal a it set
+    b0 aside for, with ``dot(a, b0) > 0``, takes a projection step along
+    b0.  That projection maps the old cone modulo its lineality
+    isomorphically onto its slice on the hyperplane of a, so the projected
+    rays and b0 are the new extreme rays with no test.  Any other normal
+    takes a Fourier-Motzkin step: the rays on the nonnegative side stay
+    extreme, and of the combinations of a positive and a negative ray only
+    those formed from adjacent rays are extreme.  Each ray carries its mask
+    over the processed normals, and two rays are adjacent iff the normals
+    Z vanishing on both number at least ``rank - lineality - 2`` and no
+    third ray vanishes on all of Z (the incidence test of Fukuda and
+    Prodon 1996).  The masks stay exact: projecting along the lineality,
+    combining two rays with positive coefficients and reducing modulo the
+    final lineality only scale each processed normal's pairing by a
+    positive factor or add two pairings of one sign.
 
     All arithmetic is integral: a candidate ray r is replaced across the
     hyperplane of a new inequality a by combinations like
     ``dot(a, p) * r_neg - dot(a, r_neg) * p`` whose pairings cancel exactly.
     """
     if start is None:
-        lin: list[Sequence[int]] = list(_standard_basis(rank))
+        lin: Sequence[Vector] = _standard_basis(rank)
         rays: list[tuple[Vector, int]] = []  # (ray, mask)
         processed = 0
     else:
         inequalities = start.dual.generators
-        lin = list(start.lineality_basis)
+        lin = start.lineality_basis
         rays = [(r, sum(1 << j for j, d in enumerate(inequalities) if not sum(map(mul, d, r))))
                 for r in _rays_beyond_lineality(start)]
         processed = len(inequalities)
-    splits: list[Vector | None] = []
-    for i, a in enumerate(normals, processed):
+    splits, lin_rows = _split_chain(normals, lin, rank)
+    need = rank - len(lin) - 2  # rank - lineality - 2; each split cuts the lineality by one
+    for i, (a, b0) in enumerate(zip(normals, splits), processed):
         bit = 1 << i
-        if split := _split_off(lin, a):
-            b0, p0 = tuple(split[0]), split[1]
-            splits.append(b0)
+        if b0:
+            need += 1
+            p0 = sum(map(mul, a, b0))
             # project every ray onto the hyperplane of a
             projected = []
             for r, m in rays:
@@ -400,11 +392,9 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
                 projected.append((r, m | bit))
             rays = projected + [(b0, bit - 1)]
         else:
-            splits.append(None)
             scored = [(r, m, sum(map(mul, a, r))) for r, m in rays]
             pos = [(r, m, p) for r, m, p in scored if p > 0]
             neg = [(r, m, p) for r, m, p in scored if p < 0]
-            need = rank - len(lin) - 2
             rays = [(r, m | bit if p == 0 else m) for r, m, p in scored if p >= 0]
             for p_ray, pm, pp in pos:
                 for n_ray, nm, pn in neg:
@@ -414,5 +404,4 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
                             m & z == z and m != pm and m != nm for _, m, _ in scored):
                         w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
                         rays.append((w, z | bit))
-    _hermite_eliminate(lin, rank)
-    return tuple(map(tuple, lin)), rays, splits
+    return tuple(lin_rows), rays, splits

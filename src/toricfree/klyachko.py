@@ -239,11 +239,10 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     its witness class, with any left-over directions carried by the zero
     class.
 
-    No Smith form is taken, and no split of its own: the double description
-    of the cone's rays split ray u_j off the standard basis in turn, and
-    ``cone.split_basis()`` reads back the b_j it set aside, with
-    <u_j, b_j> > 0, leaving a basis of the lattice points on which
-    u_1, ..., u_j vanish.  So b_1, ..., b_k and what is left form a lattice
+    No Smith form is taken, and no split of its own: the cone's split
+    record, ``cone.split_basis()``, holds the b_j set aside as ray u_j was
+    split off the standard basis in turn, with <u_j, b_j> > 0, leaving a
+    basis of the lattice points on which u_1, ..., u_j vanish.  So b_1, ..., b_k and what is left form a lattice
     basis on which T[j][i] = <u_j, b_i> is lower triangular with a nonzero
     diagonal, and the record holds None, nothing set aside, exactly where
     u_j is dependent on the rays before it (more rays than the rank are

@@ -15,13 +15,14 @@ q = (2p + p_k) // (2p_k) of it, which leaves each remainder at most half
 the pivot, until only the pivot is left.
 ``_euclid`` runs that loop on the pairings of a list of rows; a Hermite
 form and a Smith form run it on each pivot's column, and ``_split_off``
-on a lattice basis's pairings with a vector.  ``_kernel_basis`` is the
-only kernel, and takes no transform: ``_split_off`` splits each row off
-the standard basis, and one Hermite form with no transform,
-``_hermite_eliminate``, makes the rest canonical.  A subspace's
-orthogonal complement and an integer solution of a @ x = b are both read
-off it.  The double description of the cone layer runs the same two
-steps on its lineality.
+on a lattice basis's pairings with a vector.  ``_split_chain`` is the
+one loop that splits rows off a lattice basis: ``_split_off`` sets a
+vector aside per independent row, and one Hermite form with no
+transform, ``_hermite_eliminate``, makes the rest canonical.  The only
+kernel, ``_kernel_basis``, is that chain on the standard basis; a
+subspace's orthogonal complement and an integer solution of a @ x = b
+are read off it, and the cone layer's double description takes its
+lineality and split record from the same chain.
 Rational subspaces and ``matrix_rank`` share one fraction-free
 elimination (cross-multiplication with a gcd reduction per row, after
 Bareiss 1968 and Cohen, *A Course in Computational Algebraic Number
@@ -57,7 +58,7 @@ def vec(coords: Iterable[int]) -> Vector:
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(map(mul, a, b))
+    return sum(map(mul, map(index, a), map(index, b)))
 
 
 def is_zero(v: Sequence[int]) -> bool:
@@ -112,7 +113,8 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
 
 
 def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> Vector:
-    return tuple(dot(row, x) for row in a)
+    x = vec(x)
+    return tuple(dot(row, x) for row in copy_matrix(a))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -368,34 +370,41 @@ def _standard_basis(rank: int) -> tuple[Vector, ...]:
     return tuple(vec(row) for row in identity_matrix(rank))
 
 
-def _split_off(basis: list[Sequence[int]], a: Sequence[int]) -> tuple[Sequence[int], int] | None:
+def _split_off(basis: list[Sequence[int]], a: Sequence[int]) -> Vector | None:
     """Pop the one vector of a lattice basis that pairs nonzero with a, after Euclid steps.
 
-    ``_euclid`` runs on the pairings with a until one vector b0 pairs
-    nonzero; b0 is popped and returned with its pairing, made positive.
-    The steps are unimodular, so what is left is a basis of the lattice's
-    points on the hyperplane of a.  None when every pairing is 0.
+    ``_euclid`` runs on the pairings with a until one vector pairs
+    nonzero; it is popped and returned with its sign set to pair
+    positively.  None when every pairing is 0.
     """
     pairings = [sum(map(mul, a, b)) for b in basis]
     live = [j for j, p in enumerate(pairings) if p]
     if not live:
         return None
     k = _euclid(basis, live, pairings)
-    b0, p0 = basis.pop(k), pairings[k]
-    return (b0, p0) if p0 > 0 else (negated(b0), -p0)
+    b0 = basis.pop(k)
+    return tuple(b0) if pairings[k] > 0 else negated(b0)
+
+
+def _split_chain(rows: Iterable[Sequence[int]], basis: Iterable[Sequence[int]], rank: int
+                 ) -> tuple[list[Vector | None], list[Vector]]:
+    """Split each row in turn off a lattice basis in Z^rank: the record and the Hermite rows left.
+
+    Entry i of the record is the vector b with <rows[i], b> > 0 that
+    ``_split_off`` set aside for rows[i], or None where every vector left
+    pairs to zero with it.  The steps are unimodular, so the vectors left
+    are a basis of the lattice's points on which every row vanishes, and
+    their Hermite form is unique for it.
+    """
+    basis = list(basis)
+    record = [_split_off(basis, row) for row in rows]
+    _hermite_eliminate(basis, rank)
+    return record, [tuple(b) for b in basis]
 
 
 def _kernel_basis(rows: Iterable[Sequence[int]], rank: int) -> list[Vector]:
-    """Hermite basis of the saturated kernel in Z^rank of rows of length rank (Z^rank for none).
-
-    ``_split_off`` leaves a lattice basis of the kernel, and its Hermite
-    form is unique for the lattice.
-    """
-    basis: list[Sequence[int]] = list(_standard_basis(rank))
-    for row in rows:
-        _split_off(basis, row)
-    _hermite_eliminate(basis, rank)
-    return [tuple(b) for b in basis]
+    """Hermite basis of the saturated kernel in Z^rank of rows of length rank (Z^rank for none)."""
+    return _split_chain(rows, _standard_basis(rank), rank)[1]
 
 
 def extends_to_lattice_basis(vectors: Sequence[Sequence[int]]) -> bool:

@@ -210,7 +210,7 @@ def decide_by_own_splits(cone: Cone) -> LocalFreenessReport:
         step = _split_off(basis, u)
         if step is None:
             return LocalFreenessReport(False, failure="dependent rays")
-        split.append(step[0])
+        split.append(step)
         table.append([dot(u, b) for b in split])
     witnesses = {}
     for i, u in enumerate(rays):

@@ -466,9 +466,11 @@ def test_one_double_description_per_cone(monkeypatch):
 
     monkeypatch.setattr(cones, "_double_description", counted)
     reads = [lambda c: c.dual, lambda c: c.facet_normals, lambda c: c.perp_sublattice(),
-             lambda c: c.weight_class([3] * c.rank)]
-    # a full-dimensional cone with a non-simplicial face lattice, and one with an annihilator
-    for gens in ([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)], [(1, 0, 0), (1, 2, 0)]):
+             lambda c: c.weight_class([3] * c.rank), lambda c: c.split_basis()]
+    # a full-dimensional cone with a non-simplicial face lattice, one with an annihilator,
+    # and one whose input generator (1, 1, 0) is not extreme
+    for gens in ([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)], [(1, 0, 0), (1, 2, 0)],
+                 [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]):
         for order in itertools.permutations(reads):
             calls.clear()
             c = Cone(gens, 3)

@@ -26,6 +26,8 @@ from oracles import (
 from timing import deadline
 from toricfree.lattice import (
     RationalSubspace,
+    _split_chain,
+    _standard_basis,
     content,
     determinant,
     dot,
@@ -255,9 +257,10 @@ def test_solve_integer_system_unsolvable_cases():
     lambda a: solve_integer_system(a, [0] * len(a)),
     lambda a: mat_mul(a, a),
     lambda a: mat_mul([[1, 2]], a),
+    lambda a: mat_vec(a, [1, 1]),
 ], ids=["determinant", "matrix_rank", "hermite_normal_form", "smith_normal_form",
         "invariant_factors", "integer_kernel_basis", "solve_integer_system", "mat_mul",
-        "mat_mul_right_operand"])
+        "mat_mul_right_operand", "mat_vec"])
 def test_entry_points_take_integer_matrices_only(call):
     # a float is never rounded and a short row never truncates the others
     with pytest.raises(TypeError):
@@ -404,6 +407,14 @@ def test_non_integer_entries_are_rejected():
             RationalSubspace.full(2).contains(bad)
     with pytest.raises(TypeError):
         RationalSubspace(2.5)
+    with pytest.raises(TypeError):
+        mat_vec([[1.5, 2]], [2, 1])
+    with pytest.raises(TypeError):
+        mat_vec([[1, 2]], [0.5, 1])
+    with pytest.raises(TypeError):
+        dot([0.5], [2])
+    with pytest.raises(TypeError):
+        dot([2], [Fraction(1, 2)])
     assert vec([True, False]) == (1, 0)
     assert RationalSubspace.span(2, [[True, False]]).basis == ((1, 0),)
 
@@ -417,6 +428,30 @@ def test_subspace_sum_matches_fraction_rref_oracle(ambient, data):
     total = a + b
     assert total.basis == fraction_rref_rows(list(a.basis + b.basis), ambient)
     assert total == b + a
+
+
+def test_split_chain_sets_aside_one_vector_per_independent_row():
+    # zero, repeated and dependent rows among drawn ones, at ranks 1-6
+    rng = random.Random(2411)
+    for n in range(1, 7):
+        for _ in range(40):
+            bound = rng.choice((2, 9, 10**4))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)]
+                    for _ in range(rng.randint(1, n + 2))]
+            if rng.random() < 0.5:
+                a, b = rng.choice(rows), rng.choice(rows)
+                rows.insert(rng.randint(0, len(rows)), [2 * x - y for x, y in zip(a, b)])
+            if rng.random() < 0.2:
+                rows.insert(rng.randint(0, len(rows)), [0] * n)
+            record, left = _split_chain(rows, _standard_basis(n), n)
+            assert left == integer_kernel_basis(rows)
+            for i, (row, b) in enumerate(zip(rows, record, strict=True)):
+                if matrix_rank(rows[:i + 1]) == matrix_rank(rows[:i]):
+                    assert b is None
+                else:
+                    assert dot(row, b) > 0
+                    assert all(dot(r, b) == 0 for r in rows[:i])
+            assert abs(determinant([b for b in record if b is not None] + left)) == 1
 
 
 def test_dot_length_mismatch():

@@ -5,7 +5,8 @@ too, works on integers only and reads its entries through
 ``operator.index``.  The two deciders stay independent: neither
 ``smoothness`` nor ``klyachko`` reaches the other through the package's
 imports, so their agreement is evidence and not one computation run
-twice.
+twice.  Splitting rows off a lattice basis is one loop,
+``lattice._split_chain``: no other module reaches its steps.
 """
 
 import ast
@@ -82,3 +83,17 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in used]
     assert not unused
+
+
+def test_only_lattice_names_the_split_steps():
+    # imported, called or read as an attribute: any mention outside lattice.py counts
+    steps = {"_split_off", "_hermite_eliminate"}
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            if names & steps:
+                users.add(path.name)
+    assert users == {"lattice.py"}
