@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from math import inf
 from typing import Iterator, Sequence
 
 from . import __version__
@@ -116,9 +115,10 @@ def _encode(value, newline: str) -> str:
 
     With ``indent`` set, ``json`` always runs its pure-Python encoder; this
     one joins strings, hands each string to json's C quoting and each
-    number to the builtin ``repr`` that json itself calls.  It takes dicts
-    with ``str`` keys, lists, tuples, ``str``, ``int``, ``float``, ``bool``
-    and ``None``, by exact type, and raises ``TypeError`` on anything else.
+    ``int`` to the builtin ``repr`` that json itself calls, and leaves a
+    ``float`` or ``None`` to ``json.dumps``.  It takes dicts with ``str``
+    keys, lists, tuples, ``str``, ``int``, ``float``, ``bool`` and ``None``,
+    by exact type, and raises ``TypeError`` on anything else.
     """
     kind = type(value)
     if kind is list or kind is tuple:
@@ -133,29 +133,19 @@ def _encode(value, newline: str) -> str:
         # the C quoting raises TypeError on a key that is not a str
         items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if kind not in _SCALAR_TEXT:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return _SCALAR_TEXT[kind](value)
+    if kind in _SCALAR_TEXT:
+        return _SCALAR_TEXT[kind](value)
+    if kind is float or value is None:
+        return json.dumps(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _float_text(value: float) -> str:
-    """json's text for a float: its repr, with NaN and the infinities spelled as JavaScript does."""
-    if value != value:
-        return "NaN"
-    if value == inf:
-        return "Infinity"
-    if value == -inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# json's text for each scalar type, looked up by exact type
+# json's text for the scalars reports hold in bulk, looked up by exact type;
+# a float (only sweep reports hold any) or None goes to ``json.dumps`` itself
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
 }
 
 

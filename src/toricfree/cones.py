@@ -386,9 +386,7 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
             for r, m in rays:
                 pr = sum(map(mul, a, r))
                 if pr:
-                    w = [p0 * x - pr * y for x, y in zip(r, b0)]
-                    g = gcd(*w)
-                    r = tuple([c // g for c in w])
+                    r = primitive([p0 * x - pr * y for x, y in zip(r, b0)])
                 projected.append((r, m | bit))
             rays = projected + [(b0, bit - 1)]
         else:

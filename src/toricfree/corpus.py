@@ -5,10 +5,7 @@ Random cones come from rejection sampling with Python's Mersenne Twister
 the algorithm identifier below travels with every report so a sweep can
 be replayed from its seed.  Each integer is drawn from the generator's
 raw bits by ``_uniform``, the rule ``randint`` follows, so the stream is
-``randint``'s without depending on how ``randint`` is written.  A draw's
-coordinates come from one loop that runs that rule inline, one
-``getrandbits`` call per attempt, so it consumes exactly the words that
-``randint`` would.
+``randint``'s without depending on how ``randint`` is written.
 """
 
 from __future__ import annotations
@@ -100,17 +97,9 @@ def _uniform(getrandbits: Callable[[int], int], low: int, high: int) -> int:
 
 def _draw_cone(rng: random.Random, config: GeneratorConfig) -> Cone:
     bits, bound, rank = rng.getrandbits, config.bound, config.rank
-    # every coordinate is ``_uniform(bits, -bound, bound)``, its loop run inline
-    width = 2 * bound + 1
-    nbits = width.bit_length()
     for _ in range(REJECTION_LIMIT):
         k = _uniform(bits, config.min_generators, config.max_generators)
-        coords = []
-        for _ in range(k * rank):
-            r = bits(nbits)
-            while r >= width:
-                r = bits(nbits)
-            coords.append(r - bound)
+        coords = [_uniform(bits, -bound, bound) for _ in range(k * rank)]
         gens = [coords[i:i + rank] for i in range(0, len(coords), rank)]
         if not all(map(any, gens)):
             continue

@@ -242,14 +242,15 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     No Smith form is taken, and no split of its own: the cone's split
     record, ``cone.split_basis()``, holds the b_j set aside as ray u_j was
     split off the standard basis in turn, with <u_j, b_j> > 0, leaving a
-    basis of the lattice points on which u_1, ..., u_j vanish.  So b_1, ..., b_k and what is left form a lattice
-    basis on which T[j][i] = <u_j, b_i> is lower triangular with a nonzero
-    diagonal, and the record holds None, nothing set aside, exactly where
-    u_j is dependent on the rays before it (more rays than the rank are
-    dependent at once).  A weight m = sum y_i b_i pairs delta_ij with the
-    rays iff T y = e_i on the first k coordinates, and forward substitution
-    gives the one rational solution, so an integral witness exists iff
-    every quotient it takes is exact.
+    basis of the lattice points on which u_1, ..., u_j vanish.  So
+    b_1, ..., b_k and what is left form a lattice basis on which
+    T[j][i] = <u_j, b_i> is lower triangular with a nonzero diagonal, and
+    the record holds None, nothing set aside, exactly where u_j is
+    dependent on the rays before it (more rays than the rank are dependent
+    at once).  A weight m = sum y_i b_i pairs delta_ij with the rays iff
+    T y = e_i on the first k coordinates, and forward substitution gives
+    the one rational solution, so an integral witness exists iff every
+    quotient it takes is exact.
     """
     n = cone.rank
     rays = cone.rays()

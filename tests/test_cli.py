@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON output, error reporting."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -536,7 +537,14 @@ def test_report_encoder_matches_json_indent(value):
     assert _encode(value, "\n") == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, {1: "a"}, {"a": [{(1, 2): 0}]}, [frozenset()], b"x"])
+class _FloatSubclass(float):
+    pass
+
+
+# json.dumps takes a dict or float subclass, so these two pin that the
+# encoder hands json only an exact float or None
+@pytest.mark.parametrize("value", [{1, 2}, {1: "a"}, {"a": [{(1, 2): 0}]}, [frozenset()], b"x",
+                                   collections.OrderedDict([("a", 1)]), _FloatSubclass(1.5)])
 def test_report_encoder_rejects_other_types(value):
     with pytest.raises(TypeError):
         _encode(value, "\n")

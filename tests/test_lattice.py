@@ -363,6 +363,46 @@ def test_subspace_complement_is_complementary(ambient, data):
     assert c.orthogonal_complement() == a
 
 
+def _subspace_pairs(rng, n):
+    """Pairs (a, b) of subspaces of Q^n: b = a, b in a, a in b, equal dimensions, zero, full."""
+    def rows(k):
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+
+    def combos(basis, k):
+        return [[sum(rng.randint(-2, 2) * v[j] for v in basis) for j in range(n)]
+                for _ in range(k)]
+
+    a = RationalSubspace(n, rows(rng.randint(1, n)))
+    yield a, RationalSubspace(n, combos(a.basis, a.dim + 1))
+    yield a, RationalSubspace(n, combos(a.basis, rng.randint(0, a.dim)))
+    v = combos(a.basis, 1)[0]
+    if any(v):
+        yield a, RationalSubspace._line(primitive(v))
+    yield a, a + RationalSubspace(n, rows(1))
+    yield a, RationalSubspace(n, rows(a.dim))
+    yield a, RationalSubspace(n, rows(rng.randint(0, n)))
+    yield a, RationalSubspace(n, [])
+    yield a, RationalSubspace.full(n)
+
+
+def test_contains_subspace_matches_fraction_elimination():
+    # b lies in a exactly when adding b's rows leaves a's reduced basis alone;
+    # both orders of each pair run the full-space, equal-or-larger-dimension
+    # and row-by-row branches, each answer drawn at least once
+    rng = random.Random(2506)
+    answers = set()
+    for _ in range(25):
+        for n in range(1, 7):
+            for a, b in _subspace_pairs(rng, n):
+                for s, t in ((a, b), (b, a)):
+                    expected = fraction_rref_rows(list(s.basis + t.basis), n) == s.basis
+                    assert s.contains_subspace(t) is expected, (s.basis, t.basis)
+                    branch = "full" if s.dim == n else "dims" if t.dim >= s.dim else "rows"
+                    answers.add((branch, expected))
+    assert answers == {("full", True), ("dims", True), ("dims", False),
+                       ("rows", True), ("rows", False)}
+
+
 def test_subspace_canonical_equality():
     s = RationalSubspace.span(3, [(1, 2, 3), (2, 4, 6), (0, 0, 1)])
     t = RationalSubspace.span(3, [(1, 2, 0), (0, 0, 1)])
