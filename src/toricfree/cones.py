@@ -7,14 +7,16 @@ their lineality space enters the generator list as explicit plus/minus
 pairs of basis vectors, so membership is always the single uniform test
 "pairs nonnegatively against every dual generator".  Every fact about a
 cone's dual comes from one double description of its generators, kept in
-one slot: ``Cone(...)`` fills it and reads the incidence masks for
-extremality at once, and any other cone fills it on first need.  It
-holds the Hermite rows of the annihilator, which ``perp_sublattice``
-and ``weight_class`` read directly, the dual rays as the insertion left
-them, which ``dual`` hands to ``_canonical_cone`` when it is first read,
-and the split record of the cone's generators, which ``split_basis``
-hands to the local-freeness decider.  Face lattices, and the face
-closures of fans, stop at ``MAX_FACES`` cones.
+one slot.  Its split chain comes first: the Hermite rows of the
+annihilator, which ``perp_sublattice`` and ``weight_class`` read
+directly, and the split record of the cone's generators, which
+``split_basis`` hands to the local-freeness decider.  The dual rays are
+inserted over that chain the first time the dual is read, and ``dual``
+hands them to ``_canonical_cone``.  ``Cone(...)`` runs the chain, and
+inserts the rays at once only when the chain finds its input dependent,
+to read the incidence masks for extremality; any other cone runs the
+chain on first need.  Face lattices, and the face closures of fans, stop
+at ``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
@@ -72,8 +74,11 @@ class Cone:
     generators are already canonical (duals, faces, intersections) are
     built by ``_canonical_cone`` alone.  Every cone runs the double
     description at most once, into ``_described``: ``Cone(...)`` on its
-    input, any other cone on its generators when first needed.  The kept
-    rays' masks index that input, and only ``__init__`` reads them; when
+    input, any other cone on its generators when first needed.  Input
+    the split chain finds independent over Q is extreme and spans no
+    line, so it is the cone's generators, and its rays wait for the
+    first read of the dual.  Otherwise the rays are inserted at once.
+    Their masks index the input, and only ``__init__`` reads them; when
     an input generator is not extreme it redoes only the split record.
     Equality and hashing use only the canonical generator tuple, so equal
     cones are interchangeable everywhere.
@@ -93,7 +98,12 @@ class Cone:
             if d := gcd(*v):
                 gens.append(tuple([c // d for c in v]))
         gens = sorted(set(gens))
-        lin_rows, dual_rays, splits = _double_description(gens, rank)
+        splits, lin_rows = _split_chain(gens, _standard_basis(rank), rank)
+        if None not in splits:
+            # independent over Q: every generator is extreme and they span no line
+            _set_slots(self, rank, tuple(gens), (), (tuple(lin_rows), None, splits), len(gens))
+            return
+        lin_rows, dual_rays, splits = _double_description(gens, rank, None, (splits, lin_rows))
         # bit j of a dual ray's mask is set iff the ray vanishes on gens[j]
         masks = [m for _, m in dual_rays]
         every = (1 << len(gens)) - 1
@@ -137,13 +147,24 @@ class Cone:
             object.__setattr__(self, "_dual", dual)
         return self._dual
 
-    def _description(self) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]],
-                                    list[Vector | None]]:
-        """The double description of the cone's own generators, found once."""
-        if self._described is None:
-            object.__setattr__(self, "_described",
-                               _double_description(self.generators, self.rank))
-        return self._described
+    def _description(self, rays: bool = True) -> tuple[tuple[Vector, ...],
+                                                       list[tuple[Vector, int]] | None,
+                                                       list[Vector | None]]:
+        """The double description of the cone's own generators, found once.
+
+        The split chain comes first.  The dual rays, None until then, are
+        inserted over that chain the first time ``rays`` asks for them.
+        """
+        described = self._described
+        if described is None:
+            splits, lin_rows = _split_chain(self.generators, _standard_basis(self.rank),
+                                            self.rank)
+            described = (tuple(lin_rows), None, splits)
+        if rays and described[1] is None:
+            described = _double_description(self.generators, self.rank, None,
+                                             (described[2], described[0]))
+        object.__setattr__(self, "_described", described)
+        return described
 
     def split_basis(self) -> list[Vector | None]:
         """The split record of the cone's double description, one entry per generator.
@@ -152,7 +173,7 @@ class Cone:
         aside for g_j, splitting the generators off the standard basis in
         turn, or None where g_j is dependent on the generators before it.
         """
-        return self._description()[2]
+        return self._description(rays=False)[2]
 
     @property
     def facet_normals(self) -> tuple[Vector, ...]:
@@ -222,7 +243,7 @@ class Cone:
         the dual's lineality basis, Hermite-reduced rows of a saturated
         sublattice.  Reading them does not build the dual.
         """
-        return list(self._description()[0])
+        return list(self._description(rays=False)[0])
 
     def weight_class(self, m: Sequence[int]) -> Vector:
         """Canonical representative of a dual-lattice vector modulo the annihilator.
@@ -234,7 +255,7 @@ class Cone:
         w = list(vec(m))
         if len(w) != self.rank:
             raise ValueError(f"weight length {len(w)}, expected {self.rank}")
-        rows = self._description()[0]
+        rows = self._description(rays=False)[0]
         if self._perp_pivots is None:
             object.__setattr__(self, "_perp_pivots",
                                tuple(next(j for j, c in enumerate(row) if c) for row in rows))
@@ -318,7 +339,8 @@ def _rays_beyond_lineality(cone: Cone) -> tuple[Vector, ...]:
     return tuple(g for g in cone.generators if g not in pairs)
 
 
-def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None = None
+def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None = None,
+                        chain: tuple[list[Vector | None], Sequence[Vector]] | None = None
                         ) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]],
                                    list[Vector | None]]:
     """V-description of the solution set of ``dot(a, x) >= 0`` for each a in normals.
@@ -343,7 +365,8 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
     lineality, no rays and nothing processed.
 
     The lineality and the split record come first, from one
-    ``_split_chain`` of the normals off the starting lineality basis: its
+    ``_split_chain`` of the normals off the starting lineality basis (or
+    ``chain``, that chain's record and rows, when it has run already): its
     Hermite rows are the canonical lineality basis, and a normal a it set
     b0 aside for, with ``dot(a, b0) > 0``, takes a projection step along
     b0.  That projection maps the old cone modulo its lineality
@@ -374,7 +397,7 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
         rays = [(r, sum(1 << j for j, d in enumerate(inequalities) if not sum(map(mul, d, r))))
                 for r in _rays_beyond_lineality(start)]
         processed = len(inequalities)
-    splits, lin_rows = _split_chain(normals, lin, rank)
+    splits, lin_rows = chain or _split_chain(normals, lin, rank)
     need = rank - len(lin) - 2  # rank - lineality - 2; each split cuts the lineality by one
     for i, (a, b0) in enumerate(zip(normals, splits), processed):
         bit = 1 << i

@@ -205,7 +205,7 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
         return "subspaces do not sum directly to the full space"
     for u in rays:
         filt = family[u]
-        pairings = [dot(m, u) for m, _ in entries]
+        pairings = [sum(map(mul, m, u)) for m, _ in entries]
         levels = set(filt.breakpoints) | {p + 1 for p in pairings}
         levels.add(min(levels) - 1)
         for i in sorted(levels):

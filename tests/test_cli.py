@@ -234,6 +234,17 @@ def test_recheck_catches_tampering(capsys, tmp_path, orthant_file):
     assert json.loads(out)["failures"]
 
 
+def test_recheck_rejects_a_zero_summand(capsys, tmp_path, orthant_file):
+    _, out, _ = run_cli(capsys, "locally-free", orthant_file)
+    doc = json.loads(out)
+    cert = doc["entries"][0]["locally_free"]["certificate"]
+    cert["entries"].append({"weight_class": [1, 1], "subspace_basis": []})
+    code, out, _ = run_cli(capsys, "recheck", write_json(tmp_path, "zero.json", doc))
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        "entry 0 (((0, 1), (1, 0))): zero subspace attached to class (1, 1)"]
+
+
 def test_examples_listing(capsys):
     code, out, _ = run_cli(capsys, "examples")
     assert code == 0

@@ -474,15 +474,85 @@ def test_one_double_description_per_cone(monkeypatch):
         for order in itertools.permutations(reads):
             calls.clear()
             c = Cone(gens, 3)
+            # dependent input is described at once, independent input on the
+            # first read of the dual, over the split chain it was built from
+            assert len(calls) == (matrix_rank(gens) < len(gens))
             for read in order + order:
                 read(c)
-            assert len(calls) == 1  # the constructor's
+            assert len(calls) == 1
             faces = Cone(gens, 3).faces()
             for other in (faces[len(faces) // 2], Cone(gens, 3).dual):
                 calls.clear()
                 for read in order + order:
                     read(other)
-                assert len(calls) <= 1
+                assert len(calls) == 1
+
+
+def test_independent_cone_inserts_its_rays_on_the_first_read_of_the_dual(monkeypatch):
+    calls = []
+    original = cones._double_description
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "_double_description", counted)
+    for gens, n in (([(1, 0, 0), (1, 2, 0)], 3), ([(2, 1), (-1, 3)], 2), ([(5,)], 1), ([], 4)):
+        calls.clear()
+        c = Cone(gens, n)
+        c.perp_sublattice(), c.weight_class([3] * n), c.split_basis()
+        assert calls == [] and c.dim == len(gens)
+        dual = c.dual
+        assert len(calls) == 1
+        c.dual, c.perp_sublattice(), c.split_basis(), c.facet_normals, c.faces()
+        assert len(calls) == 1 and c.dual is dual
+
+
+def eagerly_described(gens, n):
+    """A copy of Cone(gens, n) holding its whole double description from the start.
+
+    Dependent input is described by the constructor already, over the
+    input; independent input is its own generators.
+    """
+    cone = Cone(gens, n)
+    if cone._described[1] is None:
+        object.__setattr__(cone, "_described", _double_description(cone.generators, n))
+    return cone
+
+
+def test_lazily_filled_cone_matches_an_eagerly_described_copy():
+    """Inserting the rays over the stored chain gives the description run from scratch.
+
+    The rays, their order and their masks agree, and so do the dual, the
+    faces and the intersections either cone is cut by or resumed from.
+    """
+    rng = random.Random(2611)
+    lazy_seen = 0
+    for n in range(1, 7):
+        pool = []
+        while len(pool) < 12:
+            k = rng.randint(1, n + 1)
+            gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+            try:
+                pool.append((Cone(gens, n), eagerly_described(gens, n)))
+            except NotStronglyConvexError:
+                continue
+        for lazy, eager in pool:
+            lazy_seen += lazy._described[1] is None
+            assert lazy.perp_sublattice() == eager.perp_sublattice()
+            assert lazy.split_basis() == eager.split_basis()
+        for lazy, eager in pool:
+            # the first read of the dual resumes another cone's insertion from this one
+            other, _ = rng.choice(pool)
+            for got, want in ((other.intersection(lazy), other.intersection(eager)),
+                              (lazy.intersection(other), eager.intersection(other))):
+                assert got.generators == want.generators
+                assert got.lineality_basis == want.lineality_basis
+            assert lazy.dual.generators == eager.dual.generators
+            assert lazy.dual.lineality_basis == eager.dual.lineality_basis
+            assert [f.generators for f in lazy.faces()] == [f.generators for f in eager.faces()]
+            assert lazy._described == eager._described
+    assert lazy_seen >= 40
 
 
 def test_cone_immutable_and_hashable():

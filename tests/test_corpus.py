@@ -61,8 +61,10 @@ def outcome(draw, rng, config):
         return str(exc)
 
 
-def test_one_loop_draw_consumes_the_uniform_stream(monkeypatch):
-    # a small budget makes the crowded ranges run out of attempts now and then,
+def test_draw_matches_the_nested_uniform_reference(monkeypatch):
+    # the flat coordinate list draws the cones, and leaves the generator in
+    # the state, of one ``_uniform`` call per coordinate of nested lists; a
+    # small budget makes the crowded ranges run out of attempts now and then,
     # so the failing draw is compared as well
     monkeypatch.setattr(corpus, "REJECTION_LIMIT", 2)
     draws = failed = 0

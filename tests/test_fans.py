@@ -43,6 +43,16 @@ def test_invalid_pair_reports_intersection():
     assert err.intersection.generators == ((1, 1), (1, 2))
 
 
+def test_pair_must_meet_in_a_face_of_both():
+    # the meet is the whole of b but not a face of a
+    a = Cone([(1, 0), (0, 1)], 2)
+    b = Cone([(1, 0), (1, 1)], 2)
+    with pytest.raises(FanValidationError, match=r"intersect in \(\(1, 0\), \(1, 1\)\), "
+                                                 "which is not a face of both") as exc:
+        Fan([a, b])
+    assert {exc.value.first, exc.value.second} == {a, b}
+
+
 def test_face_closure_idempotent():
     fan = projective_plane()
     again = Fan(fan.cones, fan.rank)

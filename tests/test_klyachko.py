@@ -25,7 +25,7 @@ from toricfree.klyachko import (
     tangent_filtration,
     verify_certificate,
 )
-from toricfree.lattice import RationalSubspace, dot, is_primitive, primitive
+from toricfree.lattice import RationalSubspace, dot, is_primitive, matrix_rank, primitive
 from toricfree.serialize import freeness_to_document
 
 
@@ -206,6 +206,14 @@ def test_verify_certificate_missing_ray_is_error():
     cert = DecompositionCertificate(c, [((0, 0), RationalSubspace.full(2))])
     with pytest.raises(ValueError):
         verify_certificate(c, family, cert)
+
+
+def test_diagnose_rejects_a_filtration_of_another_ambient_dimension():
+    c = Cone([(1, 0, 0)], 3)
+    family = {(1, 0, 0): Filtration(4, [(2, RationalSubspace.zero(4))])}
+    cert = decide_tangent_locally_free(c).certificate
+    with pytest.raises(ValueError, match="^filtration ambient dimension mismatch$"):
+        diagnose_certificate(c, family, cert)
 
 
 def test_verify_certificate_wrong_cone_is_error():
@@ -471,7 +479,8 @@ def test_split_record_matches_the_deciders_own_splits(monkeypatch):
     About 40% of the inputs get a non-extreme generator, the sum of two
     drawn ones.  Such a cone keeps its constructor's description, with only
     the split record redone over its own rays, so no input runs a second
-    double description.
+    double description.  A cone on independent generators runs none: the
+    decider reads only the split chain it was built from.
     """
     calls = []
     original = cones._double_description
@@ -482,7 +491,7 @@ def test_split_record_matches_the_deciders_own_splits(monkeypatch):
 
     monkeypatch.setattr(cones, "_double_description", counted)
     rng = random.Random(2111)
-    outcomes, redone = {}, 0
+    outcomes, redone, lazy = {}, 0, 0
     for n in range(1, 7):
         for bound in range(1, 10):
             for _ in range(75):
@@ -499,11 +508,12 @@ def test_split_record_matches_the_deciders_own_splits(monkeypatch):
                 ours = freeness_to_document(decide_tangent_locally_free(cone))
                 distinct = {primitive(g) for g in gens if any(g)}
                 redundant = len(distinct) > len(cone.generators)
-                assert len(calls) == 1
+                assert len(calls) == (matrix_rank(list(distinct)) < len(distinct))
+                lazy += not calls
                 # a cone with more rays than the rank fails before reading the record
                 redone += redundant and len(cone.generators) <= n
                 assert ours == freeness_to_document(decide_by_own_splits(cone))
                 kind = ours.get("failure", "free").split(" for ")[0]
                 outcomes[kind] = outcomes.get(kind, 0) + 1
-    assert redone >= 800
+    assert redone >= 800 and lazy >= 1500
     assert min(outcomes.values()) >= 400 and len(outcomes) == 3
