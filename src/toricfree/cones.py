@@ -14,9 +14,12 @@ directly, and the split record of the cone's generators, which
 inserted over that chain the first time the dual is read, and ``dual``
 hands them to ``_canonical_cone``.  ``Cone(...)`` runs the chain, and
 inserts the rays at once only when the chain finds its input dependent,
-to read the incidence masks for extremality; any other cone runs the
-chain on first need.  Face lattices, and the face closures of fans, stop
-at ``MAX_FACES`` cones.
+to read the dual rays' zero sets for extremality; any other cone runs the
+chain on first need.  A cone's incidence, its rays beyond the lineality
+each with its bitmask over the dual's generators, is found once, when an
+intersection resumes from the cone or ``faces`` reads its zero sets.
+Face lattices, and the face closures of fans, stop at ``MAX_FACES``
+cones.
 """
 
 from __future__ import annotations
@@ -80,12 +83,15 @@ class Cone:
     first read of the dual.  Otherwise the rays are inserted at once.
     Their masks index the input, and only ``__init__`` reads them; when
     an input generator is not extreme it redoes only the split record.
-    Equality and hashing use only the canonical generator tuple, so equal
-    cones are interchangeable everywhere.
+    The incidence, filled by ``_incidence`` on first need, is another
+    table: the cone's own rays beyond its lineality, each with its mask
+    over the generators of its dual.  Equality and hashing use only the
+    canonical generator tuple, so equal cones are interchangeable
+    everywhere.
     """
 
     __slots__ = ("rank", "generators", "lineality_basis", "_described", "_dual", "_dim",
-                 "_faces", "_perp_pivots")
+                 "_incidence", "_faces", "_face_keys", "_perp_pivots")
 
     def __init__(self, generators: Iterable[Sequence[int]], rank: int):
         if rank < 1:
@@ -202,14 +208,22 @@ class Cone:
     def faces(self) -> tuple["Cone", ...]:
         """All faces, the cone itself and the zero cone included, in canonical order.
 
-        Raises ``FaceLimitError`` once there are more than ``MAX_FACES``.
+        The faces are the intersections of facets, each facet the rays
+        its bit is set for in the incidence; the dual's lineality pairs
+        vanish on every ray and cut nothing.  The generator tuples of the
+        faces are kept beside them for ``is_face_of``.  Raises
+        ``FaceLimitError`` once there are more than ``MAX_FACES``.
         """
         self._require_strongly_convex()
         if self._faces is not None:
             return self._faces
-        zero_sets = [frozenset(r for r in self.generators if dot(f, r) == 0)
-                     for f in self.facet_normals]
+        incidence = _incidence(self)
         start = frozenset(self.generators)
+        zero_sets = []
+        for j in range(len(self.dual.generators)):
+            zero = frozenset([r for r, m in incidence if m >> j & 1])
+            if zero != start:
+                zero_sets.append(zero)
         seen: dict[frozenset[Vector], Cone] = {start: self}
         queue = [start]  # a pointed cone's facets meet in its apex, so the zero cone is reached
         while queue:
@@ -223,18 +237,23 @@ class Cone:
                     queue.append(cut)
         result = tuple(sorted(seen.values(), key=Cone.sort_key))
         object.__setattr__(self, "_faces", result)
+        object.__setattr__(self, "_face_keys", frozenset([f.generators for f in result]))
         return result
 
     def is_face_of(self, other: "Cone") -> bool:
-        """Whether this cone is a face of ``other``, read off ``other.faces()``.
+        """Whether this cone is a face of ``other``: one lookup of its generators.
 
-        Both cones must be strongly convex and live in the same lattice.
+        ``other.faces()`` lists the faces the first time and keeps their
+        generator tuples, and cones in one lattice are equal exactly when
+        their generators are.  Both cones must be strongly convex and live
+        in the same lattice.
         """
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
         self._require_strongly_convex()
         other._require_strongly_convex()
-        return self in other.faces()
+        other.faces()
+        return self.generators in other._face_keys
 
     def perp_sublattice(self) -> list[Vector]:
         """Canonical basis of the annihilator of the cone in the dual lattice.
@@ -269,10 +288,14 @@ class Cone:
         return RationalSubspace.span(self.rank, self.generators)
 
     def intersection(self, other: "Cone") -> "Cone":
-        """The cone cut out by the inequalities of both cones."""
+        """The cone cut out by the inequalities of both cones.
+
+        The double description resumes from ``other``'s lineality and
+        incidence, found once per cone, so only this cone's inequalities
+        are inserted.  A pointed ``other`` leaves no lineality to split.
+        """
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
-        # resume from other's V-description, so only self's inequalities are inserted
         lin_rows, rays, _ = _double_description(self.dual.generators, self.rank, other)
         return _canonical_cone(lin_rows, [r for r, _ in rays], self.rank)
 
@@ -327,8 +350,8 @@ def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: in
 def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
                lin_rows: tuple[Vector, ...], described: tuple | None = None,
                dim: int | None = None) -> None:
-    """Fill every slot of a cone; the dual, the faces and the pivots start unbuilt."""
-    values = (rank, generators, lin_rows, described, None, dim, None, None)
+    """Fill every slot of a cone; the dual, incidence, faces and pivots start unbuilt."""
+    values = (rank, generators, lin_rows, described, None, dim, None, None, None, None)
     for name, value in zip(Cone.__slots__, values):
         object.__setattr__(cone, name, value)
 
@@ -337,6 +360,20 @@ def _rays_beyond_lineality(cone: Cone) -> tuple[Vector, ...]:
     """A cone's generators other than the plus/minus pairs of its lineality basis."""
     pairs = set(cone.lineality_basis) | set(map(negated, cone.lineality_basis))
     return tuple(g for g in cone.generators if g not in pairs)
+
+
+def _incidence(cone: Cone) -> tuple[tuple[Vector, int], ...]:
+    """A cone's rays beyond its lineality, each with its mask over its dual's generators.
+
+    Bit j of a ray's mask is set iff ``cone.dual.generators[j]`` vanishes
+    on it.  Found the first time it is read and kept in its slot.
+    """
+    if cone._incidence is None:
+        duals = cone.dual.generators
+        object.__setattr__(cone, "_incidence", tuple(
+            (r, sum(1 << j for j, d in enumerate(duals) if not sum(map(mul, d, r))))
+            for r in _rays_beyond_lineality(cone)))
+    return cone._incidence
 
 
 def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None = None,
@@ -356,11 +393,12 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
     lineality (Motzkin et al. 1953).
 
     The insertion resumes from the cone ``start`` when given: from its
-    lineality basis and its other generators, each masked over the
-    generators of its dual, the inequalities cutting out exactly that
-    cone.  The normals then take the bits after those, and the result is
-    the one the insertion of those inequalities followed by ``normals``
-    would give, since it does not depend on the insertion order.  With no
+    lineality basis and its incidence (its other generators, each masked
+    over the generators of its dual, the inequalities cutting out exactly
+    that cone), which the cone keeps for the next resumption.  The
+    normals then take the bits after those, and the result is the one the
+    insertion of those inequalities followed by ``normals`` would give,
+    since it does not depend on the insertion order.  With no
     start the insertion starts from the whole space: the standard basis as
     lineality, no rays and nothing processed.
 
@@ -392,11 +430,9 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
         rays: list[tuple[Vector, int]] = []  # (ray, mask)
         processed = 0
     else:
-        inequalities = start.dual.generators
         lin = start.lineality_basis
-        rays = [(r, sum(1 << j for j, d in enumerate(inequalities) if not sum(map(mul, d, r))))
-                for r in _rays_beyond_lineality(start)]
-        processed = len(inequalities)
+        rays = list(_incidence(start))
+        processed = len(start.dual.generators)
     splits, lin_rows = chain or _split_chain(normals, lin, rank)
     need = rank - len(lin) - 2  # rank - lineality - 2; each split cuts the lineality by one
     for i, (a, b0) in enumerate(zip(normals, splits), processed):

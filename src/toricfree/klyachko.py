@@ -172,7 +172,9 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
     every ray the partial sums over classes pairing at least i with the
     ray generator must reproduce the filtration at every level i.  Both
     sides are step functions of i, so it suffices to compare at each
-    breakpoint, each pairing threshold, and one point below all of them.
+    breakpoint and each pairing threshold.  Below all of them every
+    summand counts and the filtration is the whole space, so both sides
+    have dimension n, which the direct-sum check has already compared.
     No sum is formed: the whole sum is direct when the dimensions add up
     to n and the n stacked basis rows have a nonzero determinant, and
     then a partial sum has the summed dimension, so it equals the
@@ -207,7 +209,6 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
         filt = family[u]
         pairings = [sum(map(mul, m, u)) for m, _ in entries]
         levels = set(filt.breakpoints) | {p + 1 for p in pairings}
-        levels.add(min(levels) - 1)
         for i in sorted(levels):
             expected = filt.at(i)
             got_dim = sum(d for d, p in zip(dims, pairings) if p >= i)

@@ -394,9 +394,12 @@ def _split_chain(rows: Iterable[Sequence[int]], basis: Iterable[Sequence[int]], 
     ``_split_off`` set aside for rows[i], or None where every vector left
     pairs to zero with it.  The steps are unimodular, so the vectors left
     are a basis of the lattice's points on which every row vanishes, and
-    their Hermite form is unique for it.
+    their Hermite form is unique for it.  An empty basis, the lineality
+    of a pointed cone, sets nothing aside and leaves nothing to reduce.
     """
     basis = list(basis)
+    if not basis:
+        return [None for _ in rows], []
     record = [_split_off(basis, row) for row in rows]
     _hermite_eliminate(basis, rank)
     return record, [tuple(b) for b in basis]

@@ -32,7 +32,7 @@ SAFE_INT = 2 ** 53 - 1
 MAX_RANK = 256
 # Most cones a fan document may list.  Validation intersects every pair of
 # them, so its time grows with the square of this count: verifying a
-# planar fan x P^1 with this many maximal cones takes about 7 s on 2 cores.
+# planar fan x P^1 with this many maximal cones takes 5-9 s on 2 cores.
 MAX_FAN_CONES = 768
 # Most generators a cone document, or one cone of a fan document, may list.
 # The dual of the rank-4 cone over the moment curve has the most facets a

@@ -287,6 +287,122 @@ def test_intersection_agrees_with_double_description_from_scratch():
     assert compared >= 1000 and lineal >= 100
 
 
+def seeded_cones(rng, n, count, lower=False):
+    """Seeded cones of rank n, each on a few generators in a seeded sublattice.
+
+    The sublattice has rank d from 1 to n, below n when ``lower``, so the
+    dual of a lower-dimensional one carries lineality pairs.
+    """
+    pool = []
+    while len(pool) < count:
+        d = rng.randint(1, n - 1 if lower else n)
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+        gens = [[sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
+                for coeffs in ([rng.randint(-3, 3) for _ in range(d)]
+                               for _ in range(rng.randint(1, d + 3)))]
+        try:
+            c = Cone(gens, n)
+        except NotStronglyConvexError:
+            continue
+        if not lower or c.dim < n:
+            pool.append(c)
+    return pool
+
+
+def unbuilt_copy(c):
+    """A copy of c holding only its generators and lineality: no dual, incidence or faces."""
+    copy = object.__new__(Cone)
+    cones._set_slots(copy, c.rank, c.generators, c.lineality_basis)
+    return copy
+
+
+def test_intersection_from_a_kept_incidence_matches_a_fresh_start():
+    """A start that served an earlier intersection gives what a fresh copy of it gives.
+
+    Pointed starts and duals with lineality, ranks 2-4, both argument
+    orders; the intersection run from the whole space is the reference
+    for both.
+    """
+    rng = random.Random(2701)
+    pointed = lineal = 0
+    for n in (2, 3, 4):
+        pool = seeded_cones(rng, n, 10)
+        starts = pool + [c.dual for c in pool]
+        for a in starts:
+            for b in rng.sample(starts, 6):
+                for first, second in ((a, b), (b, a)):
+                    # the start keeps its incidence from an intersection with another cone
+                    rng.choice(starts).intersection(second)
+                    got = first.intersection(second)
+                    for want in (first.intersection(unbuilt_copy(second)),
+                                 intersection_from_scratch(first, second)):
+                        assert got.generators == want.generators
+                        assert got.lineality_basis == want.lineality_basis
+                    pointed += not second.lineality_basis
+                    lineal += bool(second.lineality_basis)
+    assert pointed >= 200 and lineal >= 200
+
+
+def test_second_intersection_reuses_the_start_incidence(monkeypatch):
+    """The masks of a start are found on its first intersection and read on every later one.
+
+    Finding them walks the start's rays beyond its lineality, so a later
+    intersection from the same start makes no such walk.
+    """
+    walked = []
+    original = cones._rays_beyond_lineality
+
+    def counted(c):
+        walked.append(c)
+        return original(c)
+
+    monkeypatch.setattr(cones, "_rays_beyond_lineality", counted)
+    square = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
+    cutters = [Cone([(1, 1, 0), (0, 0, 1)], 3), Cone([(1, 1, 1)], 3),
+               Cone([(1, 0, 0), (0, 0, 1)], 3), Cone([(1, 0, 0), (-1, 1, 2)], 3)]
+    for start in (Cone(square, 3), Cone([(1, 0, 0), (1, 2, 0)], 3).dual):
+        assert start._incidence is None
+        cutters[0].intersection(start)
+        kept = start._incidence
+        assert kept is not None and any(c is start for c in walked)
+        walked.clear()
+        for a in cutters[1:] + [start.dual]:
+            assert a.intersection(start) == intersection_from_scratch(a, start)
+        assert start._incidence is kept
+        assert not any(c is start for c in walked)
+
+
+def test_faces_of_lower_dimensional_cones_agree_with_supporting_hyperplanes():
+    """Zero sets read off the incidence give the faces, past the dual's lineality pairs."""
+    rng = random.Random(2702)
+    faces = non_faces = 0
+    for n in (2, 3, 4, 5, 6):
+        for c in seeded_cones(rng, n, 30, lower=True):
+            assert c.dual.lineality_basis
+            rays = c.rays()
+            expected = set()
+            for mask in range(2 ** len(rays)):
+                f = Cone([r for i, r in enumerate(rays) if mask >> i & 1], n)
+                if is_face_by_supporting_hyperplane(f, c):
+                    expected.add(f.generators)
+                else:
+                    non_faces += 1
+            assert {f.generators for f in c.faces()} == expected
+            faces += len(expected)
+    assert faces >= 300 and non_faces >= 100
+
+
+def test_is_face_of_lists_the_faces_of_an_unlisted_cone():
+    square = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
+    # the zero cone, the cone itself, and a diagonal of its square section
+    for candidate, expected in ((Cone.zero(3), True), (Cone(square, 3), True),
+                                (Cone([(1, 0, 0), (0, 1, 1)], 3), False)):
+        c = Cone(square, 3)
+        assert c._faces is None
+        assert candidate.is_face_of(c) is expected
+        assert is_face_by_supporting_hyperplane(candidate, c) is expected
+
+
 def test_perp_sublattice_examples():
     assert Cone([(1, 0)], 2).perp_sublattice() == [(0, 1)]
     assert Cone([(1, 0), (0, 1)], 2).perp_sublattice() == []

@@ -26,7 +26,9 @@ from oracles import (
 from timing import deadline
 from toricfree.lattice import (
     RationalSubspace,
+    _hermite_eliminate,
     _split_chain,
+    _split_off,
     _standard_basis,
     content,
     determinant,
@@ -492,6 +494,19 @@ def test_split_chain_sets_aside_one_vector_per_independent_row():
                     assert dot(row, b) > 0
                     assert all(dot(r, b) == 0 for r in rows[:i])
             assert abs(determinant([b for b in record if b is not None] + left)) == 1
+
+
+def test_split_chain_on_an_empty_basis_matches_the_general_path():
+    # a pointed cone's lineality: nothing to split off and nothing to reduce
+    rng = random.Random(2703)
+    for n in range(1, 6):
+        for count in range(5):
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(count)]
+            record = [_split_off([], row) for row in rows]
+            left = []
+            _hermite_eliminate(left, n)
+            assert _split_chain(rows, [], n) == (record, left)
+            assert _split_chain(iter(rows), (), n) == (record, left)
 
 
 def test_dot_length_mismatch():
