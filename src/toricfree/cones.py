@@ -8,8 +8,8 @@ pairs of basis vectors, so membership is always the single uniform test
 "pairs nonnegatively against every dual generator".  Every fact about a
 cone's dual comes from one double description of its generators, kept in
 one slot.  Its split chain comes first: the Hermite rows of the
-annihilator, which ``perp_sublattice`` and ``weight_class`` read
-directly, and the split record of the cone's generators, which
+annihilator, which ``dim``, ``perp_sublattice`` and ``weight_class``
+read directly, and the split record of the cone's generators, which
 ``split_basis`` hands to the local-freeness decider.  The dual rays are
 inserted over that chain the first time the dual is read, and ``dual``
 hands them to ``_canonical_cone``.  ``Cone(...)`` runs the chain, and
@@ -37,7 +37,6 @@ from .lattice import (
     _split_chain,
     _standard_basis,
     dot,
-    matrix_rank,
     negated,
     primitive,
     vec,
@@ -77,9 +76,10 @@ class Cone:
     generators are already canonical (duals, faces, intersections) are
     built by ``_canonical_cone`` alone.  Every cone runs the double
     description at most once, into ``_described``: ``Cone(...)`` on its
-    input, any other cone on its generators when first needed.  Input
-    the split chain finds independent over Q is extreme and spans no
-    line, so it is the cone's generators, and its rays wait for the
+    input, any other cone on its generators when first needed.  The split
+    chain, first, gives the dimension, the annihilator and the dependent
+    generators.  Input it finds independent over Q is extreme and spans
+    no line, so it is the cone's generators, and its rays wait for the
     first read of the dual.  Otherwise the rays are inserted at once.
     Their masks index the input, and only ``__init__`` reads them; when
     an input generator is not extreme it redoes only the split record.
@@ -90,7 +90,7 @@ class Cone:
     everywhere.
     """
 
-    __slots__ = ("rank", "generators", "lineality_basis", "_described", "_dual", "_dim",
+    __slots__ = ("rank", "generators", "lineality_basis", "_described", "_dual",
                  "_incidence", "_faces", "_face_keys", "_perp_pivots")
 
     def __init__(self, generators: Iterable[Sequence[int]], rank: int):
@@ -107,7 +107,7 @@ class Cone:
         splits, lin_rows = _split_chain(gens, _standard_basis(rank), rank)
         if None not in splits:
             # independent over Q: every generator is extreme and they span no line
-            _set_slots(self, rank, tuple(gens), (), (tuple(lin_rows), None, splits), len(gens))
+            _set_slots(self, rank, tuple(gens), (), (tuple(lin_rows), None, splits))
             return
         lin_rows, dual_rays, splits = _double_description(gens, rank, None, (splits, lin_rows))
         # bit j of a dual ray's mask is set iff the ray vanishes on gens[j]
@@ -125,7 +125,7 @@ class Cone:
         if len(extreme) < len(gens):
             # the split record indexes the cone's own generators
             splits = _split_chain(extreme, _standard_basis(rank), rank)[0]
-        _set_slots(self, rank, extreme, (), (lin_rows, dual_rays, splits), rank - len(lin_rows))
+        _set_slots(self, rank, extreme, (), (lin_rows, dual_rays, splits))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Cone is immutable")
@@ -136,9 +136,8 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        if self._dim is None:
-            object.__setattr__(self, "_dim", matrix_rank(self.generators))
-        return self._dim
+        """The rank less that of the annihilator, whose Hermite rows the split chain keeps."""
+        return self.rank - len(self._description()[0])
 
     @property
     def is_strongly_convex(self) -> bool:
@@ -146,31 +145,29 @@ class Cone:
 
     @property
     def dual(self) -> "Cone":
-        """The dual cone in the paired lattice, built the first time it is read."""
+        """The dual cone, its rays inserted over the kept split chain when first read."""
         if self._dual is None:
-            lin_rows, rays, _ = self._description()
+            lin_rows, rays, splits = self._description()
+            if rays is None:
+                described = _double_description(self.generators, self.rank, None,
+                                                (splits, lin_rows))
+                object.__setattr__(self, "_described", described)
+                rays = described[1]
             dual = _canonical_cone(lin_rows, [r for r, _ in rays], self.rank)
             object.__setattr__(self, "_dual", dual)
         return self._dual
 
-    def _description(self, rays: bool = True) -> tuple[tuple[Vector, ...],
-                                                       list[tuple[Vector, int]] | None,
-                                                       list[Vector | None]]:
-        """The double description of the cone's own generators, found once.
+    def _description(self) -> tuple[tuple[Vector, ...], list[tuple[Vector, int]] | None,
+                                    list[Vector | None]]:
+        """The double description of the cone's own generators, its split chain found once.
 
-        The split chain comes first.  The dual rays, None until then, are
-        inserted over that chain the first time ``rays`` asks for them.
+        The dual rays are None until ``dual`` inserts them over the chain.
         """
-        described = self._described
-        if described is None:
+        if self._described is None:
             splits, lin_rows = _split_chain(self.generators, _standard_basis(self.rank),
                                             self.rank)
-            described = (tuple(lin_rows), None, splits)
-        if rays and described[1] is None:
-            described = _double_description(self.generators, self.rank, None,
-                                             (described[2], described[0]))
-        object.__setattr__(self, "_described", described)
-        return described
+            object.__setattr__(self, "_described", (tuple(lin_rows), None, splits))
+        return self._described
 
     def split_basis(self) -> list[Vector | None]:
         """The split record of the cone's double description, one entry per generator.
@@ -179,7 +176,7 @@ class Cone:
         aside for g_j, splitting the generators off the standard basis in
         turn, or None where g_j is dependent on the generators before it.
         """
-        return self._description(rays=False)[2]
+        return self._description()[2]
 
     @property
     def facet_normals(self) -> tuple[Vector, ...]:
@@ -262,7 +259,7 @@ class Cone:
         the dual's lineality basis, Hermite-reduced rows of a saturated
         sublattice.  Reading them does not build the dual.
         """
-        return list(self._description(rays=False)[0])
+        return list(self._description()[0])
 
     def weight_class(self, m: Sequence[int]) -> Vector:
         """Canonical representative of a dual-lattice vector modulo the annihilator.
@@ -274,7 +271,7 @@ class Cone:
         w = list(vec(m))
         if len(w) != self.rank:
             raise ValueError(f"weight length {len(w)}, expected {self.rank}")
-        rows = self._description(rays=False)[0]
+        rows = self._description()[0]
         if self._perp_pivots is None:
             object.__setattr__(self, "_perp_pivots",
                                tuple(next(j for j, c in enumerate(row) if c) for row in rows))
@@ -348,10 +345,9 @@ def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: in
 
 
 def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
-               lin_rows: tuple[Vector, ...], described: tuple | None = None,
-               dim: int | None = None) -> None:
+               lin_rows: tuple[Vector, ...], described: tuple | None = None) -> None:
     """Fill every slot of a cone; the dual, incidence, faces and pivots start unbuilt."""
-    values = (rank, generators, lin_rows, described, None, dim, None, None, None, None)
+    values = (rank, generators, lin_rows, described, None, None, None, None, None)
     for name, value in zip(Cone.__slots__, values):
         object.__setattr__(cone, name, value)
 

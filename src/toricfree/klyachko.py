@@ -212,8 +212,7 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
         for i in sorted(levels):
             expected = filt.at(i)
             got_dim = sum(d for d, p in zip(dims, pairings) if p >= i)
-            # the whole space contains every summand
-            if got_dim != expected.dim or expected.dim != n and not all(
+            if got_dim != expected.dim or not all(
                     expected.contains_subspace(sub)
                     for (_, sub), p in zip(entries, pairings) if p >= i):
                 return (f"filtration mismatch at ray {u}, level {i}: "
@@ -247,15 +246,16 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     b_1, ..., b_k and what is left form a lattice basis on which
     T[j][i] = <u_j, b_i> is lower triangular with a nonzero diagonal, and
     the record holds None, nothing set aside, exactly where u_j is
-    dependent on the rays before it (more rays than the rank are dependent
-    at once).  A weight m = sum y_i b_i pairs delta_ij with the rays iff
-    T y = e_i on the first k coordinates, and forward substitution gives
-    the one rational solution, so an integral witness exists iff every
-    quotient it takes is exact.
+    dependent on the rays before it.  Each split takes one vector out of
+    a basis of n, so more than n rays always leave a None, and the record
+    is the only dependence test.  A weight m = sum y_i b_i pairs delta_ij
+    with the rays iff T y = e_i on the first k coordinates, and forward
+    substitution gives the one rational solution, so an integral witness
+    exists iff every quotient it takes is exact.
     """
     n = cone.rank
     rays = cone.rays()
-    if len(rays) > n or None in (split := cone.split_basis()):
+    if None in (split := cone.split_basis()):
         return LocalFreenessReport(False, failure="dependent rays")
     # row j holds T[j][0..j]
     table = [[sum(map(mul, u, b)) for b in split[:j + 1]] for j, u in enumerate(rays)]

@@ -61,10 +61,6 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, map(index, a), map(index, b)))
 
 
-def is_zero(v: Sequence[int]) -> bool:
-    return not any(v)
-
-
 def negated(v: Sequence[int]) -> Vector:
     return tuple(map(neg, v))
 

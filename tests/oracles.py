@@ -39,7 +39,6 @@ from toricfree.lattice import (
     copy_matrix,
     dot,
     identity_matrix,
-    is_zero,
     mat_vec,
     smith_normal_form,
     transpose,
@@ -388,8 +387,8 @@ def kernel_by_hermite_transform(a: list[list[int]]) -> list[tuple[int, ...]]:
     """
     n = len(a[0])
     h, u = xgcd_hermite_normal_form(transpose(a))
-    kernel_rows = [u[i] for i in range(n) if is_zero(h[i])]
-    return [vec(row) for row in xgcd_hermite_normal_form(kernel_rows)[0] if not is_zero(row)]
+    kernel_rows = [u[i] for i in range(n) if not any(h[i])]
+    return [vec(row) for row in xgcd_hermite_normal_form(kernel_rows)[0] if any(row)]
 
 
 def lineality_by_kernel(normals: list[tuple[int, ...]], rank: int) -> list[tuple[int, ...]]:

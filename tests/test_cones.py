@@ -242,6 +242,13 @@ def test_intersection_examples():
     assert not overlap.is_face_of(bad_b)
 
 
+def test_intersection_rejects_cones_of_another_lattice():
+    a, b = Cone([(1, 0)], 2), Cone([(1, 0, 0), (0, 1, 0)], 3)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="^cones live in different lattices$"):
+            x.intersection(y)
+
+
 def test_intersection_commutes_and_is_contained():
     cones = random_strongly_convex_cones(seed=108, count=30, ranks=(2, 3))
     rng = random.Random(109)
@@ -428,6 +435,15 @@ def test_weight_class_reduces_mod_perp():
     assert full.weight_class((3, -7)) == (3, -7)
 
 
+def test_contains_and_weight_class_reject_a_vector_of_another_length():
+    c = Cone([(1, 0, 0), (1, 2, 0)], 3)
+    for v in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=f"^vector length {len(v)}, expected 3$"):
+            c.contains(v)
+        with pytest.raises(ValueError, match=f"^weight length {len(v)}, expected 3$"):
+            c.weight_class(v)
+
+
 def test_weight_class_constant_on_class_and_injective_in_box():
     rng = random.Random(110)
     for c in random_strongly_convex_cones(seed=111, count=40, ranks=(2, 3)):
@@ -568,8 +584,13 @@ def test_dual_cone_function_alias():
 
 
 def test_cone_dim_matches_rank_of_generators():
-    for c in random_strongly_convex_cones(seed=112, count=60):
-        assert c.dim == matrix_rank([list(g) for g in c.generators])
+    """Built, dual, intersected or a face, a cone's dimension is its generators' rank."""
+    built = random_strongly_convex_cones(seed=112, count=60)
+    rng = random.Random(114)
+    for c in built:
+        other = rng.choice([d for d in built if d.rank == c.rank])
+        for x in (c, c.dual, c.intersection(other), *c.faces()):
+            assert x.dim == matrix_rank([list(g) for g in x.generators])
 
 
 def test_one_double_description_per_cone(monkeypatch):

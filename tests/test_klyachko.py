@@ -216,6 +216,16 @@ def test_diagnose_rejects_a_filtration_of_another_ambient_dimension():
         diagnose_certificate(c, family, cert)
 
 
+def test_diagnose_rejects_a_certificate_subspace_of_another_ambient_dimension():
+    c = Cone([(1, 0), (0, 1)], 2)
+    cert = DecompositionCertificate(c, [
+        ((0, 1), RationalSubspace.span(2, [(0, 1)])),
+        ((1, 0), RationalSubspace.span(3, [(1, 0, 0)])),
+    ])
+    assert diagnose_certificate(c, tangent_family(c), cert) == (
+        "certificate subspace has wrong ambient dimension")
+
+
 def test_verify_certificate_wrong_cone_is_error():
     a = Cone([(1, 0), (0, 1)], 2)
     b = Cone([(1, 0), (1, 2)], 2)
