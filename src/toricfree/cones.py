@@ -17,9 +17,12 @@ inserts the rays at once only when the chain finds its input dependent,
 to read the dual rays' zero sets for extremality; any other cone runs the
 chain on first need.  A cone's incidence, its rays beyond the lineality
 each with its bitmask over the dual's generators, is found once, when an
-intersection resumes from the cone or ``faces`` reads its zero sets.
-Face lattices, and the face closures of fans, stop at ``MAX_FACES``
-cones.
+intersection resumes from the cone or its face keys are read.  The face
+keys of a pointed cone, the generator tuples of its faces, are read off
+its incidence once, with no cone built per face: ``is_face_of`` is one
+lookup in them, ``faces`` builds its cones from them on its first call,
+and a fan's closure is their union.  Face lattices, and the face
+closures of fans, stop at ``MAX_FACES`` cones.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ class Cone:
     an input generator is not extreme it redoes only the split record.
     The incidence, filled by ``_incidence`` on first need, is another
     table: the cone's own rays beyond its lineality, each with its mask
-    over the generators of its dual.  Equality and hashing use only the
+    over the generators of its dual; ``_face_keys`` reads the face keys
+    off it into their slot.  Equality and hashing use only the
     canonical generator tuple, so equal cones are interchangeable
     everywhere.
     """
@@ -205,52 +209,30 @@ class Cone:
     def faces(self) -> tuple["Cone", ...]:
         """All faces, the cone itself and the zero cone included, in canonical order.
 
-        The faces are the intersections of facets, each facet the rays
-        its bit is set for in the incidence; the dual's lineality pairs
-        vanish on every ray and cut nothing.  The generator tuples of the
-        faces are kept beside them for ``is_face_of``.  Raises
-        ``FaceLimitError`` once there are more than ``MAX_FACES``.
+        Built on the first call from the face keys ``_face_keys`` keeps:
+        the cone itself, and one ``_canonical_cone`` for each other key.
+        Raises ``FaceLimitError`` once there are more than ``MAX_FACES``.
         """
         self._require_strongly_convex()
-        if self._faces is not None:
-            return self._faces
-        incidence = _incidence(self)
-        start = frozenset(self.generators)
-        zero_sets = []
-        for j in range(len(self.dual.generators)):
-            zero = frozenset([r for r, m in incidence if m >> j & 1])
-            if zero != start:
-                zero_sets.append(zero)
-        seen: dict[frozenset[Vector], Cone] = {start: self}
-        queue = [start]  # a pointed cone's facets meet in its apex, so the zero cone is reached
-        while queue:
-            current = queue.pop()
-            for zero in zero_sets:
-                cut = current & zero
-                if cut not in seen:
-                    seen[cut] = _canonical_cone((), cut, self.rank)
-                    if len(seen) > MAX_FACES:
-                        raise FaceLimitError(f"the face lattice of a rank-{self.rank} cone")
-                    queue.append(cut)
-        result = tuple(sorted(seen.values(), key=Cone.sort_key))
-        object.__setattr__(self, "_faces", result)
-        object.__setattr__(self, "_face_keys", frozenset([f.generators for f in result]))
-        return result
+        if self._faces is None:
+            faces = [self if key == self.generators else _canonical_cone((), key, self.rank)
+                     for key in _face_keys(self)]
+            object.__setattr__(self, "_faces", tuple(sorted(faces, key=Cone.sort_key)))
+        return self._faces
 
     def is_face_of(self, other: "Cone") -> bool:
         """Whether this cone is a face of ``other``: one lookup of its generators.
 
-        ``other.faces()`` lists the faces the first time and keeps their
-        generator tuples, and cones in one lattice are equal exactly when
-        their generators are.  Both cones must be strongly convex and live
-        in the same lattice.
+        ``other``'s face keys, the generator tuples of its faces, are found
+        the first time and kept, and cones in one lattice are equal exactly
+        when their generators are; no face is built as a cone.  Both cones
+        must be strongly convex and live in the same lattice.
         """
         if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
         self._require_strongly_convex()
         other._require_strongly_convex()
-        other.faces()
-        return self.generators in other._face_keys
+        return self.generators in _face_keys(other)
 
     def perp_sublattice(self) -> list[Vector]:
         """Canonical basis of the annihilator of the cone in the dual lattice.
@@ -370,6 +352,41 @@ def _incidence(cone: Cone) -> tuple[tuple[Vector, int], ...]:
             (r, sum(1 << j for j, d in enumerate(duals) if not sum(map(mul, d, r))))
             for r in _rays_beyond_lineality(cone)))
     return cone._incidence
+
+
+def _face_keys(cone: Cone) -> frozenset[tuple[Vector, ...]]:
+    """The generator tuples of a pointed cone's faces, itself and the zero cone included.
+
+    The faces are the intersections of facets, each facet the rays its bit
+    is set for in the incidence; the dual's lineality pairs vanish on every
+    ray and cut nothing.  The rays are the cone's sorted generators, so a
+    face is a bitmask over them, and its key lists the rays of its set bits
+    in order.  Found the first time it is read and kept in its slot, with
+    no cone built per face.  Raises ``FaceLimitError`` once there are more
+    than ``MAX_FACES``.
+    """
+    if cone._face_keys is None:
+        incidence = _incidence(cone)
+        every = (1 << len(incidence)) - 1
+        zero_sets = []
+        for j in range(len(cone.dual.generators)):
+            zero = sum(1 << i for i, (_, m) in enumerate(incidence) if m >> j & 1)
+            if zero != every:
+                zero_sets.append(zero)
+        seen = {every}
+        queue = [every]  # a pointed cone's facets meet in its apex, so the zero cone is reached
+        while queue:
+            current = queue.pop()
+            for zero in zero_sets:
+                cut = current & zero
+                if cut not in seen:
+                    seen.add(cut)
+                    if len(seen) > MAX_FACES:
+                        raise FaceLimitError(f"the face lattice of a rank-{cone.rank} cone")
+                    queue.append(cut)
+        object.__setattr__(cone, "_face_keys", frozenset(
+            tuple([r for i, (r, _) in enumerate(incidence) if cut >> i & 1]) for cut in seen))
+    return cone._face_keys
 
 
 def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None = None,

@@ -1,7 +1,10 @@
 """Fans: finite face-closed collections of strongly convex cones.
 
 Validation closes the input cones under faces, at most ``MAX_FACES``
-cones in all, and checks the defining compatibility condition, that the
+cones in all, over the union of their face keys (the generator tuples of
+their faces), so a face shared by many cones is one cone of the closure,
+built once: the input cone itself, or one cone built from its key.  It
+checks the defining compatibility condition, that the
 intersection of any two cones is a face of each, on the input cones
 only.  The faces need no check of their own:
 if two cones meet in a face of each, then so does every pair of their
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .cones import MAX_FACES, Cone, FaceLimitError
+from .cones import MAX_FACES, Cone, FaceLimitError, _canonical_cone, _face_keys
+from .lattice import Vector
 
 
 class FanValidationError(ValueError):
@@ -48,19 +52,21 @@ class Fan:
                 raise ValueError(f"cone {c.generators} is not strongly convex")
         distinct = sorted(set(cone_list), key=Cone.sort_key)
         # the closure is bounded before any pair is checked; the largest
-        # cones go first, so the faces of one cover the cones below it
-        closed: set[Cone] = set()
+        # cones go first, so the faces of one cover the cones below it; the
+        # zero cone is a face of each, and the whole closure of no cone
+        keys: set[tuple[Vector, ...]] = {()}
         for c in reversed(distinct):
-            if c not in closed:
-                closed.update(c.faces())
-                if len(closed) > MAX_FACES:
+            if c.generators not in keys:
+                keys |= _face_keys(c)
+                if len(keys) > MAX_FACES:
                     raise FaceLimitError("the face closure of the fan")
         # only the caller's cones are checked, so a failure is reported in
         # their terms; their faces then meet correctly (module docstring)
         _check_pairs(distinct)
-        if not closed:
-            closed.add(Cone.zero(rank))
-        ordered = sorted(closed, key=Cone.sort_key)
+        # one cone per distinct face: the caller's own, or one built from its key
+        given = {c.generators: c for c in distinct}
+        ordered = sorted((given.get(k) or _canonical_cone((), k, rank) for k in keys),
+                         key=Cone.sort_key)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cones", tuple(ordered))
 
@@ -85,9 +91,13 @@ class Fan:
         return Fan([c for c in self.cones if c.dim <= 1], self.rank)
 
     def maximal_cones(self) -> tuple[Cone, ...]:
-        """Cones that are not proper faces of any other cone in the fan."""
-        proper = {f for c in self.cones for f in c.faces() if f != c}
-        return tuple(c for c in self.cones if c not in proper)
+        """Cones that are not proper faces of any other cone in the fan.
+
+        Compares generator tuples with each cone's face keys
+        (``_face_keys``), so no face is built as a cone.
+        """
+        proper = {k for c in self.cones for k in _face_keys(c) if k != c.generators}
+        return tuple(c for c in self.cones if c.generators not in proper)
 
     def rays(self) -> tuple:
         """Primitive generators of the one-dimensional cones, sorted."""

@@ -410,6 +410,28 @@ def test_is_face_of_lists_the_faces_of_an_unlisted_cone():
         assert is_face_by_supporting_hyperplane(candidate, c) is expected
 
 
+def test_kept_face_keys_are_the_generators_of_the_faces():
+    """The face keys are found without building a face, and ``faces()`` is built from them.
+
+    Seeded cones of ranks 1-6, lower-dimensional ones and the zero cone
+    among them: the keys are the faces' generator tuples, found once, and
+    the faces are sorted by ``sort_key`` with the cone itself among them.
+    """
+    rng = random.Random(2901)
+    lower = 0
+    for n in range(1, 7):
+        for c in [Cone.zero(n), *seeded_cones(rng, n, 12)]:
+            lower += c.dim < n
+            keys = cones._face_keys(c)
+            assert c._faces is None
+            faces = c.faces()
+            assert keys == {f.generators for f in faces}
+            assert cones._face_keys(c) is keys
+            assert list(faces) == sorted(faces, key=Cone.sort_key)
+            assert c in faces and Cone.zero(n) in faces
+    assert lower >= 30
+
+
 def test_perp_sublattice_examples():
     assert Cone([(1, 0)], 2).perp_sublattice() == [(0, 1)]
     assert Cone([(1, 0), (0, 1)], 2).perp_sublattice() == []

@@ -1,11 +1,14 @@
 """Fan validation, face closure, skeletons, maximal cones."""
 
 import functools
+import itertools
 import math
 import random
 
 import pytest
 
+from oracles import is_face_by_supporting_hyperplane
+from toricfree import cones
 from toricfree.cones import Cone
 from toricfree.corpus import lookup
 from toricfree.fans import Fan, FanValidationError, _check_pairs, fan_from_generators, validate_fan
@@ -187,3 +190,59 @@ def test_seeded_product_fan_maximal_cones_match_face_definition(seed, count):
                      if not any(c != d and c.is_face_of(d) for d in fan.cones))
     assert len(expected) == 2 * count
     assert fan.maximal_cones() == expected
+
+
+def cross_polytope_cones(n):
+    """The maximal cones of the fan over the faces of the cross-polytope: the 2^n orthants."""
+    return [Cone([[s[i] * (i == j) for j in range(n)] for i in range(n)], n)
+            for s in itertools.product((1, -1), repeat=n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cross_polytope_fan_closure_matches_the_sign_patterns(n):
+    """The closure holds one cone per sign pattern, and the face tests agree with an oracle.
+
+    A face of an orthant takes each axis with one sign or leaves it out,
+    so the closure is the 3^n sign patterns; the 2^n orthants are maximal.
+    """
+    inputs = cross_polytope_cones(n)
+    fan = Fan(inputs)
+    patterns = {tuple(sorted(tuple(s * (i == j) for j in range(n)) for i, s in enumerate(p) if s))
+                for p in itertools.product((1, 0, -1), repeat=n)}
+    assert len(fan) == 3 ** n
+    assert {c.generators for c in fan} == patterns
+    assert fan.maximal_cones() == tuple(sorted(inputs, key=Cone.sort_key))
+    for f in fan:
+        for c in inputs:
+            assert f.is_face_of(c) == is_face_by_supporting_hyperplane(f, c)
+
+
+def test_closure_runs_one_split_chain_per_closure_cone(monkeypatch):
+    """Each distinct face is built once, as the input cone or from its face key.
+
+    The rank-5 cross-polytope fan holds 243 faces of its 32 orthants, 32
+    faces each.  Outside the pair checks, whose intersections each run a
+    chain of their own, a split chain runs at most once per closure cone
+    the input did not give, and never twice on the same generators.
+    """
+    inputs = cross_polytope_cones(5)
+    chained, inside = [], [0]
+    chain, meet = cones._split_chain, Cone.intersection
+
+    def counted_chain(rows, *args):
+        if not inside[0]:
+            chained.append(tuple(rows))
+        return chain(rows, *args)
+
+    def counted_meet(self, other):
+        inside[0] += 1
+        try:
+            return meet(self, other)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(cones, "_split_chain", counted_chain)
+    monkeypatch.setattr(Cone, "intersection", counted_meet)
+    fan = Fan(inputs)
+    assert len(fan) == 243
+    assert len(chained) == len(set(chained)) <= len(fan) - len(inputs)
