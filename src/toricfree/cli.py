@@ -241,8 +241,6 @@ def _dispatch(args) -> int:
         _emit({"kind": "examples", "examples": rows})
         return AFFIRMATIVE
 
-    raise ValueError(f"unknown command {args.command!r}")
-
 
 def entrypoint() -> None:
     sys.exit(main())

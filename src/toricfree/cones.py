@@ -20,8 +20,8 @@ each with its bitmask over the dual's generators, is found once, when an
 intersection resumes from the cone or its face keys are read.  The face
 keys of a pointed cone, the generator tuples of its faces, are read off
 its incidence once, with no cone built per face: ``is_face_of`` is one
-lookup in them, ``faces`` builds its cones from them on its first call,
-and a fan's closure is their union.  Face lattices, and the face
+lookup in them, ``faces`` builds its cones from them on each call, and a
+fan's closure is their union.  Face lattices, and the face
 closures of fans, stop at ``MAX_FACES`` cones.
 """
 
@@ -89,13 +89,13 @@ class Cone:
     The incidence, filled by ``_incidence`` on first need, is another
     table: the cone's own rays beyond its lineality, each with its mask
     over the generators of its dual; ``_face_keys`` reads the face keys
-    off it into their slot.  Equality and hashing use only the
-    canonical generator tuple, so equal cones are interchangeable
-    everywhere.
+    off it into their slot, and ``faces`` builds its cones from them on
+    each call.  Equality and hashing use only the canonical generator
+    tuple, so equal cones are interchangeable everywhere.
     """
 
     __slots__ = ("rank", "generators", "lineality_basis", "_described", "_dual",
-                 "_incidence", "_faces", "_face_keys", "_perp_pivots")
+                 "_incidence", "_face_keys", "_perp_pivots")
 
     def __init__(self, generators: Iterable[Sequence[int]], rank: int):
         if rank < 1:
@@ -209,16 +209,14 @@ class Cone:
     def faces(self) -> tuple["Cone", ...]:
         """All faces, the cone itself and the zero cone included, in canonical order.
 
-        Built on the first call from the face keys ``_face_keys`` keeps:
-        the cone itself, and one ``_canonical_cone`` for each other key.
-        Raises ``FaceLimitError`` once there are more than ``MAX_FACES``.
+        Built on each call from the face keys ``_face_keys`` keeps: the cone
+        itself, and one ``_canonical_cone`` for each other key.  Raises
+        ``FaceLimitError`` once there are more than ``MAX_FACES``.
         """
         self._require_strongly_convex()
-        if self._faces is None:
-            faces = [self if key == self.generators else _canonical_cone((), key, self.rank)
-                     for key in _face_keys(self)]
-            object.__setattr__(self, "_faces", tuple(sorted(faces, key=Cone.sort_key)))
-        return self._faces
+        faces = [self if key == self.generators else _canonical_cone((), key, self.rank)
+                 for key in _face_keys(self)]
+        return tuple(sorted(faces, key=Cone.sort_key))
 
     def is_face_of(self, other: "Cone") -> bool:
         """Whether this cone is a face of ``other``: one lookup of its generators.
@@ -328,8 +326,8 @@ def _canonical_cone(lin_rows: Sequence[Vector], rays: Iterable[Vector], rank: in
 
 def _set_slots(cone: Cone, rank: int, generators: tuple[Vector, ...],
                lin_rows: tuple[Vector, ...], described: tuple | None = None) -> None:
-    """Fill every slot of a cone; the dual, incidence, faces and pivots start unbuilt."""
-    values = (rank, generators, lin_rows, described, None, None, None, None, None)
+    """Fill every slot of a cone; the dual, incidence, face keys and pivots start unbuilt."""
+    values = (rank, generators, lin_rows, described, None, None, None, None)
     for name, value in zip(Cone.__slots__, values):
         object.__setattr__(cone, name, value)
 
@@ -359,11 +357,11 @@ def _face_keys(cone: Cone) -> frozenset[tuple[Vector, ...]]:
 
     The faces are the intersections of facets, each facet the rays its bit
     is set for in the incidence; the dual's lineality pairs vanish on every
-    ray and cut nothing.  The rays are the cone's sorted generators, so a
-    face is a bitmask over them, and its key lists the rays of its set bits
-    in order.  Found the first time it is read and kept in its slot, with
-    no cone built per face.  Raises ``FaceLimitError`` once there are more
-    than ``MAX_FACES``.
+    ray, so they cut each face to itself, which is already seen.  The rays
+    are the cone's sorted generators, so a face is a bitmask over them, and
+    its key lists the rays of its set bits in order.  Found the first time
+    it is read and kept in its slot, with no cone built per face.  Raises
+    ``FaceLimitError`` once there are more than ``MAX_FACES``.
     """
     if cone._face_keys is None:
         incidence = _incidence(cone)
@@ -371,8 +369,7 @@ def _face_keys(cone: Cone) -> frozenset[tuple[Vector, ...]]:
         zero_sets = []
         for j in range(len(cone.dual.generators)):
             zero = sum(1 << i for i, (_, m) in enumerate(incidence) if m >> j & 1)
-            if zero != every:
-                zero_sets.append(zero)
+            zero_sets.append(zero)
         seen = {every}
         queue = [every]  # a pointed cone's facets meet in its apex, so the zero cone is reached
         while queue:

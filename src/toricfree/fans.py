@@ -79,9 +79,6 @@ class Fan:
     def __len__(self) -> int:
         return len(self.cones)
 
-    def __contains__(self, cone: Cone) -> bool:
-        return cone in self.cones
-
     def skeleton(self, dim: int) -> tuple[Cone, ...]:
         """All cones of exactly the given dimension."""
         return tuple(c for c in self.cones if c.dim == dim)

@@ -54,10 +54,6 @@ def encode_int(value: int) -> int | str:
 def decode_int(value: Any) -> int:
     if type(value) is int:
         return value
-    if isinstance(value, bool):
-        raise ValueError(f"expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
     if isinstance(value, str):
         # int() alone would also take spaces, '_', '+' and non-ASCII digits
         if _DECIMAL.fullmatch(value):

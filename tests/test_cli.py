@@ -300,6 +300,25 @@ def test_lenient_integer_strings_exit_2(capsys, tmp_path, text):
     assert len(err) < 200
 
 
+def one_entry_report(certificate):
+    return {"entries": [{"cone": {"rank": 2, "generators": [[1, 0]]},
+                         "locally_free": {"verdict": True, "certificate": certificate}}]}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("verify", {"cones": [[[1, 0]]]}, "fan document requires 'rank' and 'cones'"),
+    ("verify", {"rank": 2, "cones": 5}, "'cones' must be a list of generator lists"),
+    ("recheck", one_entry_report(5), "certificate document requires an 'entries' list"),
+    ("recheck", one_entry_report({"entries": [5]}), "certificate entry must be an object"),
+    ("recheck", one_entry_report({"entries": [{"weight_class": [0, 0], "subspace_basis": 5}]}),
+     "certificate entry requires a 'subspace_basis' list"),
+])
+def test_malformed_fans_and_certificates_are_named(capsys, tmp_path, command, doc, message):
+    code, out, err = run_cli(capsys, command, write_json(tmp_path, "doc.json", doc))
+    assert code == 2 and out == ""
+    assert err == f"toricfree: error: {message}\n"
+
+
 def test_rank_at_the_bound_is_accepted():
     cone = parse_cone_document({"rank": MAX_RANK, "generators": [[1] + [0] * (MAX_RANK - 1)]})
     assert cone.rank == MAX_RANK and cone.rays() == ((1,) + (0,) * (MAX_RANK - 1),)

@@ -399,18 +399,34 @@ def test_faces_of_lower_dimensional_cones_agree_with_supporting_hyperplanes():
     assert faces >= 300 and non_faces >= 100
 
 
-def test_is_face_of_lists_the_faces_of_an_unlisted_cone():
+def count_cone_builds(monkeypatch) -> list:
+    """Record every later call of ``cones._canonical_cone``, which builds each face cone."""
+    builds = []
+    original = cones._canonical_cone
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_canonical_cone", counted)
+    return builds
+
+
+def test_is_face_of_lists_the_faces_of_an_unlisted_cone(monkeypatch):
     square = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
+    builds = count_cone_builds(monkeypatch)
     # the zero cone, the cone itself, and a diagonal of its square section
     for candidate, expected in ((Cone.zero(3), True), (Cone(square, 3), True),
                                 (Cone([(1, 0, 0), (0, 1, 1)], 3), False)):
         c = Cone(square, 3)
-        assert c._faces is None
+        c.dual  # the incidence reads the dual; no face is built as a cone
+        builds.clear()
         assert candidate.is_face_of(c) is expected
+        assert builds == []
         assert is_face_by_supporting_hyperplane(candidate, c) is expected
 
 
-def test_kept_face_keys_are_the_generators_of_the_faces():
+def test_kept_face_keys_are_the_generators_of_the_faces(monkeypatch):
     """The face keys are found without building a face, and ``faces()`` is built from them.
 
     Seeded cones of ranks 1-6, lower-dimensional ones and the zero cone
@@ -418,13 +434,17 @@ def test_kept_face_keys_are_the_generators_of_the_faces():
     the faces are sorted by ``sort_key`` with the cone itself among them.
     """
     rng = random.Random(2901)
+    builds = count_cone_builds(monkeypatch)
     lower = 0
     for n in range(1, 7):
         for c in [Cone.zero(n), *seeded_cones(rng, n, 12)]:
             lower += c.dim < n
+            c.dual  # the incidence reads the dual; no face is built as a cone
+            builds.clear()
             keys = cones._face_keys(c)
-            assert c._faces is None
+            assert builds == []
             faces = c.faces()
+            assert len(builds) == len(keys) - 1  # every face but the cone itself
             assert keys == {f.generators for f in faces}
             assert cones._face_keys(c) is keys
             assert list(faces) == sorted(faces, key=Cone.sort_key)
