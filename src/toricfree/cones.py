@@ -420,9 +420,11 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
     b0.  That projection maps the old cone modulo its lineality
     isomorphically onto its slice on the hyperplane of a, so the projected
     rays and b0 are the new extreme rays with no test.  Any other normal
-    takes a Fourier-Motzkin step: the rays on the nonnegative side stay
-    extreme, and of the combinations of a positive and a negative ray only
-    those formed from adjacent rays are extreme.  Each ray carries its mask
+    takes a Fourier-Motzkin step, which scores each ray against a once:
+    the rays on the nonnegative side stay extreme, a zero one gaining the
+    bit of a, and of the combinations of a positive and a negative ray
+    only those formed from adjacent rays are extreme; with no ray on one
+    side there is no pair to test.  Each ray carries its mask
     over the processed normals, and two rays are adjacent iff the normals
     Z vanishing on both number at least ``rank - lineality - 2`` and no
     third ray vanishes on all of Z (the incidence test of Fukuda and
@@ -459,16 +461,26 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
                 projected.append((r, m | bit))
             rays = projected + [(b0, bit - 1)]
         else:
-            scored = [(r, m, sum(map(mul, a, r))) for r, m in rays]
-            pos = [(r, m, p) for r, m, p in scored if p > 0]
-            neg = [(r, m, p) for r, m, p in scored if p < 0]
-            rays = [(r, m | bit if p == 0 else m) for r, m, p in scored if p >= 0]
-            for p_ray, pm, pp in pos:
-                for n_ray, nm, pn in neg:
-                    z = pm & nm
-                    # extreme rays have distinct masks, so this asks for a third ray on all of z
-                    if z.bit_count() >= need and not any(
-                            m & z == z and m != pm and m != nm for _, m, _ in scored):
-                        w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
-                        rays.append((w, z | bit))
+            # one pass scores each ray: the nonnegative side stays, in order
+            pos, neg, kept = [], [], []
+            for r, m in rays:
+                p = sum(map(mul, a, r))
+                if p > 0:
+                    pos.append((r, m, p))
+                    kept.append((r, m))
+                elif p:
+                    neg.append((r, m, p))
+                else:
+                    kept.append((r, m | bit))
+            if pos and neg:
+                masks = [m for _, m in rays]
+                for p_ray, pm, pp in pos:
+                    for n_ray, nm, pn in neg:
+                        z = pm & nm
+                        # extreme rays have distinct masks, so this asks for a third ray on all of z
+                        if z.bit_count() >= need and not any(
+                                m & z == z and m != pm and m != nm for m in masks):
+                            w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
+                            kept.append((w, z | bit))
+            rays = kept
     return tuple(lin_rows), rays, splits

@@ -4,13 +4,14 @@ Validation closes the input cones under faces, at most ``MAX_FACES``
 cones in all, over the union of their face keys (the generator tuples of
 their faces), so a face shared by many cones is one cone of the closure,
 built once: the input cone itself, or one cone built from its key.  It
-checks the defining compatibility condition, that the
-intersection of any two cones is a face of each, on the input cones
-only.  The faces need no check of their own:
-if two cones meet in a face of each, then so does every pair of their
-faces (Cox-Little-Schenck, Toric Varieties, section 3.1).  A failed check
-reports the offending pair of input cones together with their intersection
-so the caller can see exactly where compatibility breaks.
+checks the defining compatibility condition, that the intersection of
+any two cones is a face of each, only on the input cones that are not
+faces of another input, which the closure finds as it goes.  The faces,
+other inputs among them, need no check of their own: if two cones meet
+in a face of each, then so does every pair of their faces
+(Cox-Little-Schenck, Toric Varieties, section 3.1).  A failed check
+reports the offending pair of input cones together with their
+intersection so the caller can see exactly where compatibility breaks.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class Fan:
             if not cone_list:
                 raise ValueError("cannot infer lattice rank from an empty fan")
             rank = cone_list[0].rank
+        if rank < 1:
+            raise ValueError("lattice rank must be at least 1")
         for c in cone_list:
             if c.rank != rank:
                 raise ValueError(f"cone {c.generators} lives in rank {c.rank}, expected {rank}")
@@ -55,14 +58,17 @@ class Fan:
         # cones go first, so the faces of one cover the cones below it; the
         # zero cone is a face of each, and the whole closure of no cone
         keys: set[tuple[Vector, ...]] = {()}
+        top = []
         for c in reversed(distinct):
             if c.generators not in keys:
+                top.append(c)
                 keys |= _face_keys(c)
                 if len(keys) > MAX_FACES:
                     raise FaceLimitError("the face closure of the fan")
-        # only the caller's cones are checked, so a failure is reported in
-        # their terms; their faces then meet correctly (module docstring)
-        _check_pairs(distinct)
+        # only the caller's cones that are faces of no other are checked, in
+        # sorted order, so a failure is reported in their terms; their faces,
+        # the other inputs among them, then meet correctly (module docstring)
+        _check_pairs(top[::-1])
         # one cone per distinct face: the caller's own, or one built from its key
         given = {c.generators: c for c in distinct}
         ordered = sorted((given.get(k) or _canonical_cone((), k, rank) for k in keys),

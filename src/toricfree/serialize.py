@@ -31,10 +31,10 @@ SAFE_INT = 2 ** 53 - 1
 # least rank x rank integers, so an unbounded rank could exhaust memory.
 MAX_RANK = 256
 # Most cones a fan document may list.  Validation intersects every pair of
-# them, so its time grows with the square of this count: verifying a
-# planar fan x P^1 with this many maximal cones takes 5-9 s on 2 cores, but
-# the rank-12 orthant listed with 767 of its largest faces took 65 s (one
-# run), since each of its pairs is intersected in rank 12.
+# them that are not faces of another listed cone, so its time grows with
+# the square of that count: verifying a planar fan x P^1 with this many
+# maximal cones takes about 5 s on 2 cores.  Listed faces add no pair: the
+# rank-12 orthant listed with its 767 largest faces verifies in about 5 s.
 MAX_FAN_CONES = 768
 # Most generators a cone document, or one cone of a fan document, may list.
 # The dual of the rank-4 cone over the moment curve has the most facets a

@@ -103,6 +103,16 @@ MUTANTS = (
     Mutant("adjacency test asks for one more common normal", "src/toricfree/cones.py",
            "need = rank - len(lin) - 2",
            "need = rank - len(lin) - 1"),
+    Mutant("Fourier-Motzkin step keeps a zero ray's mask without the new bit",
+           "src/toricfree/cones.py",
+           "                    kept.append((r, m | bit))\n",
+           "                    kept.append((r, m))\n"),
+    Mutant("adjacency test scans the positive rays' masks only", "src/toricfree/cones.py",
+           "masks = [m for _, m in rays]",
+           "masks = [m for _, m, _ in pos]"),
+    Mutant("pair check runs on the first top cone alone", "src/toricfree/fans.py",
+           "    for i, a in enumerate(cones):\n",
+           "    for i, a in enumerate(cones[:1]):\n"),
     Mutant("every input generator kept as extreme", "src/toricfree/cones.py",
            "every) == 1 << j)",
            "every) == 1 << j or True)"),

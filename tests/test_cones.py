@@ -552,8 +552,11 @@ def test_double_description_ignores_zero_normals():
 
 def test_double_description_masks_are_exact():
     # bit i of a ray's mask is set iff normals[i] vanishes on it; the lists
-    # carry repeated, dependent and zero normals
+    # carry repeated, dependent and zero normals.  Resumed from a pointed
+    # cone, as ``Cone.intersection`` resumes, the start's dual generators
+    # take the low bits and the inserted normals the bits after them.
     rng = random.Random(1301)
+    resumed = 0
     for n in range(1, 7):
         for _ in range(60):
             normals = [tuple(rng.randint(-3, 3) for _ in range(n))
@@ -569,6 +572,18 @@ def test_double_description_masks_are_exact():
             for ray, mask in rays:
                 for i, a in enumerate(normals):
                     assert bool(mask >> i & 1) == (dot(a, ray) == 0)
+            # generators in one orthant span no line
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            start = Cone([[s * rng.randint(0, 3) for s in signs]
+                          for _ in range(rng.randint(1, n + 2))], n)
+            before = start.dual.generators + tuple(normals)
+            _, rays, _ = _double_description(normals, n, start)
+            resumed += len(rays)
+            for ray, mask in rays:
+                assert mask >> len(before) == 0
+                for i, a in enumerate(before):
+                    assert bool(mask >> i & 1) == (dot(a, ray) == 0)
+    assert resumed > 400
 
 
 def test_double_description_lineality_matches_kernel_oracle():

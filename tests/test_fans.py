@@ -246,3 +246,63 @@ def test_closure_runs_one_split_chain_per_closure_cone(monkeypatch):
     fan = Fan(inputs)
     assert len(fan) == 243
     assert len(chained) == len(set(chained)) <= len(fan) - len(inputs)
+
+
+def count_pair_checks(monkeypatch):
+    """Count ``Cone.intersection`` calls, each one pair the validation checks."""
+    calls = [0]
+    meet = Cone.intersection
+
+    def counted(self, other):
+        calls[0] += 1
+        return meet(self, other)
+
+    monkeypatch.setattr(Cone, "intersection", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34])
+def test_listed_faces_give_the_fan_of_the_top_cones(monkeypatch, seed):
+    """A fan listed with some faces of its cones is the fan of those cones alone.
+
+    The inputs that are faces of another input are closed over but not
+    checked pairwise: the top cones' pairs are the only intersections.
+    The fans are a planar fan x P^1, some orthants of the rank-4
+    cross-polytope fan, and one rank-5 orthant, each listed with a seeded
+    sample of its faces (rays, the zero cone and the inputs' own faces of
+    every dimension among them).
+    """
+    rng = random.Random(seed)
+    samples = [
+        list(planar_fan_times_p1(seed, rng.randint(5, 8)).maximal_cones()),
+        rng.sample(cross_polytope_cones(4), rng.randint(2, 6)),
+        cross_polytope_cones(5)[:1],
+    ]
+    calls = count_pair_checks(monkeypatch)
+    for tops in samples:
+        faces = sorted({f for c in tops for f in c.faces()} - set(tops), key=Cone.sort_key)
+        listed = tops + rng.sample(faces, rng.randint(1, len(faces)))
+        rng.shuffle(listed)
+        expected = Fan(tops)
+        calls[0] = 0
+        fan = Fan(listed)
+        assert calls[0] == len(tops) * (len(tops) - 1) // 2
+        assert fan.cones == expected.cones
+        assert set(fan.maximal_cones()) == set(tops)
+
+
+def test_invalid_pair_is_named_when_a_face_is_listed():
+    # a and b overlap in the open cone between (1, 1) and (1, 2); the ray
+    # through (1, 2) is a face of a listed too, and c, the first cone in
+    # the sorted order, meets both correctly; the pair named is the two
+    # top cones, though the listed ray also meets b in a non-face
+    a = Cone([(1, 0), (1, 2)], 2)
+    b = Cone([(1, 1), (0, 1)], 2)
+    c = Cone([(-1, 0), (0, -1)], 2)
+    face = Cone([(1, 2)], 2)
+    for listed in ([a, b, face], [face, c, b, a], [c, a, face, b, Cone.zero(2)]):
+        with pytest.raises(FanValidationError) as exc:
+            Fan(listed)
+        err = exc.value
+        assert (err.first, err.second) == (b, a)
+        assert err.intersection.generators == ((1, 1), (1, 2))
