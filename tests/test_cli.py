@@ -308,13 +308,13 @@ def one_entry_report(certificate):
 @pytest.mark.parametrize("command, doc, message", [
     ("verify", {"cones": [[[1, 0]]]}, "fan document requires 'rank' and 'cones'"),
     ("verify", {"rank": 2, "cones": 5}, "'cones' must be a list of generator lists"),
-    # a fan listing no cone declares its rank alone, and no cone's own check reads it
-    ("verify", {"rank": 0, "cones": []}, "lattice rank must be at least 1"),
-    ("locally-free", {"rank": "-2", "cones": []}, "lattice rank must be at least 1"),
     ("recheck", one_entry_report(5), "certificate document requires an 'entries' list"),
     ("recheck", one_entry_report({"entries": [5]}), "certificate entry must be an object"),
     ("recheck", one_entry_report({"entries": [{"weight_class": [0, 0], "subspace_basis": 5}]}),
      "certificate entry requires a 'subspace_basis' list"),
+    # a fan listing no cone declares its rank alone, and no cone's own check reads it
+    ("verify", {"rank": 0, "cones": []}, "lattice rank must be at least 1"),
+    ("locally-free", {"rank": "-2", "cones": []}, "lattice rank must be at least 1"),
 ])
 def test_malformed_fans_and_certificates_are_named(capsys, tmp_path, command, doc, message):
     code, out, err = run_cli(capsys, command, write_json(tmp_path, "doc.json", doc))
