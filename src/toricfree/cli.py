@@ -8,7 +8,6 @@ stdout as JSON; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -207,7 +206,7 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         config, stream = _corpus_from_args(args)
         summary = run_sweep(next(stream) for _ in range(args.count))
-        config_doc = {**dataclasses.asdict(config), "prng": PRNG_ALGORITHM}
+        config_doc = {**config._asdict(), "prng": PRNG_ALGORITHM}
         _emit(sweep_report(summary, config_doc))
         return AFFIRMATIVE if summary.all_agree else NEGATIVE
 

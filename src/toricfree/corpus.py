@@ -11,9 +11,8 @@ raw bits by ``_uniform``, the rule ``randint`` follows, so the stream is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .cones import Cone, NotStronglyConvexError
 from .fans import Fan, fan_from_generators
@@ -30,32 +29,43 @@ class GenerationBudgetError(RuntimeError):
     """Raised when rejection sampling exhausts its attempt budget."""
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Parameters for the random cone stream.
-
-    Coordinates are drawn uniformly from [-bound, bound]; the generator
-    count is drawn uniformly from [min_generators, max_generators], with
-    max_generators at most ``MAX_GENERATORS``; draws containing the zero
-    vector or spanning a line are rejected whole.
-    """
-
+class _GeneratorFields(NamedTuple):
     rank: int
     min_generators: int
     max_generators: int
     bound: int
     seed: int
 
-    def __post_init__(self):
-        if not 2 <= self.rank <= 6:
-            raise ValueError(f"rank {self.rank} outside the supported range 2..6")
-        if self.min_generators < 0 or self.min_generators > self.max_generators:
+
+class GeneratorConfig(_GeneratorFields):
+    """Parameters for the random cone stream.
+
+    Coordinates are drawn uniformly from [-bound, bound]; the generator
+    count is drawn uniformly from [min_generators, max_generators], with
+    max_generators at most ``MAX_GENERATORS``; draws containing the zero
+    vector or spanning a line are rejected whole.  Every way of making a
+    config, ``_make`` and ``_replace`` too, goes through the checks in
+    ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, min_generators: int, max_generators: int,
+                bound: int, seed: int):
+        if not 2 <= rank <= 6:
+            raise ValueError(f"rank {rank} outside the supported range 2..6")
+        if min_generators < 0 or min_generators > max_generators:
             raise ValueError("generator count range is empty or negative")
-        if self.max_generators > MAX_GENERATORS:
+        if max_generators > MAX_GENERATORS:
             raise ValueError(
-                f"max_generators {self.max_generators} exceeds the cap {MAX_GENERATORS}")
-        if self.bound < 1:
+                f"max_generators {max_generators} exceeds the cap {MAX_GENERATORS}")
+        if bound < 1:
             raise ValueError("coordinate bound must be at least 1")
+        return super().__new__(cls, rank, min_generators, max_generators, bound, seed)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def default_config(rank: int, seed: int, bound: int = 5) -> GeneratorConfig:
@@ -111,8 +121,7 @@ def _draw_cone(rng: random.Random, config: GeneratorConfig) -> Cone:
         f"no strongly convex cone found in {REJECTION_LIMIT} attempts for {config}")
 
 
-@dataclass(frozen=True)
-class NamedExample:
+class NamedExample(NamedTuple):
     """A library cone or fan with its expected verdict pair."""
 
     name: str

@@ -16,9 +16,8 @@ only Smith form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index, mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cones import Cone
 from .lattice import (
@@ -135,26 +134,32 @@ def sections_dimension(ray: Sequence[int], m: Sequence[int]) -> int:
     return filt.at(-dot(vec(m), u)).dim
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
-    """A candidate weight-graded splitting of the ambient space on a cone.
-
-    Entries pair a weight class (canonical representative modulo the
-    cone's annihilator sublattice) with a subspace.  Validity is decided
-    by verify_certificate, not the constructor.
-    """
-
+class _CertificateFields(NamedTuple):
     cone: Cone
     entries: tuple[tuple[Vector, RationalSubspace], ...]
 
-    def __init__(self, cone: Cone, entries):
+
+class DecompositionCertificate(_CertificateFields):
+    """A candidate weight-graded splitting of the ambient space on a cone.
+
+    Entries pair a weight class (canonical representative modulo the
+    cone's annihilator sublattice) with a subspace, sorted by weight
+    however the certificate is made, ``_make`` and ``_replace`` too.
+    Validity is decided by verify_certificate, not the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, cone: Cone, entries):
         normalized = tuple(sorted(((vec(m), sub) for m, sub in entries), key=lambda e: e[0]))
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "entries", normalized)
+        return super().__new__(cls, cone, normalized)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LocalFreenessReport:
+class LocalFreenessReport(NamedTuple):
     """Outcome of the local-freeness decision on one cone."""
 
     verdict: bool
@@ -287,8 +292,7 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)
 
 
-@dataclass(frozen=True)
-class FanFreenessReport:
+class FanFreenessReport(NamedTuple):
     """Per-cone local-freeness reports over a whole fan."""
 
     verdict: bool

@@ -9,14 +9,13 @@ machinery, so the two deciders stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cones import Cone
 from .lattice import invariant_factors
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     """Outcome of the smoothness decision on one cone."""
 
     verdict: bool

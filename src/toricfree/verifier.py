@@ -9,16 +9,14 @@ at scale.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cones import Cone
 from .klyachko import LocalFreenessReport, decide_tangent_locally_free
 from .smoothness import SmoothnessReport, is_smooth_cone
 
 
-@dataclass(frozen=True)
-class AgreementRecord:
+class AgreementRecord(NamedTuple):
     """Both verdicts on one cone and whether they coincide."""
 
     cone: Cone
@@ -27,8 +25,7 @@ class AgreementRecord:
     agree: bool
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     """Aggregate outcome of an agreement sweep over a cone corpus."""
 
     count: int

@@ -83,6 +83,21 @@ MUTANTS = (
     Mutant("certificate check without its ambient-dimension guard", "src/toricfree/klyachko.py",
            "        if filt.ambient != n:\n",
            "        if False:\n"),
+    Mutant("certificate keeps its entries in the order given", "src/toricfree/klyachko.py",
+           "tuple(sorted(((vec(m), sub) for m, sub in entries), key=lambda e: e[0]))",
+           "tuple((vec(m), sub) for m, sub in entries)"),
+    Mutant("certificate _make, so _replace too, skips the sort", "src/toricfree/klyachko.py",
+           "        return cls(*iterable)\n",
+           "        return tuple.__new__(cls, iterable)\n"),
+    Mutant("certificate without its empty slots", "src/toricfree/klyachko.py",
+           "    __slots__ = ()\n",
+           ""),
+    Mutant("generator config _make, so _replace too, skips the checks", "src/toricfree/corpus.py",
+           "        return cls(*iterable)\n",
+           "        return tuple.__new__(cls, iterable)\n"),
+    Mutant("generator config without its empty slots", "src/toricfree/corpus.py",
+           "    __slots__ = ()\n",
+           ""),
     Mutant("Smith form without its divisibility fix-up", "src/toricfree/lattice.py",
            "        off = next((i for i in range(t + 1, m) if any(c % p for c in d[i][t + 1:n])), None)\n",
            "        off = None\n"),

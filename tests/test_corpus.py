@@ -135,8 +135,17 @@ def test_zero_generator_config_yields_zero_cone():
 def test_budget_exhaustion_raises():
     # 30 draws from {-1,0,1}^2 essentially never stay strongly convex
     cfg = GeneratorConfig(rank=2, min_generators=30, max_generators=30, bound=1, seed=0)
-    with pytest.raises(GenerationBudgetError):
+    with pytest.raises(GenerationBudgetError) as raised:
         random_cone(cfg)
+    assert str(raised.value) == (
+        "no strongly convex cone found in 10000 attempts for GeneratorConfig("
+        "rank=2, min_generators=30, max_generators=30, bound=1, seed=0)")
+
+
+def test_config_repr_is_fixed():
+    # the budget error's message embeds it
+    assert repr(default_config(3, 7)) == (
+        "GeneratorConfig(rank=3, min_generators=1, max_generators=5, bound=5, seed=7)")
 
 
 def test_config_validation():
@@ -153,6 +162,44 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(rank=2, min_generators=1, max_generators=MAX_GENERATORS + 1,
                         bound=5, seed=0)
+
+
+# one out-of-range field of default_config(3, 7) per check the config makes
+OUT_OF_RANGE = [
+    ("rank", 1),
+    ("rank", 7),
+    ("min_generators", -1),
+    ("min_generators", 6),
+    ("max_generators", 0),
+    ("max_generators", MAX_GENERATORS + 1),
+    ("bound", 0),
+]
+
+
+@pytest.mark.parametrize("field, value", OUT_OF_RANGE)
+def test_config_is_checked_however_it_is_made(field, value):
+    base = default_config(3, 7)
+    fields = {**base._asdict(), field: value}
+    with pytest.raises(ValueError):
+        GeneratorConfig(**fields)
+    with pytest.raises(ValueError):
+        GeneratorConfig._make(fields.values())
+    with pytest.raises(ValueError):
+        base._replace(**{field: value})
+
+
+def test_config_is_an_immutable_named_tuple():
+    cfg = default_config(3, 7)
+    assert cfg == (3, 1, 5, 5, 7)
+    assert cfg._asdict() == {"rank": 3, "min_generators": 1, "max_generators": 5,
+                             "bound": 5, "seed": 7}
+    moved = cfg._replace(seed=8)
+    assert type(moved) is GeneratorConfig and moved == (3, 1, 5, 5, 8)
+    assert type(GeneratorConfig._make(cfg)) is GeneratorConfig
+    with pytest.raises(AttributeError):
+        cfg.rank = 4
+    with pytest.raises(AttributeError):
+        cfg.extra = 1
 
 
 def test_default_config_shape():

@@ -243,6 +243,23 @@ def test_verify_certificate_entry_order_invariance():
     assert verify_certificate(c, family, DecompositionCertificate(c, [e2, e1]))
 
 
+def test_certificate_entries_are_sorted_however_it_is_made():
+    c = Cone([(1, 0), (0, 1)], 2)
+    e1 = ((1, 0), RationalSubspace.span(2, [(1, 0)]))
+    e2 = ((0, 1), RationalSubspace.span(2, [(0, 1)]))
+    cert = DecompositionCertificate(c, [e1])
+    # weights given as lists come back as tuples, in weight order
+    unsorted = [([1, 0], e1[1]), ([0, 1], e2[1])]
+    for made in (cert._replace(entries=unsorted), DecompositionCertificate._make((c, unsorted))):
+        assert type(made) is DecompositionCertificate
+        assert made.entries == (e2, e1)
+    assert cert == (c, (e1,))
+    with pytest.raises(AttributeError):
+        cert.entries = (e2, e1)
+    with pytest.raises(AttributeError):
+        cert.extra = 1
+
+
 def test_verify_certificate_representative_invariance():
     # on a lower-dimensional cone, shifting a weight by the annihilator
     # and re-reducing gives the same certificate

@@ -6,10 +6,15 @@ too, works on integers only and reads its entries through
 ``smoothness`` nor ``klyachko`` reaches the other through the package's
 imports, so their agreement is evidence and not one computation run
 twice.  Splitting rows off a lattice basis is one loop,
-``lattice._split_chain``: no other module reaches its steps.
+``lattice._split_chain``: no other module reaches its steps.  Every
+command pays for the package import first, so no module imports
+``dataclasses`` or ``inspect``, and importing the command line loads
+neither.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toricfree"
@@ -45,6 +50,21 @@ def test_no_module_imports_fractions():
     users = {p.name for p in modules
              if any(m.split(".")[0] == "fractions" for m in imported_modules(p))}
     assert not users
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    users = {f"{p.name}: {m}" for p in sorted(PACKAGE.glob("*.py"))
+             for m in imported_modules(p) if m.split(".")[0] in {"dataclasses", "inspect"}}
+    assert not users
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -I: no PYTHONPATH and no user site, so only the interpreter and the package load modules
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import toricfree.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_deciders_do_not_import_each_other():
