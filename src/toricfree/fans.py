@@ -6,7 +6,8 @@ their faces), so a face shared by many cones is one cone of the closure,
 built once: the input cone itself, or one cone built from its key.  It
 checks the defining compatibility condition, that the intersection of
 any two cones is a face of each, only on the input cones that are not
-faces of another input, which the closure finds as it goes.  The faces,
+faces of another input, the fan's maximal cones, which the closure finds
+as it goes and the fan keeps.  The faces,
 other inputs among them, need no check of their own: if two cones meet
 in a face of each, then so does every pair of their faces
 (Cox-Little-Schenck, Toric Varieties, section 3.1).  A failed check
@@ -36,9 +37,9 @@ class FanValidationError(ValueError):
 
 
 class Fan:
-    """An immutable validated fan, stored as the full face-closed cone list."""
+    """An immutable validated fan: the full face-closed cone list, and its top cones."""
 
-    __slots__ = ("rank", "cones")
+    __slots__ = ("rank", "cones", "_top")
 
     def __init__(self, cones: Iterable[Cone], rank: int | None = None):
         cone_list = list(cones)
@@ -68,13 +69,15 @@ class Fan:
         # only the caller's cones that are faces of no other are checked, in
         # sorted order, so a failure is reported in their terms; their faces,
         # the other inputs among them, then meet correctly (module docstring)
-        _check_pairs(top[::-1])
+        top.reverse()
+        _check_pairs(top)
         # one cone per distinct face: the caller's own, or one built from its key
         given = {c.generators: c for c in distinct}
         ordered = sorted((given.get(k) or _canonical_cone((), k, rank) for k in keys),
                          key=Cone.sort_key)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cones", tuple(ordered))
+        object.__setattr__(self, "_top", tuple(top))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Fan is immutable")
@@ -94,13 +97,12 @@ class Fan:
         return Fan([c for c in self.cones if c.dim <= 1], self.rank)
 
     def maximal_cones(self) -> tuple[Cone, ...]:
-        """Cones that are not proper faces of any other cone in the fan.
+        """Cones that are not proper faces of any other cone in the fan, in sorted order.
 
-        Compares generator tuples with each cone's face keys
-        (``_face_keys``), so no face is built as a cone.
+        They are the top cones validation found, the caller's own objects;
+        a fan of no cone but the zero cone has the zero cone alone.
         """
-        proper = {k for c in self.cones for k in _face_keys(c) if k != c.generators}
-        return tuple(c for c in self.cones if c.generators not in proper)
+        return self._top or self.cones
 
     def rays(self) -> tuple:
         """Primitive generators of the one-dimensional cones, sorted."""

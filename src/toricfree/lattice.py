@@ -22,12 +22,12 @@ transform, ``_hermite_eliminate``, makes the rest canonical.  The only
 kernel, ``_kernel_basis``, is that chain on the standard basis; a
 subspace's orthogonal complement and an integer solution of a @ x = b
 are read off it, and the cone layer's double description takes its
-lineality and split record from the same chain.
-Rational subspaces and ``matrix_rank`` share one fraction-free
+lineality and split record from the same chain, and ``matrix_rank``
+is the column count less the kernel's rank.
+Rational subspaces keep a reduced basis by one fraction-free
 elimination (cross-multiplication with a gcd reduction per row, after
 Bareiss 1968 and Cohen, *A Course in Computational Algebraic Number
-Theory*, §2.4): the rank only needs an echelon basis, subspaces keep
-theirs reduced.  Reducing a vector modulo a subspace is one step,
+Theory*, §2.4).  Reducing a vector modulo a subspace is one step,
 ``_reduce_row``, which clears the pivot columns of any echelon basis in
 pivot order.  The residue with zero pivot coordinates is unique, so that
 walk lands on a positive multiple of it whichever echelon basis with
@@ -157,20 +157,10 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix over Q.
-
-    The rows are inserted one by one into an echelon basis by the same
-    fraction-free step that builds ``RationalSubspace`` (see
-    ``_reduce_row``); the rank is the number of rows that survive.  Once
-    the basis has a row per column, every later row lies in its span.
-    """
-    basis: list[Sequence[int]] = []
-    pivots: list[int] = []
-    for row in copy_matrix(a):
-        if len(basis) == len(row):
-            break
-        _echelon_insert(basis, pivots, row)
-    return len(basis)
+    """Rank of an integer matrix over Q: the column count less the kernel's rank."""
+    rows = copy_matrix(a)
+    n = len(rows[0]) if rows else 0
+    return n - len(_kernel_basis(rows, n))
 
 
 def _euclid(rows: list[Sequence[int]], live: list[int], pairings: list[int]) -> int:
@@ -548,36 +538,24 @@ def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],
     return work
 
 
-def _echelon_insert(basis: list[Sequence[int]], pivots: list[int],
-                    row: Sequence[int]) -> int | None:
-    """Insert the residue of row into an echelon basis held as lists.
+def _insert_row(basis: list[Sequence[int]], pivots: list[int], row: Sequence[int]) -> None:
+    """Add one row to a canonical basis held as lists, keeping it canonical.
 
-    The residue is made primitive with a positive pivot and goes in pivot
-    order; its position is returned, or None when row lies in the span.
+    The residue of row, made primitive with a positive pivot, goes in pivot
+    order, or nowhere when row lies in the span.  The rows above it are
+    then cleared at its pivot; the rows below it are zero there already.
     """
     work = _reduce_row(row, basis, pivots)
     p = next((j for j, c in enumerate(work) if c), None)
     if p is None:
-        return None
+        return
     g = content(work)
     if work[p] < 0:
         g = -g
+    new = [c // g for c in work]
     k = bisect(pivots, p)
     pivots.insert(k, p)
-    basis.insert(k, [c // g for c in work])
-    return k
-
-
-def _insert_row(basis: list[Sequence[int]], pivots: list[int], row: Sequence[int]) -> None:
-    """Add one row to a canonical basis held as lists, keeping it canonical.
-
-    After the echelon insert, the rows above the new one are cleared at its
-    pivot; the rows below it are zero there already.
-    """
-    k = _echelon_insert(basis, pivots, row)
-    if k is None:
-        return
-    new, p = basis[k], pivots[k]
+    basis.insert(k, new)
     for i in range(k):
         if basis[i][p]:
             basis[i] = primitive(_reduce_row(basis[i], (new,), (p,)))

@@ -152,6 +152,8 @@ def parse_geometry_document(doc: Any) -> Geometry:
     """Dispatch a parsed JSON document to a cone or a fan by its shape."""
     if not isinstance(doc, dict):
         raise ValueError("geometry document must be a JSON object")
+    if "cones" in doc and "generators" in doc:
+        raise ValueError("document is both a cone ('generators') and a fan ('cones')")
     if "cones" in doc:
         return parse_fan_document(doc)
     if "generators" in doc:

@@ -8,12 +8,16 @@ failing test.  A mutant is killed when the suite fails on it and survives
 when the suite passes.  It prints one line per mutant, its outcome and
 whether that is the outcome expected, and exits 1 when any outcome is not
 the one expected or a mutant's text does not occur exactly once.
+Arguments, when given, are substrings of mutant names: only the mutants
+whose names contain one of them run, and a substring that names no
+mutant ends the script with exit code 2 before any run.
 
 An expected survivor must carry, in a comment beside it, the argument that
 it is equivalent to the code it replaces.  Tier-1 does not collect this
 file; each mutant costs up to one full Tier-1 run.  Run it from anywhere:
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py                       # every mutant
+    python3 tests/mutants.py maximal matrix_rank   # the mutants so named
 """
 
 from __future__ import annotations
@@ -47,9 +51,12 @@ MUTANTS = (
     Mutant("fan closure drops each cone's own key", "src/toricfree/fans.py",
            "                keys |= _face_keys(c)\n",
            "                keys |= _face_keys(c) - {c.generators}\n"),
-    Mutant("maximal_cones counts a cone as its own proper face", "src/toricfree/fans.py",
-           "for k in _face_keys(c) if k != c.generators}",
-           "for k in _face_keys(c)}"),
+    Mutant("maximal cones kept in validation order", "src/toricfree/fans.py",
+           'object.__setattr__(self, "_top", tuple(top))',
+           'object.__setattr__(self, "_top", tuple(top[::-1]))'),
+    Mutant("maximal cones without the zero-cone fallback", "src/toricfree/fans.py",
+           "        return self._top or self.cones\n",
+           "        return self._top\n"),
     Mutant("is_face_of without its rank check", "src/toricfree/cones.py",
            '''        if self.rank != other.rank:
             raise ValueError("cones live in different lattices")
@@ -101,6 +108,12 @@ MUTANTS = (
     Mutant("Smith form without its divisibility fix-up", "src/toricfree/lattice.py",
            "        off = next((i for i in range(t + 1, m) if any(c % p for c in d[i][t + 1:n])), None)\n",
            "        off = None\n"),
+    Mutant("matrix_rank returns the kernel's rank", "src/toricfree/lattice.py",
+           "    return n - len(_kernel_basis(rows, n))\n",
+           "    return len(_kernel_basis(rows, n))\n"),
+    Mutant("subspace row insert keeps a negative pivot", "src/toricfree/lattice.py",
+           "    if work[p] < 0:\n        g = -g\n",
+           ""),
     Mutant("Euclid step takes the floor quotient", "src/toricfree/lattice.py",
            "q = (2 * p + pk) // (2 * pk)",
            "q = p // pk"),
@@ -150,6 +163,10 @@ MUTANTS = (
            """    if "rank" not in doc or "cones" not in doc:\n"""
            """        raise ValueError("fan document requires 'rank' and 'cones'")\n""",
            ""),
+    Mutant("geometry document without its both-keys check", "src/toricfree/serialize.py",
+           """    if "cones" in doc and "generators" in doc:\n"""
+           """        raise ValueError("document is both a cone ('generators') and a fan ('cones')")\n""",
+           ""),
     Mutant("fan document without its cone-list check", "src/toricfree/serialize.py",
            "    if not isinstance(cones_field, list):\n"
            """        raise ValueError("'cones' must be a list of generator lists")\n""",
@@ -193,9 +210,13 @@ def run(mutant: Mutant) -> str:
     return "survived" if suite.returncode == 0 else "killed"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unmatched = [s for s in names if not any(s in m.name for m in MUTANTS)]
+    if unmatched:
+        print(f"no mutant name contains {', '.join(map(repr, unmatched))}", file=sys.stderr)
+        return 2
     unexpected = 0
-    for mutant in MUTANTS:
+    for mutant in (m for m in MUTANTS if not names or any(s in m.name for s in names)):
         outcome = run(mutant)
         ok = outcome == mutant.expected
         unexpected += not ok
@@ -205,4 +226,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -315,6 +315,8 @@ def one_entry_report(certificate):
     # a fan listing no cone declares its rank alone, and no cone's own check reads it
     ("verify", {"rank": 0, "cones": []}, "lattice rank must be at least 1"),
     ("locally-free", {"rank": "-2", "cones": []}, "lattice rank must be at least 1"),
+    ("verify", {"rank": 2, "generators": [[1, 0], [0, 1]], "cones": []},
+     "document is both a cone ('generators') and a fan ('cones')"),
 ])
 def test_malformed_fans_and_certificates_are_named(capsys, tmp_path, command, doc, message):
     code, out, err = run_cli(capsys, command, write_json(tmp_path, "doc.json", doc))

@@ -24,7 +24,7 @@ from toricfree.cones import (
     dual_cone,
     linearly_independent_rays,
 )
-from toricfree.lattice import dot, matrix_rank, primitive
+from toricfree.lattice import dot, primitive
 
 
 def random_strongly_convex_cones(seed, count, ranks=(2, 3, 4), bound=5, max_extra=2):
@@ -647,7 +647,7 @@ def test_cone_dim_matches_rank_of_generators():
     for c in built:
         other = rng.choice([d for d in built if d.rank == c.rank])
         for x in (c, c.dual, c.intersection(other), *c.faces()):
-            assert x.dim == matrix_rank([list(g) for g in x.generators])
+            assert x.dim == fraction_rank([list(g) for g in x.generators])
 
 
 def test_one_double_description_per_cone(monkeypatch):
@@ -670,7 +670,7 @@ def test_one_double_description_per_cone(monkeypatch):
             c = Cone(gens, 3)
             # dependent input is described at once, independent input on the
             # first read of the dual, over the split chain it was built from
-            assert len(calls) == (matrix_rank(gens) < len(gens))
+            assert len(calls) == (fraction_rank(gens) < len(gens))
             for read in order + order:
                 read(c)
             assert len(calls) == 1

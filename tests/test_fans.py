@@ -8,7 +8,7 @@ import random
 import pytest
 
 from oracles import is_face_by_supporting_hyperplane
-from toricfree import cones
+from toricfree import cones, fans
 from toricfree.cones import Cone
 from toricfree.corpus import lookup
 from toricfree.fans import Fan, FanValidationError, _check_pairs, fan_from_generators, validate_fan
@@ -156,11 +156,14 @@ def complete_planar_fan(seed, count):
     return fan_from_generators([[u, v] for u, v in zip(rays, rays[1:] + rays[:1])], 2)
 
 
-def planar_fan_times_p1(seed, count):
+def planar_fan_times_p1_cones(seed, count):
     rays = complete_planar_rays(seed, count)
-    return fan_from_generators(
-        [[(*u, 0), (*v, 0), (0, 0, s)]
-         for u, v in zip(rays, rays[1:] + rays[:1]) for s in (1, -1)], 3)
+    return [Cone([(*u, 0), (*v, 0), (0, 0, s)], 3)
+            for u, v in zip(rays, rays[1:] + rays[:1]) for s in (1, -1)]
+
+
+def planar_fan_times_p1(seed, count):
+    return Fan(planar_fan_times_p1_cones(seed, count))
 
 
 @pytest.mark.parametrize("name", ["P2", "P1xP1", "P112"])
@@ -183,19 +186,68 @@ def test_seeded_product_fan_closure_meets_in_faces(seed, count):
     _check_pairs(fan.cones)
 
 
-@pytest.mark.parametrize("seed,count", [(4, 5), (5, 6), (6, 8)])
-def test_seeded_product_fan_maximal_cones_match_face_definition(seed, count):
-    fan = planar_fan_times_p1(seed, count)
-    expected = tuple(c for c in fan.cones
-                     if not any(c != d and c.is_face_of(d) for d in fan.cones))
-    assert len(expected) == 2 * count
-    assert fan.maximal_cones() == expected
-
-
 def cross_polytope_cones(n):
     """The maximal cones of the fan over the faces of the cross-polytope: the 2^n orthants."""
     return [Cone([[s[i] * (i == j) for j in range(n)] for i in range(n)], n)
             for s in itertools.product((1, -1), repeat=n)]
+
+
+def cube_fan_cones():
+    """The six maximal cones of the fan over the faces of the cube [-1, 1]^3, four rays each."""
+    corners = list(itertools.product((-1, 1), repeat=3))
+    return [Cone([p for p in corners if p[i] == s], 3) for i in range(3) for s in (-1, 1)]
+
+
+def orthants_listed_twice_with_faces():
+    """Two orthants of rank 3, each listed again as an equal copy, with faces of the first."""
+    tops = cross_polytope_cones(3)[:2]
+    return [*tops, *(Cone(c.generators, 3) for c in tops), *tops[0].faces(), Cone.zero(3)]
+
+
+@pytest.mark.parametrize("build, rank, count", [
+    *(pytest.param(functools.partial(planar_fan_times_p1_cones, seed, count), 3, 2 * count,
+                   id=f"{seed}-{count}") for seed, count in [(4, 5), (5, 6), (6, 8)]),
+    *(pytest.param(functools.partial(cross_polytope_cones, n), n, 2 ** n,
+                   id=f"cross-polytope-{n}") for n in (2, 3, 4, 5)),
+    pytest.param(cube_fan_cones, 3, 6, id="cube"),
+    pytest.param(list, 2, 1, id="empty"),
+    pytest.param(orthants_listed_twice_with_faces, 3, 2, id="duplicates-and-faces"),
+])
+def test_seeded_product_fan_maximal_cones_match_face_definition(build, rank, count):
+    """The maximal cones are the closure cones that are proper faces of none, in the fan's order.
+
+    Each is the caller's own cone object; the empty fan has the zero cone
+    of its closure alone.
+    """
+    inputs = build()
+    fan = Fan(inputs, rank)
+    expected = tuple(c for c in fan.cones
+                     if not any(c != d and c.is_face_of(d) for d in fan.cones))
+    assert len(expected) == count
+    assert fan.maximal_cones() == expected
+    assert all(any(m is c for c in inputs) for m in fan.maximal_cones()) or not inputs
+
+
+def test_maximal_cones_build_no_cone(monkeypatch):
+    """Reading the maximal cones runs no double description and builds no cone.
+
+    Validation found them already.  The fan is the rank-12 orthant listed
+    with its 767 largest faces, whose closure holds 4,096 cones.
+    """
+    n = 12
+    keys = [c for k in range(n, -1, -1) for c in itertools.combinations(range(n), k)][:768]
+    fan = Fan([Cone([[int(i == j) for j in range(n)] for i in c], n) for c in keys])
+    calls = []
+    for name in ("_double_description", "_face_keys", "_canonical_cone"):
+        def counted(*args, _name=name, _original=getattr(cones, name)):
+            calls.append(_name)
+            return _original(*args)
+        # fans binds the private helpers it uses under their own names
+        for module in (cones, fans):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert fan.maximal_cones() == (fan.cones[-1],)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -8,6 +8,7 @@ from oracles import (
     brute_force_locally_free,
     decide_by_own_splits,
     diagnose_by_partial_sums,
+    fraction_rank,
     witnesses_by_smith,
 )
 from timing import deadline
@@ -25,7 +26,7 @@ from toricfree.klyachko import (
     tangent_filtration,
     verify_certificate,
 )
-from toricfree.lattice import RationalSubspace, dot, is_primitive, matrix_rank, primitive
+from toricfree.lattice import RationalSubspace, dot, is_primitive, primitive
 from toricfree.serialize import freeness_to_document
 
 
@@ -535,7 +536,7 @@ def test_split_record_matches_the_deciders_own_splits(monkeypatch):
                 ours = freeness_to_document(decide_tangent_locally_free(cone))
                 distinct = {primitive(g) for g in gens if any(g)}
                 redundant = len(distinct) > len(cone.generators)
-                assert len(calls) == (matrix_rank(list(distinct)) < len(distinct))
+                assert len(calls) == (fraction_rank(list(distinct)) < len(distinct))
                 lazy += not calls
                 # a cone with more rays than the rank fails before reading the record
                 redone += redundant and len(cone.generators) <= n

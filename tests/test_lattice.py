@@ -24,6 +24,7 @@ from oracles import (
     xgcd_smith_normal_form,
 )
 from timing import deadline
+from toricfree.cones import Cone
 from toricfree.lattice import (
     RationalSubspace,
     _hermite_eliminate,
@@ -48,6 +49,7 @@ from toricfree.lattice import (
     transpose,
     vec,
 )
+from toricfree.serialize import parse_fan_document
 
 int_entries = st.integers(min_value=-20, max_value=20)
 
@@ -511,6 +513,28 @@ def test_split_chain_on_an_empty_basis_matches_the_general_path():
 def test_dot_length_mismatch():
     with pytest.raises(ValueError):
         dot((1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: integer_kernel_basis([]), "cannot infer ambient rank from an empty matrix"),
+    (lambda: RationalSubspace(-1), "ambient dimension must be nonnegative"),
+    (lambda: RationalSubspace(2).contains_subspace(RationalSubspace(3)),
+     "ambient dimension mismatch"),
+    (lambda: RationalSubspace(2) + RationalSubspace(3), "ambient dimension mismatch"),
+    (lambda: RationalSubspace(2).intersection(RationalSubspace(3)), "ambient dimension mismatch"),
+    (lambda: mat_mul([[1, 2]], [[1, 2]]), "inner dimension mismatch"),
+    (lambda: parse_fan_document([[[1, 0]]]), "fan document must be a JSON object"),
+    (lambda: Cone([(1, 0, 0), (1, 1, 0)], 3).span(), RationalSubspace(3, [(1, 0, 0), (0, 1, 0)])),
+], ids=["integer_kernel_basis-empty", "subspace-negative-ambient", "contains_subspace-ambient",
+        "add-ambient", "intersection-ambient", "mat_mul-inner", "parse_fan_document-non-object",
+        "cone-span"])
+def test_checks_no_other_test_reaches(call, expected):
+    """Each input check raises its own message; a cone's span is its generators' subspace."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            call()
+    else:
+        assert call() == expected
 
 
 def euclid_gcd(a, b):

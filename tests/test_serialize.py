@@ -108,6 +108,9 @@ def test_geometry_dispatch():
         parse_geometry_document({"rank": 2})
     with pytest.raises(ValueError):
         parse_geometry_document([1, 2])
+    # neither key wins: a fan read from such a document would drop the generators
+    with pytest.raises(ValueError, match=r"both a cone \('generators'\) and a fan \('cones'\)"):
+        parse_geometry_document({**cone_doc, **fan_doc})
 
 
 def test_malformed_documents():
