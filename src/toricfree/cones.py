@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from operator import and_, mul
+from operator import and_
 from typing import Iterable, Sequence
 
 from .lattice import (
     RationalSubspace,
     Vector,
     _kernel_basis,
+    _kernels,
     _reduce_row,
     _split_chain,
     _standard_basis,
@@ -255,10 +256,11 @@ class Cone:
         if self._perp_pivots is None:
             object.__setattr__(self, "_perp_pivots",
                                tuple(next(j for j, c in enumerate(row) if c) for row in rows))
+        sub = _kernels(self.rank)[1]
         for row, pivot in zip(rows, self._perp_pivots):
             q = w[pivot] // row[pivot]
             if q:
-                w = [a - q * b for a, b in zip(w, row)]
+                w = sub(w, q, row)
         return tuple(w)
 
     def span(self) -> RationalSubspace:
@@ -346,8 +348,9 @@ def _incidence(cone: Cone) -> tuple[tuple[Vector, int], ...]:
     """
     if cone._incidence is None:
         duals = cone.dual.generators
+        pair = _kernels(cone.rank)[0]
         object.__setattr__(cone, "_incidence", tuple(
-            (r, sum(1 << j for j, d in enumerate(duals) if not sum(map(mul, d, r))))
+            (r, sum(1 << j for j, d in enumerate(duals) if not pair(d, r)))
             for r in _rays_beyond_lineality(cone)))
     return cone._incidence
 
@@ -446,25 +449,26 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
         rays = list(_incidence(start))
         processed = len(start.dual.generators)
     splits, lin_rows = chain or _split_chain(normals, lin, rank)
+    pair, _, comb = _kernels(rank)
     need = rank - len(lin) - 2  # rank - lineality - 2; each split cuts the lineality by one
     for i, (a, b0) in enumerate(zip(normals, splits), processed):
         bit = 1 << i
         if b0:
             need += 1
-            p0 = sum(map(mul, a, b0))
+            p0 = pair(a, b0)
             # project every ray onto the hyperplane of a
             projected = []
             for r, m in rays:
-                pr = sum(map(mul, a, r))
+                pr = pair(a, r)
                 if pr:
-                    r = primitive([p0 * x - pr * y for x, y in zip(r, b0)])
+                    r = primitive(comb(p0, r, pr, b0))
                 projected.append((r, m | bit))
             rays = projected + [(b0, bit - 1)]
         else:
             # one pass scores each ray: the nonnegative side stays, in order
             pos, neg, kept = [], [], []
             for r, m in rays:
-                p = sum(map(mul, a, r))
+                p = pair(a, r)
                 if p > 0:
                     pos.append((r, m, p))
                     kept.append((r, m))
@@ -480,7 +484,7 @@ def _double_description(normals: Sequence[Vector], rank: int, start: Cone | None
                         # extreme rays have distinct masks, so this asks for a third ray on all of z
                         if z.bit_count() >= need and not any(
                                 m & z == z and m != pm and m != nm for m in masks):
-                            w = primitive([pp * x - pn * y for x, y in zip(n_ray, p_ray)])
+                            w = primitive(comb(pp, n_ray, pn, p_ray))
                             kept.append((w, z | bit))
             rays = kept
     return tuple(lin_rows), rays, splits

@@ -23,6 +23,7 @@ from .cones import Cone
 from .lattice import (
     RationalSubspace,
     Vector,
+    _kernels,
     determinant,
     dot,
     is_primitive,
@@ -210,9 +211,10 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
     dims = [sub.dim for _, sub in entries]
     if sum(dims) != n or not determinant([row for _, sub in entries for row in sub.basis]):
         return "subspaces do not sum directly to the full space"
+    pair = _kernels(n)[0]
     for u in rays:
         filt = family[u]
-        pairings = [sum(map(mul, m, u)) for m, _ in entries]
+        pairings = [pair(m, u) for m, _ in entries]
         levels = set(filt.breakpoints) | {p + 1 for p in pairings}
         for i in sorted(levels):
             expected = filt.at(i)
@@ -262,8 +264,9 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     rays = cone.rays()
     if None in (split := cone.split_basis()):
         return LocalFreenessReport(False, failure="dependent rays")
+    pair, sub, _ = _kernels(n)
     # row j holds T[j][0..j]
-    table = [[sum(map(mul, u, b)) for b in split[:j + 1]] for j, u in enumerate(rays)]
+    table = [[pair(u, b) for b in split[:j + 1]] for j, u in enumerate(rays)]
     witnesses: dict[Vector, Vector] = {}
     for i, u in enumerate(rays):
         # y_l = 0 for l < i, so m sums b_l from l = i on
@@ -276,7 +279,7 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
                     False, failure=f"no integral dual weight for ray {u}", failing_ray=u)
             y.append(y_j)
             if y_j:
-                m = [x + y_j * c for x, c in zip(m, split[j])]
+                m = sub(m, -y_j, split[j])
         witnesses[u] = cone.weight_class(m)
     # each ray's certificate line is its filtration at level 1, built once for the self-check too
     family = tangent_family(cone)

@@ -37,6 +37,21 @@ A sum of subspaces is the constructor run on both bases.  Every entry,
 of a vector, a matrix or a subspace row, goes through ``operator.index``
 as in ``vec``, so a float, a rational or a string raises TypeError
 instead of being rounded, cleared or parsed.
+The hot vector loops, here the Euclid steps' row updates, the Hermite
+reduction, the split chain's pairings and ``_reduce_row``, and in the
+cone and decider layers the double description, the incidence, weight
+classes, witnesses and the certificate check, call ``_kernels``: per
+vector length, a dot product and two row updates written out term by
+term and compiled once.  On vectors of length 3 or 4 a ``zip`` or
+``map`` loop costs two to three times the unrolled expression; at
+length 40 the gain is small.  The kernels do the loops' integer
+operations in the same order, so every result is the same.  Their
+source comes from fixed templates and the length alone, taken through
+``operator.index``; no entry ever reaches the compiler.  A chained sum
+nests one level per term when compiled and at 3,000 terms raises
+RecursionError, so a longer dot sums a flat list of chains of at most
+64 products, and every length compiles by one path.  A bounded cache
+keeps the kernels of the lengths last used.
 """
 
 from __future__ import annotations
@@ -45,10 +60,44 @@ from bisect import bisect
 from functools import lru_cache
 from math import gcd
 from operator import index, mul, neg
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Vector = tuple[int, ...]
 Matrix = list[list[int]]
+
+
+# Most products one term of the unrolled dot chains: a chained sum nests one
+# level per term when compiled, and at 3,000 terms compiling it raises
+# RecursionError, so longer dots sum a flat list of such chains.
+_CHUNK = 64
+
+
+@lru_cache(maxsize=32, typed=True)
+def _kernels(n: int) -> tuple[Callable[..., int], Callable[..., list[int]],
+                              Callable[..., list[int]]]:
+    """Unrolled ``dot(a, b)``, ``a - q * b`` and ``s * a - t * b`` for vectors of length n.
+
+    Each does the comprehension's integer operations in the same order,
+    with no zip, map or loop; the two row updates return lists.  The
+    source is built from n alone, so no vector entry ever reaches the
+    compiler, and it is compiled once per length; ``typed`` keeps a
+    float length from hitting an int's entry, so it reaches ``index``
+    and raises TypeError.  No operand's length is checked.
+    """
+    n = index(n)
+    if n < 0:
+        raise ValueError(f"negative vector length {n}")
+    products = [f"a[{i}] * b[{i}]" for i in range(n)]
+    chunks = [" + ".join(products[i:i + _CHUNK]) for i in range(0, n, _CHUNK)] or ["0"]
+    total = chunks[0] if len(chunks) == 1 else f"sum([{', '.join(chunks)}])"
+    row_update = ", ".join(f"a[{i}] - q * b[{i}]" for i in range(n))
+    combination = ", ".join(f"s * a[{i}] - t * b[{i}]" for i in range(n))
+    source = (f"def dot(a, b):\n    return {total}\n"
+              f"def sub(a, q, b):\n    return [{row_update}]\n"
+              f"def comb(s, a, t, b):\n    return [{combination}]\n")
+    namespace = {"__builtins__": {}, "sum": sum}
+    exec(compile(source, f"<kernels of length {n}>", "exec"), namespace)
+    return namespace["dot"], namespace["sub"], namespace["comb"]
 
 
 def vec(coords: Iterable[int]) -> Vector:
@@ -163,7 +212,8 @@ def matrix_rank(a: Sequence[Sequence[int]]) -> int:
     return n - len(_kernel_basis(rows, n))
 
 
-def _euclid(rows: list[Sequence[int]], live: list[int], pairings: list[int]) -> int:
+def _euclid(rows: list[Sequence[int]], live: list[int], pairings: list[int],
+            sub: Callable[..., list[int]]) -> int:
     """Unimodular Euclid steps on rows until one pairs nonzero; its index.
 
     pairings[j] is row j's pairing and live lists, in index order, each j
@@ -172,7 +222,8 @@ def _euclid(rows: list[Sequence[int]], live: list[int], pairings: list[int]) -> 
     and rows whose pairing drops to zero leave; the pairings are updated
     with the rows.  Ties go to the lowest index.  A round leaves every
     other pairing at most |p_k| / 2 in size, so the pivot of the next
-    round is found among them in the same pass that updates them.
+    round is found among them in the same pass that updates them.  sub
+    is the row-update kernel of ``_kernels`` for the rows' length.
     """
     k = live[0]
     best = abs(pairings[k])
@@ -189,7 +240,7 @@ def _euclid(rows: list[Sequence[int]], live: list[int], pairings: list[int]) -> 
                 if q:
                     p -= q * pk
                     pairings[j] = p
-                    rows[j] = [x - q * y for x, y in zip(rows[j], rk)]
+                    rows[j] = sub(rows[j], q, rk)
                 if not p:
                     continue
                 if not best or abs(p) < best:
@@ -207,13 +258,16 @@ def _hermite_eliminate(h: Matrix, ncols: int) -> None:
     row, made positive, and the rows above are reduced into [0, pivot).
     """
     m = len(h)
+    if not m:
+        return
+    sub = _kernels(len(h[0]))[1]
     row = 0
     for col in range(ncols):
         live = [i for i in range(row, m) if h[i][col]]
         if not live:
             continue
         pairings = [r[col] for r in h]
-        k = _euclid(h, live, pairings)
+        k = _euclid(h, live, pairings, sub)
         h[row], h[k] = h[k], h[row]
         if h[row][col] < 0:
             h[row] = [-c for c in h[row]]
@@ -222,7 +276,7 @@ def _hermite_eliminate(h: Matrix, ncols: int) -> None:
         for i in range(row):
             q = h[i][col] // p
             if q:
-                h[i] = [s - q * c for c, s in zip(top, h[i])]
+                h[i] = sub(h[i], q, top)
         row += 1
 
 
@@ -251,6 +305,7 @@ def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
     the pivot then fails to divide the rest of the block, the offending
     row is added to row t, which leaves a remainder too.
     """
+    sub = _kernels(len(d[0]) if d else 0)[1]
     t = 0
     while t < min(m, n):
         live = [i for i in range(t, m) if d[i][t]]
@@ -261,7 +316,7 @@ def _smith_eliminate(d: Matrix, m: int, n: int) -> None:
             for r in d:
                 r[t], r[j] = r[j], r[t]
             continue
-        k = _euclid(d, live, [r[t] for r in d])
+        k = _euclid(d, live, [r[t] for r in d], sub)
         d[t], d[k] = d[k], d[t]
         top = d[t]
         p = top[t]
@@ -331,7 +386,7 @@ def solve_integer_system(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vector
     live = [j for j, s in enumerate(pairings) if s]
     if not live:
         return None
-    k = _euclid(kernel, live, pairings)
+    k = _euclid(kernel, live, pairings, _kernels(n + 1)[1])
     s = pairings[k]
     return tuple([s * c for c in kernel[k][:n]]) if abs(s) == 1 else None
 
@@ -363,11 +418,12 @@ def _split_off(basis: list[Sequence[int]], a: Sequence[int]) -> Vector | None:
     nonzero; it is popped and returned with its sign set to pair
     positively.  None when every pairing is 0.
     """
-    pairings = [sum(map(mul, a, b)) for b in basis]
+    pair, sub, _ = _kernels(len(a))
+    pairings = [pair(a, b) for b in basis]
     live = [j for j, p in enumerate(pairings) if p]
     if not live:
         return None
-    k = _euclid(basis, live, pairings)
+    k = _euclid(basis, live, pairings, sub)
     b0 = basis.pop(k)
     return tuple(b0) if pairings[k] > 0 else negated(b0)
 
@@ -485,8 +541,6 @@ class RationalSubspace:
         return RationalSubspace(self.ambient, self.basis + other.basis)
 
     def intersection(self, other: "RationalSubspace") -> "RationalSubspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
         return (self.orthogonal_complement() + other.orthogonal_complement()).orthogonal_complement()
 
     def orthogonal_complement(self) -> "RationalSubspace":
@@ -527,6 +581,7 @@ def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],
     is, so any echelon basis of the same subspace with positive pivots
     gives the same result up to a positive factor.
     """
+    comb = _kernels(len(work))[2]
     for row, p in zip(basis, pivots):
         c = work[p]
         if c:
@@ -534,7 +589,7 @@ def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],
             g = gcd(c, d)
             c //= g
             d //= g
-            work = [d * x - c * y for x, y in zip(work, row)]
+            work = comb(d, work, c, row)
     return work
 
 

@@ -117,6 +117,18 @@ MUTANTS = (
     Mutant("Euclid step takes the floor quotient", "src/toricfree/lattice.py",
            "q = (2 * p + pk) // (2 * pk)",
            "q = p // pk"),
+    Mutant("row-update kernel adds the multiple", "src/toricfree/lattice.py",
+           'f"a[{i}] - q * b[{i}]"',
+           'f"a[{i}] + q * b[{i}]"'),
+    Mutant("dot kernel drops its last term", "src/toricfree/lattice.py",
+           'products = [f"a[{i}] * b[{i}]" for i in range(n)]',
+           'products = [f"a[{i}] * b[{i}]" for i in range(n - 1)]'),
+    Mutant("combination kernel swaps its scalars", "src/toricfree/lattice.py",
+           'f"s * a[{i}] - t * b[{i}]"',
+           'f"t * a[{i}] - s * b[{i}]"'),
+    Mutant("dot kernel chains every product in one sum", "src/toricfree/lattice.py",
+           "_CHUNK = 64\n",
+           "_CHUNK = 1 << 30\n"),
     Mutant("split record keeps each vector's sign as found", "src/toricfree/lattice.py",
            "    return tuple(b0) if pairings[k] > 0 else negated(b0)\n",
            "    return tuple(b0)\n"),

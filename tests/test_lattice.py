@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from toricfree.cones import Cone
 from toricfree.lattice import (
     RationalSubspace,
     _hermite_eliminate,
+    _kernels,
     _split_chain,
     _split_off,
     _standard_basis,
@@ -279,7 +281,7 @@ def test_integer_kernel_basis_spans_saturated_kernel(a):
     m = len(a)
     for v in kernel:
         assert mat_vec(a, v) == (0,) * m
-    assert len(kernel) == len(a[0]) - matrix_rank(a)
+    assert len(kernel) == len(a[0]) - fraction_rank(a)
     if kernel:
         # saturated sublattices have unit invariant factors
         assert extends_to_lattice_basis(kernel)
@@ -593,6 +595,36 @@ def test_vector_helpers_turn_bools_into_ints():
         assert all(type(c) is int for c in vec(v))
 
 
+def test_kernels_match_their_comprehensions():
+    # lengths 0-12 and one whose dot, chained as one sum, fails to compile
+    rng = random.Random(3417)
+    for n in [*range(13), 3000]:
+        pair, sub, comb = _kernels(n)
+        for _ in range(30 if n <= 12 else 3):
+            bits = rng.choice((3, 64, 200))
+            a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
+            b = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
+            q, s, t = (rng.choice((0, 1, -1, -7, rng.randint(-2 ** 200, 2 ** 200)))
+                       for _ in range(3))
+            for x, y in ((a, b), (tuple(a), tuple(b)), (tuple(a), b)):
+                assert pair(x, y) == sum(map(mul, x, y))
+                assert sub(x, q, y) == [u - q * v for u, v in zip(x, y)]
+                assert comb(s, x, t, y) == [s * u - t * v for u, v in zip(x, y)]
+                assert type(sub(x, q, y)) is list and type(comb(s, x, t, y)) is list
+
+
+def test_kernels_take_only_an_integer_length():
+    _kernels(4)
+    # a float equal to a cached length is refused, not served from the cache
+    for bad in (4.0, "4", Fraction(4), None):
+        with pytest.raises(TypeError):
+            _kernels(bad)
+    with pytest.raises(ValueError):
+        _kernels(-1)
+    assert _kernels(True)[0]([2], [3]) == 6  # bool is an int, as in vec
+    assert _kernels.cache_info().maxsize is not None
+
+
 rational_entries = st.one_of(
     st.integers(min_value=-6, max_value=6),
     st.fractions(min_value=-6, max_value=6, max_denominator=6),
@@ -763,7 +795,7 @@ def test_large_kernels_are_fast_and_saturated():
         with deadline(2):
             kernel = integer_kernel_basis(a)
         assert all(mat_vec(a, v) == (0,) * len(a) for v in kernel)
-        assert len(kernel) == len(a[0]) - matrix_rank(a)
+        assert len(kernel) == len(a[0]) - fraction_rank(a)
         assert_hermite_form(kernel)
         # saturated: the basis extends to one of Z^n
         assert invariant_factors(kernel) == (1,) * len(kernel)

@@ -59,10 +59,11 @@ def test_no_module_imports_dataclasses_or_inspect():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -I: no PYTHONPATH and no user site, so only the interpreter and the package load modules
+    # -I: no PYTHONPATH and no user site, so only the interpreter and the package load modules;
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, so without it the import writes bytecode into src/
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import toricfree.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(PACKAGE.parent)],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
 
