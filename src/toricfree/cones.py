@@ -247,12 +247,16 @@ class Cone:
 
         The representative is obtained by top-down reduction against the
         Hermite basis of ``perp_sublattice``, so equal classes always reduce
-        to the same tuple.  The rows' pivots are found on the first call.
+        to the same tuple; a full-dimensional cone's annihilator is zero,
+        and every weight is its own class.  The rows' pivots are found on
+        the first call.
         """
-        w = list(vec(m))
+        w = vec(m)
         if len(w) != self.rank:
             raise ValueError(f"weight length {len(w)}, expected {self.rank}")
         rows = self._description()[0]
+        if not rows:
+            return w
         if self._perp_pivots is None:
             object.__setattr__(self, "_perp_pivots",
                                tuple(next(j for j, c in enumerate(row) if c) for row in rows))

@@ -12,11 +12,21 @@ cone's double description split off the standard basis, one Euclid-step
 split per ray, with no Smith form, and reports each as the canonical
 representative of its class modulo the annihilator; smoothness keeps the
 only Smith form.
+
+The certificate check reads each entry's weight class, dimension and
+subspace once, and then walks each ray's entries once, ranked by their
+pairing with the ray, in step with that ray's filtration: the summed
+dimension falls as entries drop out, and the containment test runs only
+where the filtration steps.  The decider builds the family, the
+certificate's subspaces and the certificate itself from vectors it made,
+through private builders that skip the public constructors' entry
+checks; ``recheck`` does the same with the vectors ``decode_vector`` has
+checked.
 """
 
 from __future__ import annotations
 
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .cones import Cone
@@ -96,31 +106,49 @@ class Filtration:
 FiltrationFamily = Mapping[Vector, Filtration]
 """A filtration per ray, keyed by the primitive ray generator."""
 
+_first = itemgetter(0)
+
 
 def tangent_filtration(ray: Sequence[int], ambient_rank: int) -> Filtration:
     """The three-level filtration of the tangent sheaf at one ray.
 
     Full space through level 0, the line spanned by the ray generator at
-    level 1, zero from level 2 on.  The steps are built already canonical,
-    without the validating ``Filtration`` constructor; in rank 1 the line
-    is the whole space, so level 1 is no step.
+    level 1, zero from level 2 on.  The ray must be a primitive vector of
+    length ``ambient_rank``; ``_tangent_filtration`` builds the steps
+    once that is checked.
     """
     u = vec(ray)
     if len(u) != ambient_rank:
         raise ValueError(f"ray length {len(u)}, expected {ambient_rank}")
     if not is_primitive(u):
         raise ValueError(f"ray generator {u} is not primitive")
-    zero = (2, RationalSubspace.zero(ambient_rank))
-    steps = (zero,) if ambient_rank == 1 else ((1, RationalSubspace._line(u)), zero)
+    return _tangent_filtration(u, ambient_rank)
+
+
+def _tangent_filtration(u: Vector, n: int) -> Filtration:
+    """The tangent filtration at a primitive ray generator u of length n, unchecked.
+
+    The steps are built already canonical, without the validating
+    ``Filtration`` constructor; in rank 1 the line is the whole space, so
+    level 1 is no step.
+    """
+    zero = (2, RationalSubspace.zero(n))
     filt = object.__new__(Filtration)
-    object.__setattr__(filt, "ambient", ambient_rank)
-    object.__setattr__(filt, "steps", steps)
+    object.__setattr__(filt, "ambient", n)
+    object.__setattr__(filt, "steps",
+                       (zero,) if n == 1 else ((1, RationalSubspace._line(u)), zero))
     return filt
 
 
 def tangent_family(cone: Cone) -> dict[Vector, Filtration]:
-    """Tangent filtrations for every ray of a strongly convex cone."""
-    return {u: tangent_filtration(u, cone.rank) for u in cone.rays()}
+    """Tangent filtrations for every ray of a strongly convex cone.
+
+    The rays are primitive vectors of the cone's rank already, so each
+    filtration goes straight to the builder, past ``tangent_filtration``'s
+    input checks.
+    """
+    n = cone.rank
+    return {u: _tangent_filtration(u, n) for u in cone.rays()}
 
 
 def sections_dimension(ray: Sequence[int], m: Sequence[int]) -> int:
@@ -152,8 +180,12 @@ class DecompositionCertificate(_CertificateFields):
     __slots__ = ()
 
     def __new__(cls, cone: Cone, entries):
-        normalized = tuple(sorted(((vec(m), sub) for m, sub in entries), key=lambda e: e[0]))
-        return super().__new__(cls, cone, normalized)
+        return cls._from_vectors(cone, [(vec(m), sub) for m, sub in entries])
+
+    @classmethod
+    def _from_vectors(cls, cone: Cone, entries) -> "DecompositionCertificate":
+        """The certificate of entries whose weights are vectors already, read unchecked."""
+        return tuple.__new__(cls, (cone, tuple(sorted(entries, key=_first))))
 
     @classmethod
     def _make(cls, iterable):
@@ -186,6 +218,18 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
     then a partial sum has the summed dimension, so it equals the
     filtration's subspace exactly when the dimensions agree and that
     subspace contains every summand.
+
+    The weight classes, dimensions and subspaces are read once.  Each
+    ray's entries are then ranked by their pairing with it and walked
+    once, in step with the filtration's steps: at level i the entries
+    pairing below i have left the sum, whose dimension is n less theirs.
+    Between two steps the filtration stays where it is while the sum
+    loses summands, so the first pairing threshold strictly between two
+    steps (or below the first) fails as soon as the walk reaches it; at
+    a step both sides change, and the dimensions and the containment are
+    compared there.  The last step is the zero subspace, so a sum that
+    matches it has no entry left, and no level above it can fail.  The
+    first level that fails, lowest first, gives the message.
     """
     n = cone.rank
     if cert.cone != cone:
@@ -194,37 +238,49 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
     for u in rays:
         if u not in family:
             raise ValueError(f"family has no filtration for ray {u}")
-    for _, filt in family.items():
+    for filt in family.values():
         if filt.ambient != n:
             raise ValueError("filtration ambient dimension mismatch")
-    entries = cert.entries
-    classes = [cone.weight_class(m) for m, _ in entries]
+    weights = [m for m, _ in cert.entries]
+    subs = [sub for _, sub in cert.entries]
+    classes = [cone.weight_class(m) for m in weights]
     if len(set(classes)) != len(classes):
         return "weight classes are not pairwise distinct modulo the annihilator"
-    for (m, sub), weight_class in zip(entries, classes):
-        if vec(m) != weight_class:
+    # the entries' weights are vectors already: the certificate's constructor made them so
+    for m, sub, weight_class in zip(weights, subs, classes):
+        if m != weight_class:
             return f"weight {m} is not the canonical class representative"
         if sub.ambient != n:
             return "certificate subspace has wrong ambient dimension"
-        if sub.dim == 0:
+        if not sub.basis:
             return f"zero subspace attached to class {m}"
-    dims = [sub.dim for _, sub in entries]
-    if sum(dims) != n or not determinant([row for _, sub in entries for row in sub.basis]):
+    dims = [len(sub.basis) for sub in subs]
+    if sum(dims) != n or not determinant([row for sub in subs for row in sub.basis]):
         return "subspaces do not sum directly to the full space"
     pair = _kernels(n)[0]
     for u in rays:
-        filt = family[u]
-        pairings = [pair(m, u) for m, _ in entries]
-        levels = set(filt.breakpoints) | {p + 1 for p in pairings}
-        for i in sorted(levels):
-            expected = filt.at(i)
-            got_dim = sum(d for d, p in zip(dims, pairings) if p >= i)
-            if got_dim != expected.dim or not all(
-                    expected.contains_subspace(sub)
-                    for (_, sub), p in zip(entries, pairings) if p >= i):
-                return (f"filtration mismatch at ray {u}, level {i}: "
-                        f"summed dimension {got_dim}, filtration dimension {expected.dim}")
+        ranked = sorted(zip([pair(m, u) for m in weights], dims, subs), key=_first)
+        got, want, k = n, n, 0
+        for j, space in family[u].steps:
+            if k < len(ranked) and (i := ranked[k][0] + 1) < j:
+                # a threshold between steps: the entries pairing i - 1 leave, the filtration stays
+                while k < len(ranked) and ranked[k][0] < i:
+                    got -= ranked[k][1]
+                    k += 1
+                return _mismatch(u, i, got, want)
+            while k < len(ranked) and ranked[k][0] < j:
+                got -= ranked[k][1]
+                k += 1
+            want = len(space.basis)
+            if got != want or not all(
+                    space.contains_subspace(sub) for _, _, sub in ranked[k:]):
+                return _mismatch(u, j, got, want)
     return None
+
+
+def _mismatch(u: Vector, i: int, got: int, want: int) -> str:
+    return (f"filtration mismatch at ray {u}, level {i}: "
+            f"summed dimension {got}, filtration dimension {want}")
 
 
 def verify_certificate(cone: Cone, family: FiltrationFamily,
@@ -287,8 +343,8 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
     # the rays are independent here, so they span less than Q^n exactly when
     # len(rays) < n; the orthogonal complement of their span is the annihilator
     if len(rays) < n:
-        entries.append(((0,) * n, RationalSubspace.span(n, cone.perp_sublattice())))
-    cert = DecompositionCertificate(cone, entries)
+        entries.append(((0,) * n, RationalSubspace._from_vectors(n, cone.perp_sublattice())))
+    cert = DecompositionCertificate._from_vectors(cone, entries)
     problem = diagnose_certificate(cone, family, cert)
     if problem is not None:
         raise AssertionError(f"emitted certificate failed verification: {problem}")

@@ -479,15 +479,12 @@ class RationalSubspace:
         ambient = index(ambient)
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        basis: list[Sequence[int]] = []
-        pivots: list[int] = []
+        vectors = []
         for row in map(vec, rows):
             if len(row) != ambient:
                 raise ValueError(f"row length {len(row)} in ambient dimension {ambient}")
-            _insert_row(basis, pivots, row)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(map(tuple, basis)))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+            vectors.append(row)
+        _set_span(self, ambient, vectors)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RationalSubspace is immutable")
@@ -495,6 +492,18 @@ class RationalSubspace:
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "RationalSubspace":
         return cls(ambient, vectors)
+
+    @classmethod
+    def _from_vectors(cls, ambient: int, rows: Iterable[Vector]) -> "RationalSubspace":
+        """The span of rows that are vectors of length ambient already, read unchecked.
+
+        For rows whose entries and lengths were checked where they were
+        made, by ``decode_vector`` or an elimination, so ``vec`` and the
+        length test would only read them again.
+        """
+        sub = object.__new__(cls)
+        _set_span(sub, ambient, rows)
+        return sub
 
     @classmethod
     def _line(cls, u: Vector) -> "RationalSubspace":
@@ -568,6 +577,17 @@ class RationalSubspace:
         return f"RationalSubspace({self.ambient}, [{rows}])"
 
 
+def _set_span(sub: RationalSubspace, ambient: int, rows: Iterable[Sequence[int]]) -> None:
+    """Fill a new subspace's slots with the canonical basis of the span of rows."""
+    basis: list[Sequence[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        _insert_row(basis, pivots, row)
+    object.__setattr__(sub, "ambient", ambient)
+    object.__setattr__(sub, "basis", tuple(map(tuple, basis)))
+    object.__setattr__(sub, "_pivots", tuple(pivots))
+
+
 def _reduce_row(work: Sequence[int], basis: Sequence[Sequence[int]],
                 pivots: Sequence[int]) -> Sequence[int]:
     """Clear the pivot columns of work against an echelon basis by cross-multiplication.
@@ -599,15 +619,17 @@ def _insert_row(basis: list[Sequence[int]], pivots: list[int], row: Sequence[int
     The residue of row, made primitive with a positive pivot, goes in pivot
     order, or nowhere when row lies in the span.  The rows above it are
     then cleared at its pivot; the rows below it are zero there already.
+    An empty basis leaves row as its own residue, and a residue of
+    content 1 needs at most its sign changed.
     """
-    work = _reduce_row(row, basis, pivots)
+    work = _reduce_row(row, basis, pivots) if basis else row
     p = next((j for j, c in enumerate(work) if c), None)
     if p is None:
         return
     g = content(work)
     if work[p] < 0:
         g = -g
-    new = [c // g for c in work]
+    new = work if g == 1 else [c // g for c in work]
     k = bisect(pivots, p)
     pivots.insert(k, p)
     basis.insert(k, new)

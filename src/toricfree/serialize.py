@@ -201,8 +201,9 @@ def parse_certificate_document(doc: Any, cone: Cone) -> DecompositionCertificate
     if (total := sum(len(rows) for _, rows in decoded)) > cone.rank:
         raise ValueError(f"certificate lists {total} subspace_basis rows, "
                          f"over the cone's rank of {cone.rank}")
-    return DecompositionCertificate(
-        cone, [(weight, RationalSubspace.span(cone.rank, rows)) for weight, rows in decoded])
+    # decode_vector has checked every entry and length, so nothing is read twice
+    return DecompositionCertificate._from_vectors(
+        cone, [(weight, RationalSubspace._from_vectors(cone.rank, rows)) for weight, rows in decoded])
 
 
 def smoothness_to_document(report: SmoothnessReport) -> dict:

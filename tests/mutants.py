@@ -76,23 +76,33 @@ MUTANTS = (
            "if sum(dims) != n or False and determinant("),
     Mutant("certificate check without its canonical-representative test",
            "src/toricfree/klyachko.py",
-           "        if vec(m) != weight_class:\n",
+           "        if m != weight_class:\n",
            "        if False:\n"),
     Mutant("certificate check without its containment test", "src/toricfree/klyachko.py",
-           "                    expected.contains_subspace(sub)\n",
-           "                    True\n"),
+           "                    space.contains_subspace(sub) for",
+           "                    True for"),
+    Mutant("certificate check skips the containment test once the dimensions agree",
+           "src/toricfree/klyachko.py",
+           "            if got != want or not all(\n",
+           "            if got != want or got != want and not all(\n"),
+    Mutant("certificate check's ranked walk stops one entry early", "src/toricfree/klyachko.py",
+           "            while k < len(ranked) and ranked[k][0] < j:\n",
+           "            while k < len(ranked) - 1 and ranked[k][0] < j:\n"),
+    Mutant("certificate check passes a threshold between steps", "src/toricfree/klyachko.py",
+           "                return _mismatch(u, i, got, want)\n",
+           "                pass\n"),
     Mutant("certificate check without its distinct-class test", "src/toricfree/klyachko.py",
            "    if len(set(classes)) != len(classes):\n",
            "    if False:\n"),
     Mutant("certificate check accepts a zero summand", "src/toricfree/klyachko.py",
-           "        if sub.dim == 0:\n",
+           "        if not sub.basis:\n",
            "        if False:\n"),
     Mutant("certificate check without its ambient-dimension guard", "src/toricfree/klyachko.py",
            "        if filt.ambient != n:\n",
            "        if False:\n"),
     Mutant("certificate keeps its entries in the order given", "src/toricfree/klyachko.py",
-           "tuple(sorted(((vec(m), sub) for m, sub in entries), key=lambda e: e[0]))",
-           "tuple((vec(m), sub) for m, sub in entries)"),
+           "tuple(sorted(entries, key=_first))",
+           "tuple(entries)"),
     Mutant("certificate _make, so _replace too, skips the sort", "src/toricfree/klyachko.py",
            "        return cls(*iterable)\n",
            "        return tuple.__new__(cls, iterable)\n"),
@@ -114,6 +124,16 @@ MUTANTS = (
     Mutant("subspace row insert keeps a negative pivot", "src/toricfree/lattice.py",
            "    if work[p] < 0:\n        g = -g\n",
            ""),
+    Mutant("subspace row insert keeps a negative pivot on unit content",
+           "src/toricfree/lattice.py",
+           "    new = work if g == 1 else",
+           "    new = work if abs(g) == 1 else"),
+    # Equivalent: ``_reduce_row`` against an empty basis walks no row and
+    # returns its input as it was; the shortcut only skips the kernel lookup.
+    Mutant("subspace row insert reduces against an empty basis", "src/toricfree/lattice.py",
+           "    work = _reduce_row(row, basis, pivots) if basis else row\n",
+           "    work = _reduce_row(row, basis, pivots)\n",
+           expected="survived"),
     Mutant("Euclid step takes the floor quotient", "src/toricfree/lattice.py",
            "q = (2 * p + pk) // (2 * pk)",
            "q = p // pk"),
@@ -138,6 +158,16 @@ MUTANTS = (
     # return only saves the calls.
     Mutant("split chain without its empty-basis return", "src/toricfree/lattice.py",
            "    if not basis:\n        return [None for _ in rows], []\n",
+           "",
+           expected="survived"),
+    Mutant("weight class returns early although the annihilator has rows",
+           "src/toricfree/cones.py",
+           "        if not rows:\n            return w\n",
+           "        if len(rows) <= 1:\n            return w\n"),
+    # Equivalent: with no annihilator row the reduction loop runs no step
+    # and returns the weight as ``vec`` read it; the return only skips it.
+    Mutant("weight class reduces against a zero annihilator", "src/toricfree/cones.py",
+           "        if not rows:\n            return w\n",
            "",
            expected="survived"),
     Mutant("adjacency test asks for one more common normal", "src/toricfree/cones.py",

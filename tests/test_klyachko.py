@@ -127,6 +127,21 @@ def test_tangent_filtration_is_the_validated_filtration():
             assert hash(got) == hash(expected)
             if n == 1:
                 assert got.breakpoints == (2,)
+    # tangent_family builds each ray's filtration past tangent_filtration's input checks
+    ranks = set()
+    for c in random_cones(seed=1107, count=90, ranks=(1, 2, 3, 4, 5, 6)):
+        family = tangent_family(c)
+        assert list(family) == list(c.rays())
+        for u, got in family.items():
+            expected = tangent_filtration(u, c.rank)
+            assert got == expected
+            assert got.steps == expected.steps
+            assert got.breakpoints == expected.breakpoints
+            assert hash(got) == hash(expected)
+            if c.rank == 1:
+                assert got.breakpoints == (2,)
+        ranks.add(c.rank)
+    assert ranks == {1, 2, 3, 4, 5, 6}
 
 
 def test_sections_dimension_thresholds():
@@ -440,11 +455,43 @@ def _tampered_entries(cone, entries, rng):
     return out
 
 
+def _generic_entries(cone, rng):
+    """A weight-graded splitting of Q^n: random subspaces of random dimensions, distinct classes."""
+    n = cone.rank
+    rows = []
+    while fraction_rank(rows) < n:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    groups = [rows[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    weights = []
+    while len(weights) < len(groups):
+        w = cone.weight_class([rng.randint(-2, 2) for _ in range(n)])
+        if w not in weights:
+            weights.append(w)
+    return [(w, RationalSubspace.span(n, g)) for w, g in zip(weights, groups)]
+
+
+def _partial_sum_family(cone, entries):
+    """Hand-built filtrations the entries split: at level i, the sum of those pairing at least i."""
+    n = cone.rank
+    family = {}
+    for u in cone.rays():
+        steps = [(p + 1, RationalSubspace.span(
+            n, [row for m, sub in entries if dot(m, u) > p for row in sub.basis]))
+            for p in {dot(m, u) for m, _ in entries}]
+        family[u] = Filtration(n, steps)
+    return family
+
+
 def test_diagnose_matches_partial_sums_on_tampered_certificates():
     # the dimension-count check gives the message of the check that forms every sum
     rng = random.Random(909)
     seen = set()
     positives = 0
+    # non-tangent families too: hand-built filtrations with negative breakpoints,
+    # three or more steps and steps of dimension above 1
+    generic_seen = set()
+    many_steps = negative = wide = False
     for c in random_cones(seed=208, count=160, ranks=(2, 3, 4, 5)):
         rep = decide_tangent_locally_free(c)
         if not rep.verdict:
@@ -457,7 +504,27 @@ def test_diagnose_matches_partial_sums_on_tampered_certificates():
             message = diagnose_certificate(c, family, cert)
             assert message == diagnose_by_partial_sums(c, family, cert), (c.generators, cert.entries)
             seen.add(message.split(":")[0] if message else None)
+        entries = _generic_entries(c, rng)
+        generic = _partial_sum_family(c, entries)
+        u, step = rng.choice(c.rays()), rng.choice((-1, 1))
+        shifted = {**generic, u: Filtration(c.rank, [(i + step, sub)
+                                                    for i, sub in generic[u].steps])}
+        cases = [(generic, rep.certificate), (shifted, DecompositionCertificate(c, entries))]
+        cases += [(generic, DecompositionCertificate(c, e))
+                  for e in [entries] + _tampered_entries(c, entries, rng)]
+        for fam, cert in cases:
+            message = diagnose_certificate(c, fam, cert)
+            assert message == diagnose_by_partial_sums(c, fam, cert), (c.generators, cert.entries)
+            generic_seen.add(message.split(":")[0] if message else None)
+        for filt in generic.values():
+            many_steps |= len(filt.steps) >= 3
+            negative |= filt.breakpoints[0] < 0
+            wide |= any(sub.dim > 1 for _, sub in filt.steps)
     assert positives > 40
+    assert many_steps and negative and wide
+    assert {None, "subspaces do not sum directly to the full space",
+            "weight classes are not pairwise distinct modulo the annihilator"} <= generic_seen
+    assert any(m and m.startswith("filtration mismatch") for m in generic_seen)
     assert {None, "subspaces do not sum directly to the full space",
             "weight classes are not pairwise distinct modulo the annihilator"} <= seen
     assert any(m and m.startswith("filtration mismatch") for m in seen)
