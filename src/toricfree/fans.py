@@ -10,9 +10,16 @@ faces of another input, the fan's maximal cones, which the closure finds
 as it goes and the fan keeps.  The faces,
 other inputs among them, need no check of their own: if two cones meet
 in a face of each, then so does every pair of their faces
-(Cox-Little-Schenck, Toric Varieties, section 3.1).  A failed check
+(Cox-Little-Schenck, Toric Varieties, section 3.1).  The intersection of
+a pair is a face of each exactly when its generators are among the face
+keys of each, which the closure has found already.  A failed check
 reports the offending pair of input cones together with their
 intersection so the caller can see exactly where compatibility breaks.
+
+The deciders read the kept top cones too: each decides them, and every
+closure cone under a top it answered yes on inherits that answer, since
+both properties pass to faces (``smoothness.decide_smooth_on_fan``,
+``klyachko.decide_tangent_locally_free_on_fan``).
 """
 
 from __future__ import annotations
@@ -121,10 +128,13 @@ class Fan:
 
 
 def _check_pairs(cones: Sequence[Cone]) -> None:
+    """Each pair meets in a face of both, ``is_face_of`` less the checks the fan has made."""
     for i, a in enumerate(cones):
+        faces = _face_keys(a)
         for b in cones[i + 1:]:
             meet = a.intersection(b)
-            if not (meet.is_face_of(a) and meet.is_face_of(b)):
+            key = meet.generators
+            if not (key in faces and key in _face_keys(b)):
                 raise FanValidationError(a, b, meet)
 
 

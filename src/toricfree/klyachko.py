@@ -22,6 +22,10 @@ certificate's subspaces and the certificate itself from vectors it made,
 through private builders that skip the public constructors' entry
 checks; ``recheck`` does the same with the vectors ``decode_vector`` has
 checked.
+
+On a fan a face of a top cone found locally free inherits the top's
+witnesses, then gets the usual certificate and self-check; only this
+decider's verdicts are read, so it stays independent of smoothness.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from __future__ import annotations
 from operator import index, itemgetter, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .cones import Cone
+from .cones import Cone, _face_keys
 from .lattice import (
     RationalSubspace,
     Vector,
+    _bareiss,
     _kernels,
-    determinant,
     dot,
     is_primitive,
     vec,
@@ -255,7 +259,7 @@ def diagnose_certificate(cone: Cone, family: FiltrationFamily,
         if not sub.basis:
             return f"zero subspace attached to class {m}"
     dims = [len(sub.basis) for sub in subs]
-    if sum(dims) != n or not determinant([row for sub in subs for row in sub.basis]):
+    if sum(dims) != n or not _bareiss([[*row] for sub in subs for row in sub.basis]):
         return "subspaces do not sum directly to the full space"
     pair = _kernels(n)[0]
     for u in rays:
@@ -337,6 +341,13 @@ def decide_tangent_locally_free(cone: Cone) -> LocalFreenessReport:
             if y_j:
                 m = sub(m, -y_j, split[j])
         witnesses[u] = cone.weight_class(m)
+    return _certified(cone, witnesses)
+
+
+def _certified(cone: Cone, witnesses: dict[Vector, Vector]) -> LocalFreenessReport:
+    """The positive report with these witnesses, its certificate self-checked first."""
+    n = cone.rank
+    rays = cone.rays()
     # each ray's certificate line is its filtration at level 1, built once for the self-check too
     family = tangent_family(cone)
     entries = [(witnesses[u], family[u].at(1)) for u in rays]
@@ -361,8 +372,22 @@ class FanFreenessReport(NamedTuple):
 def decide_tangent_locally_free_on_fan(fan) -> FanFreenessReport:
     """Run the local-freeness decision on every cone of a validated fan.
 
-    Every cone is checked, not only the maximal ones; the global verdict
-    is the conjunction.
+    Every cone is reported, not only the maximal ones; the global verdict
+    is the conjunction.  Only the top cones and the cones under no
+    positive top are decided.  The witnesses m_u of a top pair delta with
+    the rays of each face tau, so tau's are ``tau.weight_class(m_u)``,
+    the ones its own decision would find.
     """
-    per_cone = tuple((c, decide_tangent_locally_free(c)) for c in fan.cones)
-    return FanFreenessReport(all(r.verdict for _, r in per_cone), per_cone)
+    decided = {top: decide_tangent_locally_free(top) for top in fan.maximal_cones()}
+    # the witnesses of a positive top, keyed by the generators of each of its faces
+    witnessed = {key: report.witnesses for top, report in decided.items() if report.verdict
+                 for key in _face_keys(top)}
+    per_cone = []
+    for c in fan.cones:
+        report = decided.get(c)
+        if report is None:
+            top_witnesses = witnessed.get(c.generators)
+            report = decide_tangent_locally_free(c) if top_witnesses is None else _certified(
+                c, {u: c.weight_class(top_witnesses[u]) for u in c.rays()})
+        per_cone.append((c, report))
+    return FanFreenessReport(all(r.verdict for _, r in per_cone), tuple(per_cone))

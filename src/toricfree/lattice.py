@@ -182,7 +182,12 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    m = copy_matrix(a)
+    return _bareiss(copy_matrix(a))
+
+
+def _bareiss(m: Matrix) -> int:
+    """The determinant of a nonempty square matrix of int lists, unchecked; m is overwritten."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):

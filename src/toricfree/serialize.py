@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Callable, Union
+from typing import Any, Callable, Sequence, Union
 
 from . import __version__
 from .cones import Cone
@@ -19,12 +19,18 @@ from .klyachko import (
     DecompositionCertificate,
     LocalFreenessReport,
     decide_tangent_locally_free,
+    decide_tangent_locally_free_on_fan,
     diagnose_certificate,
     tangent_family,
 )
 from .lattice import RationalSubspace, Vector
-from .smoothness import SmoothnessReport, is_smooth_cone
-from .verifier import AgreementRecord, SweepSummary, check_zariski_lipman
+from .smoothness import SmoothnessReport, decide_smooth_on_fan, is_smooth_cone
+from .verifier import (
+    AgreementRecord,
+    SweepSummary,
+    check_zariski_lipman,
+    check_zariski_lipman_on_fan,
+)
 
 SAFE_INT = 2 ** 53 - 1
 # Largest lattice rank a document may declare.  Building a cone costs at
@@ -33,8 +39,8 @@ MAX_RANK = 256
 # Most cones a fan document may list.  Validation intersects every pair of
 # them that are not faces of another listed cone, so its time grows with
 # the square of that count: verifying a planar fan x P^1 with this many
-# maximal cones takes about 5 s on 2 cores.  Listed faces add no pair: the
-# rank-12 orthant listed with its 767 largest faces verifies in about 5 s.
+# maximal cones takes about 2.5 s on 2 cores.  Listed faces add no pair: the
+# rank-12 orthant listed with its 767 largest faces verifies in about 2.7 s.
 MAX_FAN_CONES = 768
 # Most generators a cone document, or one cone of a fan document, may list.
 # The dual of the rank-4 cone over the moment curve has the most facets a
@@ -80,9 +86,10 @@ def encode_vector(v: Vector) -> list:
 
 
 def decode_vector(value: Any, rank: int | None = None) -> Vector:
+    """A list of integers as a tuple; an all-``int`` list is taken whole, any other per entry."""
     if not isinstance(value, list):
         raise ValueError(f"expected a list of integers, got {_excerpt(value)}")
-    v = tuple(map(decode_int, value))
+    v = tuple(value) if set(map(type, value)) <= {int} else tuple(map(decode_int, value))
     if rank is not None and len(v) != rank:
         raise ValueError(f"vector {_excerpt(v)} has length {len(v)}, expected {rank}")
     return v
@@ -235,13 +242,11 @@ def _tool_stamp() -> dict:
     return {"name": "toricfree", "version": __version__}
 
 
-def _cone_report(kind: str, geometry: Geometry, entry: Callable[[Cone], dict],
-                 passes: Callable[[dict], bool]) -> dict:
+def _cone_report(kind: str, entries: list[dict], passes: Callable[[dict], bool]) -> dict:
     """The report of a per-cone command: tool stamp, kind, verdict, and one entry per cone.
 
     The verdict holds iff every entry passes.
     """
-    entries = [entry(cone) for cone in geometry_cones(geometry)]
     return {
         "tool": _tool_stamp(),
         "kind": kind,
@@ -250,18 +255,26 @@ def _cone_report(kind: str, geometry: Geometry, entry: Callable[[Cone], dict],
     }
 
 
+def _decided(geometry: Geometry, on_cone: Callable, on_fan: Callable) -> Sequence:
+    """One result per cone: a fan's from its fan pass, a lone cone's from ``on_cone``."""
+    return on_fan(geometry) if isinstance(geometry, Fan) else (on_cone(geometry),)
+
+
 def smooth_report(geometry: Geometry) -> dict:
-    return _cone_report("smooth", geometry, lambda cone: {
+    pairs = _decided(geometry, lambda cone: (cone, is_smooth_cone(cone)), decide_smooth_on_fan)
+    return _cone_report("smooth", [{
         "cone": cone_to_document(cone),
-        "smooth": smoothness_to_document(is_smooth_cone(cone)),
-    }, lambda e: e["smooth"]["verdict"])
+        "smooth": smoothness_to_document(report),
+    } for cone, report in pairs], lambda e: e["smooth"]["verdict"])
 
 
 def locally_free_report(geometry: Geometry) -> dict:
-    return _cone_report("locally-free", geometry, lambda cone: {
+    pairs = _decided(geometry, lambda cone: (cone, decide_tangent_locally_free(cone)),
+                     lambda fan: decide_tangent_locally_free_on_fan(fan).per_cone)
+    return _cone_report("locally-free", [{
         "cone": cone_to_document(cone),
-        "locally_free": freeness_to_document(decide_tangent_locally_free(cone)),
-    }, lambda e: e["locally_free"]["verdict"])
+        "locally_free": freeness_to_document(report),
+    } for cone, report in pairs], lambda e: e["locally_free"]["verdict"])
 
 
 def agreement_to_entry(record: AgreementRecord) -> dict:
@@ -274,9 +287,8 @@ def agreement_to_entry(record: AgreementRecord) -> dict:
 
 
 def verify_report(geometry: Geometry) -> dict:
-    return _cone_report("verify", geometry,
-                        lambda cone: agreement_to_entry(check_zariski_lipman(cone)),
-                        lambda e: e["agree"])
+    records = _decided(geometry, check_zariski_lipman, check_zariski_lipman_on_fan)
+    return _cone_report("verify", [agreement_to_entry(r) for r in records], lambda e: e["agree"])
 
 
 def sweep_report(summary: SweepSummary, config_doc: dict) -> dict:

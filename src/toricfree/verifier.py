@@ -3,7 +3,8 @@
 The two verdicts are computed by disjoint code paths (lattice normal forms
 on one side, filtration certificates on the other); equality of the two on
 every strongly convex cone is the statement the sweep machinery exercises
-at scale.
+at scale.  On a fan each decider runs its own fan pass, which decides the
+top cones and lets the faces of positive tops inherit from them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ import time
 from typing import Iterable, NamedTuple
 
 from .cones import Cone
-from .klyachko import LocalFreenessReport, decide_tangent_locally_free
-from .smoothness import SmoothnessReport, is_smooth_cone
+from .klyachko import (
+    LocalFreenessReport,
+    decide_tangent_locally_free,
+    decide_tangent_locally_free_on_fan,
+)
+from .smoothness import SmoothnessReport, decide_smooth_on_fan, is_smooth_cone
 
 
 class AgreementRecord(NamedTuple):
@@ -44,6 +49,14 @@ def check_zariski_lipman(cone: Cone) -> AgreementRecord:
     smooth = is_smooth_cone(cone)
     free = decide_tangent_locally_free(cone)
     return AgreementRecord(cone, smooth, free, smooth.verdict == free.verdict)
+
+
+def check_zariski_lipman_on_fan(fan) -> tuple[AgreementRecord, ...]:
+    """Both verdicts on every cone of a validated fan, from each decider's fan pass."""
+    smooth = decide_smooth_on_fan(fan)
+    free = decide_tangent_locally_free_on_fan(fan).per_cone
+    return tuple(AgreementRecord(c, s, f, s.verdict == f.verdict)
+                 for (c, s), (_, f) in zip(smooth, free))
 
 
 def sweep(cones: Iterable[Cone]) -> SweepSummary:

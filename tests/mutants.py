@@ -69,11 +69,32 @@ MUTANTS = (
         return self.generators in _face_keys(other)
 '''),
     Mutant("pair check accepts a face of either cone", "src/toricfree/fans.py",
-           "meet.is_face_of(a) and meet.is_face_of(b)",
-           "meet.is_face_of(a) or meet.is_face_of(b)"),
+           "key in faces and key in _face_keys(b)",
+           "key in faces or key in _face_keys(b)"),
     Mutant("certificate check without its direct-sum determinant", "src/toricfree/klyachko.py",
-           "if sum(dims) != n or not determinant(",
-           "if sum(dims) != n or False and determinant("),
+           "if sum(dims) != n or not _bareiss(",
+           "if sum(dims) != n or False and _bareiss("),
+    Mutant("fan freeness pass inherits from every top cone, not only positive ones",
+           "src/toricfree/klyachko.py",
+           "decided.items() if report.verdict\n",
+           "decided.items()\n"),
+    Mutant("fan freeness pass takes the top's witnesses past the face's weight_class",
+           "src/toricfree/klyachko.py",
+           "{u: c.weight_class(top_witnesses[u]) for u in c.rays()}",
+           "{u: top_witnesses[u] for u in c.rays()}"),
+    Mutant("fan smoothness pass inherits from every top cone, not only smooth ones",
+           "src/toricfree/smoothness.py",
+           "decided.items() if report.verdict\n",
+           "decided.items()\n"),
+    # the two verdicts agree on every cone, so only a test that the smoothness
+    # pass never calls the other decider can tell this one apart
+    Mutant("fan smoothness pass inherits from the freeness verdict", "src/toricfree/smoothness.py",
+           "decided.items() if report.verdict\n",
+           'decided.items() if __import__("toricfree.klyachko").klyachko'
+           ".decide_tangent_locally_free(top).verdict\n"),
+    Mutant("cone slots leave the face keys unset", "src/toricfree/cones.py",
+           '    put(cone, "_face_keys", None)\n',
+           ""),
     Mutant("certificate check without its canonical-representative test",
            "src/toricfree/klyachko.py",
            "        if m != weight_class:\n",
@@ -198,6 +219,9 @@ MUTANTS = (
     Mutant("recheck takes any verdict but null", "src/toricfree/serialize.py",
            'if not isinstance(verdict := free_doc.get("verdict"), bool):',
            'if (verdict := free_doc.get("verdict")) is None:'),
+    Mutant("vector codec takes a list holding a bool whole", "src/toricfree/serialize.py",
+           "set(map(type, value)) <= {int}",
+           "set(map(type, value)) <= {int, bool}"),
     Mutant("integer codec accepts bool", "src/toricfree/serialize.py",
            "    if type(value) is int:\n",
            "    if isinstance(value, int):\n"),

@@ -81,6 +81,11 @@ def test_int_codec_rejections():
     with pytest.raises(ValueError, match=r"expected an integer, got \[") as exc:
         decode_vector([1, list(range(50_000))])
     assert len(str(exc.value)) < 200
+    # a list that is not all int is read entry by entry, with decode_int's messages
+    assert decode_vector([1, "12"]) == (1, 12)
+    for bad, shown in (([1, True], "True"), ([2.0, 1], "2.0"), ([[1], 2], r"\[1\]")):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {shown}$"):
+            decode_vector(bad)
 
 
 def test_cone_document_round_trip_on_corpus():
