@@ -16,18 +16,29 @@ keys of each, which the closure has found already.  A failed check
 reports the offending pair of input cones together with their
 intersection so the caller can see exactly where compatibility breaks.
 
-The deciders read the kept top cones too: each decides them, and every
-closure cone under a top it answered yes on inherits that answer, since
-both properties pass to faces (``smoothness.decide_smooth_on_fan``,
-``klyachko.decide_tangent_locally_free_on_fan``).
+A closure of c cones in rank n is refused past ``_MAX_CLOSURE_SIZE``
+counted as c x n x n, checked as soon as the closure is known and before
+any pair check: each cone of it is a report entry whose certificate holds
+up to n x n integers, and sorting the closure runs a split chain per
+face, which is nearly all of the time on a large one.
+
+Both deciders read the kept top cones too, through one pass,
+``_decide_from_tops``: a closure cone under a top answered yes on
+inherits from it, since both properties pass to faces.  Each decider
+supplies its rules and reads only its own verdicts (``smoothness``,
+``klyachko``); this module imports neither.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cones import MAX_FACES, Cone, FaceLimitError, _canonical_cone, _face_keys
 from .lattice import Vector
+
+# Most closure cones x rank x rank a fan may have (module docstring): about
+# 3.6 times the rank-12 orthant with its faces, 4,096 x 12 x 12 = 589,824.
+_MAX_CLOSURE_SIZE = 2 ** 21
 
 
 class FanValidationError(ValueError):
@@ -73,6 +84,11 @@ class Fan:
                 keys |= _face_keys(c)
                 if len(keys) > MAX_FACES:
                     raise FaceLimitError("the face closure of the fan")
+        if len(keys) * rank * rank > _MAX_CLOSURE_SIZE:
+            raise ValueError(
+                f"the face closure of the fan has {len(keys)} cones in rank {rank}: closure "
+                f"cones x rank x rank is {len(keys) * rank * rank}, more than the maximum "
+                f"of {_MAX_CLOSURE_SIZE}")
         # only the caller's cones that are faces of no other are checked, in
         # sorted order, so a failure is reported in their terms; their faces,
         # the other inputs among them, then meet correctly (module docstring)
@@ -136,6 +152,26 @@ def _check_pairs(cones: Sequence[Cone]) -> None:
             key = meet.generators
             if not (key in faces and key in _face_keys(b)):
                 raise FanValidationError(a, b, meet)
+
+
+def _decide_from_tops(fan: Fan, decide: Callable, inherit: Callable) -> tuple:
+    """Each cone of a validated fan with its report, in the fan's order.
+
+    Top cones, and cones under no top with a true ``verdict``, get
+    ``decide(cone)``; every other cone gets ``inherit(cone, top_report)``.
+    """
+    decided = {top: decide(top) for top in fan.maximal_cones()}
+    # the report of a positive top, keyed by the generators of each of its faces
+    under = {key: report for top, report in decided.items() if report.verdict
+             for key in _face_keys(top)}
+    per_cone = []
+    for c in fan.cones:
+        report = decided.get(c)
+        if report is None:
+            top_report = under.get(c.generators)
+            report = decide(c) if top_report is None else inherit(c, top_report)
+        per_cone.append((c, report))
+    return tuple(per_cone)
 
 
 def validate_fan(cones: Iterable[Cone], rank: int | None = None) -> Fan:

@@ -24,8 +24,10 @@ checks; ``recheck`` does the same with the vectors ``decode_vector`` has
 checked.
 
 On a fan a face of a top cone found locally free inherits the top's
-witnesses, then gets the usual certificate and self-check; only this
-decider's verdicts are read, so it stays independent of smoothness.
+witnesses, then gets the usual certificate and self-check: the fan pass
+is the one top-cone pass, ``fans._decide_from_tops``, with that rule.
+Only this decider's verdicts are read, so it stays independent of
+smoothness.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from __future__ import annotations
 from operator import index, itemgetter, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .cones import Cone, _face_keys
+from .cones import Cone
+from .fans import _decide_from_tops
 from .lattice import (
     RationalSubspace,
     Vector,
@@ -362,32 +365,13 @@ def _certified(cone: Cone, witnesses: dict[Vector, Vector]) -> LocalFreenessRepo
     return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)
 
 
-class FanFreenessReport(NamedTuple):
-    """Per-cone local-freeness reports over a whole fan."""
+def decide_tangent_locally_free_on_fan(fan) -> tuple[tuple[Cone, LocalFreenessReport], ...]:
+    """The local-freeness report of every cone of a validated fan, in the fan's order.
 
-    verdict: bool
-    per_cone: tuple[tuple[Cone, LocalFreenessReport], ...]
-
-
-def decide_tangent_locally_free_on_fan(fan) -> FanFreenessReport:
-    """Run the local-freeness decision on every cone of a validated fan.
-
-    Every cone is reported, not only the maximal ones; the global verdict
-    is the conjunction.  Only the top cones and the cones under no
-    positive top are decided.  The witnesses m_u of a top pair delta with
-    the rays of each face tau, so tau's are ``tau.weight_class(m_u)``,
-    the ones its own decision would find.
+    Only the top cones and the cones under no positive top are decided.
+    The witnesses m_u of a top pair delta with the rays of each face tau,
+    so tau's are ``tau.weight_class(m_u)``, the ones its own decision
+    would find.
     """
-    decided = {top: decide_tangent_locally_free(top) for top in fan.maximal_cones()}
-    # the witnesses of a positive top, keyed by the generators of each of its faces
-    witnessed = {key: report.witnesses for top, report in decided.items() if report.verdict
-                 for key in _face_keys(top)}
-    per_cone = []
-    for c in fan.cones:
-        report = decided.get(c)
-        if report is None:
-            top_witnesses = witnessed.get(c.generators)
-            report = decide_tangent_locally_free(c) if top_witnesses is None else _certified(
-                c, {u: c.weight_class(top_witnesses[u]) for u in c.rays()})
-        per_cone.append((c, report))
-    return FanFreenessReport(all(r.verdict for _, r in per_cone), tuple(per_cone))
+    return _decide_from_tops(fan, decide_tangent_locally_free, lambda face, top: _certified(
+        face, {u: face.weight_class(top.witnesses[u]) for u in face.rays()}))

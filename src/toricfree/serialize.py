@@ -270,7 +270,7 @@ def smooth_report(geometry: Geometry) -> dict:
 
 def locally_free_report(geometry: Geometry) -> dict:
     pairs = _decided(geometry, lambda cone: (cone, decide_tangent_locally_free(cone)),
-                     lambda fan: decide_tangent_locally_free_on_fan(fan).per_cone)
+                     decide_tangent_locally_free_on_fan)
     return _cone_report("locally-free", [{
         "cone": cone_to_document(cone),
         "locally_free": freeness_to_document(report),

@@ -4,16 +4,18 @@ The test is purely lattice-theoretic: the cone is smooth exactly when its
 extreme ray generators form part of a basis of the ambient lattice, which
 requires one generator per dimension of the cone and all invariant factors
 equal to one.  On a fan a face of a smooth top cone is smooth, its rays
-part of the top's basis, with no test.  This module deliberately uses
-nothing from the filtration machinery, so the two deciders stay
-independent.
+part of the top's basis, with no test: the fan pass is the one top-cone
+pass, ``fans._decide_from_tops``, with that rule.  This module
+deliberately uses nothing from the filtration machinery, so the two
+deciders stay independent.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cones import Cone, _face_keys
+from .cones import Cone
+from .fans import _decide_from_tops
 from .lattice import invariant_factors
 
 
@@ -47,14 +49,4 @@ def decide_smooth_on_fan(fan) -> tuple[tuple[Cone, SmoothnessReport], ...]:
 
     Only the top cones and the cones under no smooth top are decided.
     """
-    decided = {top: is_smooth_cone(top) for top in fan.maximal_cones()}
-    # the generators of every face of a smooth top
-    smooth = {key for top, report in decided.items() if report.verdict
-              for key in _face_keys(top)}
-    per_cone = []
-    for c in fan.cones:
-        report = decided.get(c)
-        if report is None:
-            report = SmoothnessReport(True) if c.generators in smooth else is_smooth_cone(c)
-        per_cone.append((c, report))
-    return tuple(per_cone)
+    return _decide_from_tops(fan, is_smooth_cone, lambda face, top: SmoothnessReport(True))

@@ -54,7 +54,7 @@ def check_zariski_lipman(cone: Cone) -> AgreementRecord:
 def check_zariski_lipman_on_fan(fan) -> tuple[AgreementRecord, ...]:
     """Both verdicts on every cone of a validated fan, from each decider's fan pass."""
     smooth = decide_smooth_on_fan(fan)
-    free = decide_tangent_locally_free_on_fan(fan).per_cone
+    free = decide_tangent_locally_free_on_fan(fan)
     return tuple(AgreementRecord(c, s, f, s.verdict == f.verdict)
                  for (c, s), (_, f) in zip(smooth, free))
 

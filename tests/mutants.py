@@ -51,6 +51,12 @@ MUTANTS = (
     Mutant("fan closure drops each cone's own key", "src/toricfree/fans.py",
            "                keys |= _face_keys(c)\n",
            "                keys |= _face_keys(c) - {c.generators}\n"),
+    Mutant("fan closure bound counts the rank once", "src/toricfree/fans.py",
+           "        if len(keys) * rank * rank > _MAX_CLOSURE_SIZE:\n",
+           "        if len(keys) * rank > _MAX_CLOSURE_SIZE:\n"),
+    Mutant("fan closure bound refuses a closure exactly at it", "src/toricfree/fans.py",
+           "        if len(keys) * rank * rank > _MAX_CLOSURE_SIZE:\n",
+           "        if len(keys) * rank * rank >= _MAX_CLOSURE_SIZE:\n"),
     Mutant("maximal cones kept in validation order", "src/toricfree/fans.py",
            'object.__setattr__(self, "_top", tuple(top))',
            'object.__setattr__(self, "_top", tuple(top[::-1]))'),
@@ -74,24 +80,24 @@ MUTANTS = (
     Mutant("certificate check without its direct-sum determinant", "src/toricfree/klyachko.py",
            "if sum(dims) != n or not _bareiss(",
            "if sum(dims) != n or False and _bareiss("),
-    Mutant("fan freeness pass inherits from every top cone, not only positive ones",
-           "src/toricfree/klyachko.py",
+    Mutant("fan pass inherits from every top cone, not only positive ones",
+           "src/toricfree/fans.py",
            "decided.items() if report.verdict\n",
            "decided.items()\n"),
+    Mutant("fan pass decides a cone under a positive top instead of inheriting",
+           "src/toricfree/fans.py",
+           "report = decide(c) if top_report is None else inherit(c, top_report)\n",
+           "report = decide(c)\n"),
     Mutant("fan freeness pass takes the top's witnesses past the face's weight_class",
            "src/toricfree/klyachko.py",
-           "{u: c.weight_class(top_witnesses[u]) for u in c.rays()}",
-           "{u: top_witnesses[u] for u in c.rays()}"),
-    Mutant("fan smoothness pass inherits from every top cone, not only smooth ones",
-           "src/toricfree/smoothness.py",
-           "decided.items() if report.verdict\n",
-           "decided.items()\n"),
-    # the two verdicts agree on every cone, so only a test that the smoothness
-    # pass never calls the other decider can tell this one apart
+           "{u: face.weight_class(top.witnesses[u]) for u in face.rays()}",
+           "{u: top.witnesses[u] for u in face.rays()}"),
+    # the two verdicts agree on every cone, so the reports do not change: only the
+    # tests that watch which decider the smoothness pass calls can tell it apart
     Mutant("fan smoothness pass inherits from the freeness verdict", "src/toricfree/smoothness.py",
-           "decided.items() if report.verdict\n",
-           'decided.items() if __import__("toricfree.klyachko").klyachko'
-           ".decide_tangent_locally_free(top).verdict\n"),
+           "_decide_from_tops(fan, is_smooth_cone,",
+           "_decide_from_tops(fan, lambda c: is_smooth_cone(c)._replace(verdict=__import__("
+           '"toricfree.klyachko").klyachko.decide_tangent_locally_free(c).verdict),'),
     Mutant("cone slots leave the face keys unset", "src/toricfree/cones.py",
            '    put(cone, "_face_keys", None)\n',
            ""),

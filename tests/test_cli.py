@@ -15,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from timing import deadline
 from toricfree.cli import _build_parser, _encode, main
 from toricfree.cones import MAX_FACES
 from toricfree.corpus import default_config, named_examples, sample_cones
-from toricfree.fans import Fan
+from toricfree.fans import _MAX_CLOSURE_SIZE, Fan
 from toricfree.serialize import (
     MAX_CONE_GENERATORS,
     MAX_FAN_CONES,
@@ -354,6 +355,19 @@ def test_fan_face_closure_is_bounded(capsys, tmp_path, cones):
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert err.startswith("toricfree: error:") and f"maximum of {MAX_FACES}" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "smooth", "locally-free"])
+def test_fan_closure_size_is_bounded(capsys, tmp_path, command):
+    # one cone on 12 unit vectors in rank 128: 4,096 faces, under the face cap,
+    # but each would be a report entry of up to 128 x 128 certificate integers;
+    # the deadline also ends a run past the bound while it still sorts the closure,
+    # before the reports take gigabytes
+    path = write_json(tmp_path, "units-fan.json", {"rank": 128, "cones": [orthant(128)[:12]]})
+    with deadline(5):
+        code, out, err = run_cli(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err.startswith("toricfree: error:") and f"maximum of {_MAX_CLOSURE_SIZE}" in err
 
 
 def test_cone_generator_count_is_bounded(capsys, tmp_path):

@@ -22,11 +22,7 @@ import toricfree.smoothness as smoothness
 from toricfree.cli import main
 from toricfree.cones import Cone
 from toricfree.fans import Fan
-from toricfree.klyachko import (
-    FanFreenessReport,
-    decide_tangent_locally_free,
-    decide_tangent_locally_free_on_fan,
-)
+from toricfree.klyachko import decide_tangent_locally_free, decide_tangent_locally_free_on_fan
 from toricfree.serialize import parse_fan_document
 from toricfree.smoothness import SmoothnessReport, decide_smooth_on_fan, is_smooth_cone
 from toricfree.verifier import check_zariski_lipman, check_zariski_lipman_on_fan
@@ -123,8 +119,7 @@ def test_fan_passes_match_per_cone_decisions(name):
     fan = FANS[name]
     assert decide_smooth_on_fan(fan) == tuple((c, is_smooth_cone(c)) for c in fan.cones)
     direct = tuple((c, decide_tangent_locally_free(c)) for c in fan.cones)
-    assert decide_tangent_locally_free_on_fan(fan) == FanFreenessReport(
-        all(r.verdict for _, r in direct), direct)
+    assert decide_tangent_locally_free_on_fan(fan) == direct
     assert check_zariski_lipman_on_fan(fan) == tuple(map(check_zariski_lipman, fan.cones))
 
 
@@ -155,7 +150,7 @@ def test_a_face_under_a_smooth_and_a_singular_top():
     fan = FANS["mixed"]
     face = Cone([(1, 0, 0), (0, 1, 0)], 3)
     smooth = dict(decide_smooth_on_fan(fan))
-    free = dict(decide_tangent_locally_free_on_fan(fan).per_cone)
+    free = dict(decide_tangent_locally_free_on_fan(fan))
     singular_top = Cone([(1, 0, 0), (0, 1, 0), (1, 1, -2)], 3)
     assert not smooth[singular_top].verdict and not free[singular_top].verdict
     assert smooth[face] == SmoothnessReport(True) == is_smooth_cone(face)

@@ -250,6 +250,27 @@ def test_maximal_cones_build_no_cone(monkeypatch):
     assert calls == []
 
 
+def test_closure_size_is_bounded_before_the_pair_check(monkeypatch):
+    """Closure cones x rank x rank may reach ``fans._MAX_CLOSURE_SIZE``, and no more.
+
+    The cone on 11 unit vectors in rank 32 has 2,048 faces, so exactly
+    2^21; on 12 it has 4,096, under ``MAX_FACES`` but one step over, and
+    is refused before any pair is checked or any closure cone is built.
+    """
+    def units(k, n):
+        return Cone([[int(i == j) for j in range(n)] for i in range(k)], n)
+
+    assert len(Fan([units(11, 32)])) * 32 * 32 == fans._MAX_CLOSURE_SIZE == 2 ** 21
+
+    def refuse(*args):
+        raise AssertionError("the closure size was not checked first")
+
+    monkeypatch.setattr(fans, "_check_pairs", refuse)
+    monkeypatch.setattr(fans, "_canonical_cone", refuse)
+    with pytest.raises(ValueError, match=f"more than the maximum of {2 ** 21}$"):
+        Fan([units(12, 32)])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cross_polytope_fan_closure_matches_the_sign_patterns(n):
     """The closure holds one cone per sign pattern, and the face tests agree with an oracle.

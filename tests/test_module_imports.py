@@ -5,11 +5,12 @@ too, works on integers only and reads its entries through
 ``operator.index``.  The two deciders stay independent: neither
 ``smoothness`` nor ``klyachko`` reaches the other through the package's
 imports, so their agreement is evidence and not one computation run
-twice.  Splitting rows off a lattice basis is one loop,
-``lattice._split_chain``: no other module reaches its steps.  Every
-command pays for the package import first, so no module imports
-``dataclasses`` or ``inspect``, and importing the command line loads
-neither.
+twice; their one fan pass lives in ``fans``, which reaches neither, and
+only the geometry modules, ``cones`` and ``fans``, read face keys.
+Splitting rows off a lattice basis is one loop, ``lattice._split_chain``:
+no other module reaches its steps.  Every command pays for the package
+import first, so no module imports ``dataclasses`` or ``inspect``, and
+importing the command line loads neither.
 """
 
 import ast
@@ -68,21 +69,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert done.stdout == "[]\n"
 
 
-def test_deciders_do_not_import_each_other():
+def reachable(start):
+    """The package's modules that the module ``start`` reaches through its imports, by stem."""
     stems = {p.stem for p in PACKAGE.glob("*.py")}
-    assert {"smoothness", "klyachko"} <= stems
+    assert {start, "smoothness", "klyachko"} <= stems
     graph = {stem: package_imports(PACKAGE / f"{stem}.py", stems) for stem in stems}
+    seen, queue = set(), [start]
+    while queue:
+        for module in graph[queue.pop()] - seen:
+            seen.add(module)
+            queue.append(module)
+    return seen
 
-    def reachable(start):
-        seen, queue = set(), [start]
-        while queue:
-            for module in graph[queue.pop()] - seen:
-                seen.add(module)
-                queue.append(module)
-        return seen
 
+def test_deciders_do_not_import_each_other():
     assert "klyachko" not in reachable("smoothness")
     assert "smoothness" not in reachable("klyachko")
+
+
+def test_the_fan_pass_reaches_neither_decider():
+    # each decider hands fans._decide_from_tops its own rules
+    assert not {"smoothness", "klyachko"} & reachable("fans")
 
 
 def test_no_unused_imports():
@@ -106,15 +113,24 @@ def test_no_unused_imports():
     assert not unused
 
 
-def test_only_lattice_names_the_split_steps():
-    # imported, called or read as an attribute: any mention outside lattice.py counts
-    steps = {"_split_off", "_hermite_eliminate"}
+def modules_naming(private):
+    """The package's files that import, call or read as an attribute any of these names."""
     users = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(parse(path)):
             names = {getattr(node, "id", None), getattr(node, "attr", None)}
             if isinstance(node, ast.alias):
                 names.add(node.name.split(".")[-1])
-            if names & steps:
+            if names & private:
                 users.add(path.name)
-    assert users == {"lattice.py"}
+    return users
+
+
+def test_only_lattice_names_the_split_steps():
+    # any mention outside lattice.py counts
+    assert modules_naming({"_split_off", "_hermite_eliminate"}) == {"lattice.py"}
+
+
+def test_only_the_geometry_modules_name_the_face_keys():
+    # the fan passes of both deciders go through fans._decide_from_tops
+    assert modules_naming({"_face_keys"}) == {"cones.py", "fans.py"}
