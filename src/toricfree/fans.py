@@ -24,9 +24,10 @@ face, which is nearly all of the time on a large one.
 
 Both deciders read the kept top cones too, through one pass,
 ``_decide_from_tops``: a closure cone under a top answered yes on
-inherits from it, since both properties pass to faces.  Each decider
-supplies its rules and reads only its own verdicts (``smoothness``,
-``klyachko``); this module imports neither.
+inherits from it, since both properties pass to faces.  The same pass
+takes a lone cone as its own only top, so it is the one place that tells
+a cone from a fan.  Each decider supplies its rules and reads only its
+own verdicts (``smoothness``, ``klyachko``); this module imports neither.
 """
 
 from __future__ import annotations
@@ -154,18 +155,21 @@ def _check_pairs(cones: Sequence[Cone]) -> None:
                 raise FanValidationError(a, b, meet)
 
 
-def _decide_from_tops(fan: Fan, decide: Callable, inherit: Callable) -> tuple:
-    """Each cone of a validated fan with its report, in the fan's order.
+def _decide_from_tops(geometry: Fan | Cone, decide: Callable, inherit: Callable) -> tuple:
+    """Each cone of a validated fan, or a lone cone, with its report, in the fan's order.
 
-    Top cones, and cones under no top with a true ``verdict``, get
-    ``decide(cone)``; every other cone gets ``inherit(cone, top_report)``.
+    A lone cone is its own only top, reported alone.  Top cones, and cones
+    under no top with a true ``verdict``, get ``decide(cone)``; every
+    other cone gets ``inherit(cone, top_report)``.
     """
-    decided = {top: decide(top) for top in fan.maximal_cones()}
+    if isinstance(geometry, Cone):
+        return ((geometry, decide(geometry)),)
+    decided = {top: decide(top) for top in geometry.maximal_cones()}
     # the report of a positive top, keyed by the generators of each of its faces
     under = {key: report for top, report in decided.items() if report.verdict
              for key in _face_keys(top)}
     per_cone = []
-    for c in fan.cones:
+    for c in geometry.cones:
         report = decided.get(c)
         if report is None:
             top_report = under.get(c.generators)

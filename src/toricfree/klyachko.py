@@ -365,13 +365,14 @@ def _certified(cone: Cone, witnesses: dict[Vector, Vector]) -> LocalFreenessRepo
     return LocalFreenessReport(True, witnesses=witnesses, certificate=cert)
 
 
-def decide_tangent_locally_free_on_fan(fan) -> tuple[tuple[Cone, LocalFreenessReport], ...]:
+def decide_tangent_locally_free_on_fan(geometry) -> tuple[tuple[Cone, LocalFreenessReport], ...]:
     """The local-freeness report of every cone of a validated fan, in the fan's order.
 
-    Only the top cones and the cones under no positive top are decided.
+    Only the top cones and the cones under no positive top are decided; a
+    lone cone is decided alone.
     The witnesses m_u of a top pair delta with the rays of each face tau,
     so tau's are ``tau.weight_class(m_u)``, the ones its own decision
     would find.
     """
-    return _decide_from_tops(fan, decide_tangent_locally_free, lambda face, top: _certified(
+    return _decide_from_tops(geometry, decide_tangent_locally_free, lambda face, top: _certified(
         face, {u: face.weight_class(top.witnesses[u]) for u in face.rays()}))

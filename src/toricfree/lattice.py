@@ -543,8 +543,6 @@ class RationalSubspace:
     def contains_subspace(self, other: "RationalSubspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        if self.dim == self.ambient:
-            return True
         if other.dim >= self.dim:
             return other.basis == self.basis
         return all(self.contains(row) for row in other.basis)

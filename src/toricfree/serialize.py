@@ -3,14 +3,16 @@
 Integers within the IEEE-754 exact range are serialized as JSON numbers;
 anything larger becomes a decimal string, and the parser accepts both.
 Reports embed every cone they talk about, so a report can be re-verified
-later with no other inputs (see ``recheck_report``).
+later with no other inputs (see ``recheck_report``).  A report on a cone
+or a fan takes its entries from the deciders' passes, which take either
+geometry, so nothing here tells the two apart once a document is parsed.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Union
 
 from . import __version__
 from .cones import Cone
@@ -18,19 +20,13 @@ from .fans import Fan
 from .klyachko import (
     DecompositionCertificate,
     LocalFreenessReport,
-    decide_tangent_locally_free,
     decide_tangent_locally_free_on_fan,
     diagnose_certificate,
     tangent_family,
 )
 from .lattice import RationalSubspace, Vector
-from .smoothness import SmoothnessReport, decide_smooth_on_fan, is_smooth_cone
-from .verifier import (
-    AgreementRecord,
-    SweepSummary,
-    check_zariski_lipman,
-    check_zariski_lipman_on_fan,
-)
+from .smoothness import SmoothnessReport, decide_smooth_on_fan
+from .verifier import AgreementRecord, SweepSummary, check_zariski_lipman_on_fan
 
 SAFE_INT = 2 ** 53 - 1
 # Largest lattice rank a document may declare.  Building a cone costs at
@@ -168,12 +164,6 @@ def parse_geometry_document(doc: Any) -> Geometry:
     raise ValueError("document is neither a cone ('generators') nor a fan ('cones')")
 
 
-def geometry_cones(geometry: Geometry) -> tuple[Cone, ...]:
-    if isinstance(geometry, Fan):
-        return geometry.cones
-    return (geometry,)
-
-
 def _subspace_rows(sub: RationalSubspace) -> list:
     return [encode_vector(row) for row in sub.integer_basis()]
 
@@ -255,13 +245,8 @@ def _cone_report(kind: str, entries: list[dict], passes: Callable[[dict], bool])
     }
 
 
-def _decided(geometry: Geometry, on_cone: Callable, on_fan: Callable) -> Sequence:
-    """One result per cone: a fan's from its fan pass, a lone cone's from ``on_cone``."""
-    return on_fan(geometry) if isinstance(geometry, Fan) else (on_cone(geometry),)
-
-
 def smooth_report(geometry: Geometry) -> dict:
-    pairs = _decided(geometry, lambda cone: (cone, is_smooth_cone(cone)), decide_smooth_on_fan)
+    pairs = decide_smooth_on_fan(geometry)
     return _cone_report("smooth", [{
         "cone": cone_to_document(cone),
         "smooth": smoothness_to_document(report),
@@ -269,8 +254,7 @@ def smooth_report(geometry: Geometry) -> dict:
 
 
 def locally_free_report(geometry: Geometry) -> dict:
-    pairs = _decided(geometry, lambda cone: (cone, decide_tangent_locally_free(cone)),
-                     decide_tangent_locally_free_on_fan)
+    pairs = decide_tangent_locally_free_on_fan(geometry)
     return _cone_report("locally-free", [{
         "cone": cone_to_document(cone),
         "locally_free": freeness_to_document(report),
@@ -287,7 +271,7 @@ def agreement_to_entry(record: AgreementRecord) -> dict:
 
 
 def verify_report(geometry: Geometry) -> dict:
-    records = _decided(geometry, check_zariski_lipman, check_zariski_lipman_on_fan)
+    records = check_zariski_lipman_on_fan(geometry)
     return _cone_report("verify", [agreement_to_entry(r) for r in records], lambda e: e["agree"])
 
 

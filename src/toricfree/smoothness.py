@@ -44,9 +44,10 @@ def is_smooth_cone(cone: Cone) -> SmoothnessReport:
     return SmoothnessReport(True)
 
 
-def decide_smooth_on_fan(fan) -> tuple[tuple[Cone, SmoothnessReport], ...]:
+def decide_smooth_on_fan(geometry) -> tuple[tuple[Cone, SmoothnessReport], ...]:
     """The smoothness report of every cone of a validated fan, in the fan's order.
 
-    Only the top cones and the cones under no smooth top are decided.
+    Only the top cones and the cones under no smooth top are decided; a
+    lone cone is decided alone.
     """
-    return _decide_from_tops(fan, is_smooth_cone, lambda face, top: SmoothnessReport(True))
+    return _decide_from_tops(geometry, is_smooth_cone, lambda face, top: SmoothnessReport(True))

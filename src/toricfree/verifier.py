@@ -4,7 +4,8 @@ The two verdicts are computed by disjoint code paths (lattice normal forms
 on one side, filtration certificates on the other); equality of the two on
 every strongly convex cone is the statement the sweep machinery exercises
 at scale.  On a fan each decider runs its own fan pass, which decides the
-top cones and lets the faces of positive tops inherit from them.
+top cones and lets the faces of positive tops inherit from them; the same
+pass takes a lone cone as its own only top.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ def check_zariski_lipman(cone: Cone) -> AgreementRecord:
     return AgreementRecord(cone, smooth, free, smooth.verdict == free.verdict)
 
 
-def check_zariski_lipman_on_fan(fan) -> tuple[AgreementRecord, ...]:
-    """Both verdicts on every cone of a validated fan, from each decider's fan pass."""
-    smooth = decide_smooth_on_fan(fan)
-    free = decide_tangent_locally_free_on_fan(fan)
+def check_zariski_lipman_on_fan(geometry) -> tuple[AgreementRecord, ...]:
+    """Both verdicts on every cone of a fan, or on a lone cone, from each decider's pass."""
+    smooth = decide_smooth_on_fan(geometry)
+    free = decide_tangent_locally_free_on_fan(geometry)
     return tuple(AgreementRecord(c, s, f, s.verdict == f.verdict)
                  for (c, s), (_, f) in zip(smooth, free))
 

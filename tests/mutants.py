@@ -84,6 +84,12 @@ MUTANTS = (
            "src/toricfree/fans.py",
            "decided.items() if report.verdict\n",
            "decided.items()\n"),
+    Mutant("fan pass lets a lone cone inherit from its own report", "src/toricfree/fans.py",
+           "        return ((geometry, decide(geometry)),)\n",
+           "        return ((geometry, inherit(geometry, decide(geometry))),)\n"),
+    Mutant("fan pass reports a lone cone together with its faces", "src/toricfree/fans.py",
+           "        return ((geometry, decide(geometry)),)\n",
+           "        return _decide_from_tops(Fan([geometry]), decide, inherit)\n"),
     Mutant("fan pass decides a cone under a positive top instead of inheriting",
            "src/toricfree/fans.py",
            "report = decide(c) if top_report is None else inherit(c, top_report)\n",
@@ -95,8 +101,8 @@ MUTANTS = (
     # the two verdicts agree on every cone, so the reports do not change: only the
     # tests that watch which decider the smoothness pass calls can tell it apart
     Mutant("fan smoothness pass inherits from the freeness verdict", "src/toricfree/smoothness.py",
-           "_decide_from_tops(fan, is_smooth_cone,",
-           "_decide_from_tops(fan, lambda c: is_smooth_cone(c)._replace(verdict=__import__("
+           "_decide_from_tops(geometry, is_smooth_cone,",
+           "_decide_from_tops(geometry, lambda c: is_smooth_cone(c)._replace(verdict=__import__("
            '"toricfree.klyachko").klyachko.decide_tangent_locally_free(c).verdict),'),
     Mutant("cone slots leave the face keys unset", "src/toricfree/cones.py",
            '    put(cone, "_face_keys", None)\n',

@@ -33,7 +33,6 @@ from toricfree.lattice import (
 from toricfree.serialize import (
     cone_to_document,
     fan_to_document,
-    geometry_cones,
     parse_geometry_document,
     recheck_report,
 )
@@ -67,7 +66,7 @@ def test_criterion_1_equivalence_sweep(capsys, sweep_records):
     records, elapsed = sweep_records
     named = []
     for ex in named_examples():
-        for cone in geometry_cones(ex.geometry):
+        for cone in ex.geometry.cones if isinstance(ex.geometry, Fan) else (ex.geometry,):
             named.append(check_zariski_lipman(cone))
     disagreements = [r for r in records + named if not r.agree]
     total = len(records) + len(named)
@@ -83,7 +82,7 @@ def test_criterion_1_equivalence_sweep(capsys, sweep_records):
 def test_criterion_2_named_regression_table(capsys):
     mismatches = []
     for ex in named_examples():
-        cones = geometry_cones(ex.geometry)
+        cones = ex.geometry.cones if isinstance(ex.geometry, Fan) else (ex.geometry,)
         smooth = all(is_smooth_cone(c).verdict for c in cones)
         free = all(decide_tangent_locally_free(c).verdict for c in cones)
         if (smooth, free) != (ex.smooth, ex.locally_free):

@@ -5,7 +5,8 @@ a positive top the verdict the top implies: a face of a smooth cone is
 smooth, and a face of a cone on which the tangent sheaf is locally free
 takes the top's witnesses through its own ``weight_class``, with the usual
 certificate and self-check.  The reports must be the ones the per-cone
-deciders give, byte for byte, on every closure cone.
+deciders give, byte for byte, on every closure cone.  A lone cone is its
+own only top, reported alone with its own decision.
 """
 
 import hashlib
@@ -113,14 +114,27 @@ def mixed_fan():
 FANS = {name: parse_fan_document(doc) for name, doc in FAN_DOCUMENTS.items()}
 FANS["mixed"] = mixed_fan()
 
+LONE_CONES = {
+    "lone-smooth": Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+    "lone-singular": Cone([(1, 0, 0), (0, 1, 0), (1, 1, -2)], 3),
+    "lone-plane": Cone([(1, 2, 3), (0, 1, 1)], 3),   # smooth, of dimension 2 in rank 3
+}
+GEOMETRIES = {**FANS, **LONE_CONES}
 
-@pytest.mark.parametrize("name", sorted(FANS))
+
+def test_the_lone_cones_are_smooth_singular_and_of_lower_dimension():
+    assert {name: (c.dim, is_smooth_cone(c).verdict) for name, c in LONE_CONES.items()} == {
+        "lone-smooth": (3, True), "lone-singular": (3, False), "lone-plane": (2, True)}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_fan_passes_match_per_cone_decisions(name):
-    fan = FANS[name]
-    assert decide_smooth_on_fan(fan) == tuple((c, is_smooth_cone(c)) for c in fan.cones)
-    direct = tuple((c, decide_tangent_locally_free(c)) for c in fan.cones)
-    assert decide_tangent_locally_free_on_fan(fan) == direct
-    assert check_zariski_lipman_on_fan(fan) == tuple(map(check_zariski_lipman, fan.cones))
+    geometry = GEOMETRIES[name]
+    cones = geometry.cones if isinstance(geometry, Fan) else (geometry,)
+    assert decide_smooth_on_fan(geometry) == tuple((c, is_smooth_cone(c)) for c in cones)
+    direct = tuple((c, decide_tangent_locally_free(c)) for c in cones)
+    assert decide_tangent_locally_free_on_fan(geometry) == direct
+    assert check_zariski_lipman_on_fan(geometry) == tuple(map(check_zariski_lipman, cones))
 
 
 def counting(monkeypatch, module, name):
@@ -162,17 +176,17 @@ def test_a_face_under_a_smooth_and_a_singular_top():
 
 def test_each_fan_pass_inherits_only_from_its_own_decider(monkeypatch):
     expected = {name: (decide_smooth_on_fan(fan), decide_tangent_locally_free_on_fan(fan))
-                for name, fan in FANS.items()}
+                for name, fan in GEOMETRIES.items()}
 
     def refuse(cone):
         raise AssertionError("one decider's fan pass called the other decider")
 
     with monkeypatch.context() as patch:
         patch.setattr(klyachko, "decide_tangent_locally_free", refuse)
-        for name, fan in FANS.items():
+        for name, fan in GEOMETRIES.items():
             assert decide_smooth_on_fan(fan) == expected[name][0]
     monkeypatch.setattr(smoothness, "is_smooth_cone", refuse)
-    for name, fan in FANS.items():
+    for name, fan in GEOMETRIES.items():
         assert decide_tangent_locally_free_on_fan(fan) == expected[name][1]
 
 

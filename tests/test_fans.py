@@ -12,6 +12,8 @@ from toricfree import cones, fans
 from toricfree.cones import Cone
 from toricfree.corpus import lookup
 from toricfree.fans import Fan, FanValidationError, _check_pairs, fan_from_generators, validate_fan
+from toricfree.klyachko import tangent_filtration
+from toricfree.lattice import RationalSubspace
 
 
 def projective_plane():
@@ -379,3 +381,18 @@ def test_invalid_pair_is_named_when_a_face_is_listed():
         err = exc.value
         assert (err.first, err.second) == (b, a)
         assert err.intersection.generators == ((1, 1), (1, 2))
+
+
+def test_value_objects_show_themselves_compare_only_to_their_kind_and_refuse_assignment():
+    cone = Cone([(1, 0), (1, 2)], 2)
+    values = {
+        cone: "Cone([(1, 0), (1, 2)], rank=2)",
+        Fan([cone]): "Fan(4 cones, rank=2)",
+        tangent_filtration((1, 2), 2): "Filtration(2, [1: dim 1, 2: dim 0])",
+        RationalSubspace(2, [(2, 4)]): "RationalSubspace(2, [(1, 2)])",
+    }
+    for value, shown in values.items():
+        assert repr(value) == shown
+        assert value.__eq__(shown) is NotImplemented and value != shown
+        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+            value.rank = 3

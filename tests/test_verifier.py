@@ -1,11 +1,24 @@
 """Agreement of the two deciders, pointwise and in bulk."""
 
+import json
 import random
 
+import toricfree.klyachko as klyachko
+import toricfree.verifier as verifier
+from toricfree.cli import main
 from toricfree.cones import Cone, NotStronglyConvexError
 from toricfree.corpus import default_config, named_examples, sample_cones
 from toricfree.fans import Fan
+from toricfree.klyachko import LocalFreenessReport
 from toricfree.lattice import mat_mul, mat_vec
+from toricfree.serialize import (
+    agreement_to_entry,
+    cone_to_document,
+    parse_cone_document,
+    parse_fan_document,
+    sweep_report,
+)
+from toricfree.smoothness import is_smooth_cone
 from toricfree.verifier import check_zariski_lipman, sweep
 
 
@@ -84,3 +97,75 @@ def test_disagreements_would_be_collected_not_raised():
     summary = sweep([])
     assert summary.count == 0 and summary.all_agree
     assert summary.disagreements == ()
+
+
+def flipped_on(chosen, decide):
+    """``decide``, with the verdict turned over on each cone that ``chosen`` accepts."""
+    def flip(cone):
+        report = decide(cone)
+        if not chosen(cone):
+            return report
+        return LocalFreenessReport(not report.verdict, failure="flipped")
+    return flip
+
+
+def test_sweep_collects_and_sorts_the_disagreements(monkeypatch):
+    cones = [Cone([(1, 0), (1, 2)], 2), Cone([(1, 0), (0, 1)], 2), Cone.zero(2),
+             Cone([(1, 3)], 2), Cone([(2, 1), (-1, 3)], 2)]
+    chosen = {cones[0], cones[1], cones[3]}
+    # the sweep's per-cone check reads the decider from verifier's namespace
+    monkeypatch.setattr(verifier, "decide_tangent_locally_free",
+                        flipped_on(chosen.__contains__, klyachko.decide_tangent_locally_free))
+    summary = sweep(cones)
+    expected = tuple(check_zariski_lipman(c) for c in (cones[3], cones[1], cones[0]))
+    assert [r.cone for r in expected] == sorted(chosen, key=Cone.sort_key)
+    assert summary.disagreements == expected
+    assert not any(r.agree for r in expected)
+    assert (summary.count, summary.agreements, summary.smooth_count) == (5, 2, 3)
+    assert not summary.all_agree
+    doc = sweep_report(summary, {})
+    assert (doc["count"], doc["agreements"], doc["smooth_count"]) == (5, 2, 3)
+    assert doc["disagreements"] == [agreement_to_entry(r) for r in expected]
+    assert [e["agree"] for e in doc["disagreements"]] == [False] * 3
+
+
+def test_sweep_command_exits_1_on_a_disagreement(monkeypatch, capsys):
+    # every smooth cone is reported not locally free, so each one disagrees
+    monkeypatch.setattr(verifier, "decide_tangent_locally_free", flipped_on(
+        lambda cone: is_smooth_cone(cone).verdict, klyachko.decide_tangent_locally_free))
+    assert main(["sweep", "--rank", "2", "--count", "40", "--seed", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    found = doc["disagreements"]
+    assert 0 < doc["smooth_count"] == len(found) < doc["count"] == 40
+    assert doc["agreements"] == doc["count"] - len(found)
+    assert all(e["smooth"]["verdict"] and not e["locally_free"]["verdict"] and not e["agree"]
+               for e in found)
+    keys = [parse_cone_document(e["cone"]).sort_key() for e in found]
+    assert keys == sorted(keys)
+
+
+def test_verify_command_exits_1_on_a_disagreement(monkeypatch, capsys, tmp_path):
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({"rank": 2, "generators": [[1, 0], [0, 1]]}), encoding="utf-8")
+    p2_doc = {"rank": 2, "cones": [[[1, 0], [0, 1]], [[0, 1], [-1, -1]], [[-1, -1], [1, 0]]]}
+    p2 = tmp_path / "p2.json"
+    p2.write_text(json.dumps(p2_doc), encoding="utf-8")
+    assert main(["verify", str(plane)]) == main(["verify", str(p2)]) == 0
+    capsys.readouterr()
+    # one top cone of P^2 turns over: its faces lie under the other tops and inherit
+    top = parse_fan_document(p2_doc).maximal_cones()[1]
+    # the passes, lone cones among them, read the decider from klyachko's namespace
+    with monkeypatch.context() as patch:
+        patch.setattr(klyachko, "decide_tangent_locally_free",
+                      flipped_on(lambda cone: True, klyachko.decide_tangent_locally_free))
+        assert main(["verify", str(plane)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] is False
+    assert [(e["smooth"]["verdict"], e["locally_free"], e["agree"]) for e in doc["entries"]] == [
+        (True, {"verdict": False, "failure": "flipped"}, False)]
+    monkeypatch.setattr(klyachko, "decide_tangent_locally_free",
+                        flipped_on(top.__eq__, klyachko.decide_tangent_locally_free))
+    assert main(["verify", str(p2)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] is False and len(doc["entries"]) == 7
+    assert [e["cone"] for e in doc["entries"] if not e["agree"]] == [cone_to_document(top)]
