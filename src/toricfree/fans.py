@@ -16,6 +16,14 @@ keys of each, which the closure has found already.  A failed check
 reports the offending pair of input cones together with their
 intersection so the caller can see exactly where compatibility breaks.
 
+There are two validation paths.  A complete simplicial fan, such as the
+fan of P^2 or of P^1 x P^1, is proved valid in time linear in its top
+cones by ``_complete_by_walls``: each wall shared by exactly two tops
+lying on opposite sides of it, and one interior point covered once
+(De Loera, Rambau and Santos, Triangulations, 2010, chapter 4).  Every
+other fan, invalid ones included, is checked pairwise as above, so every
+error names the same pair it always did; the wall path can only accept.
+
 A closure of c cones in rank n is refused past ``_MAX_CLOSURE_SIZE``
 counted as c x n x n, checked as soon as the closure is known and before
 any pair check: each cone of it is a report entry whose certificate holds
@@ -34,8 +42,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .cones import MAX_FACES, Cone, FaceLimitError, _canonical_cone, _face_keys
-from .lattice import Vector
+from .cones import MAX_FACES, Cone, FaceLimitError, _canonical_cone, _face_keys, _incidence
+from .lattice import Vector, dot, negated
 
 # Most closure cones x rank x rank a fan may have (module docstring): about
 # 3.6 times the rank-12 orthant with its faces, 4,096 x 12 x 12 = 589,824.
@@ -92,9 +100,11 @@ class Fan:
                 f"of {_MAX_CLOSURE_SIZE}")
         # only the caller's cones that are faces of no other are checked, in
         # sorted order, so a failure is reported in their terms; their faces,
-        # the other inputs among them, then meet correctly (module docstring)
+        # the other inputs among them, then meet correctly; a complete
+        # simplicial fan is proved valid by its walls instead (module docstring)
         top.reverse()
-        _check_pairs(top)
+        if not _complete_by_walls(top, rank):
+            _check_pairs(top)
         # one cone per distinct face: the caller's own, or one built from its key
         given = {c.generators: c for c in distinct}
         ordered = sorted((given.get(k) or _canonical_cone((), k, rank) for k in keys),
@@ -144,6 +154,48 @@ class Fan:
         return f"Fan({len(self.cones)} cones, rank={self.rank})"
 
 
+def _complete_by_walls(top: Sequence[Cone], rank: int) -> bool:
+    """Whether the top cones are the maximal cones of a complete simplicial fan.
+
+    True only when every top has ``rank`` rays and dimension ``rank``; each
+    wall (the rays of a top on which one of its facet normals vanishes, read
+    off the incidence its face keys were found from) belongs to exactly two
+    tops, whose primitive normals on it are negatives of each other; and
+    the sum p of the first top's rays pairs negatively with some dual
+    generator of every other top, so lies in no other.  False says nothing:
+    the caller then checks the pairs.
+
+    Proof that True means a fan.  The tops, glued along their matched
+    walls, form a closed pseudo-manifold, and the map that sends it to the
+    unit sphere by each cone's own rays is, cell by cell, a homeomorphism
+    onto a spherical simplex.  Opposite sides make that map
+    orientation-preserving on every cell for one orientation of the
+    whole, so it has a degree, and the local degree at every point is at
+    least 1: by induction on links, since the link of a face in a closed
+    pseudo-manifold whose walls lie on opposite sides is again one, of
+    lower dimension, mapped the same way.  The point p lies inside the
+    first top and in no other, so it is covered once and the degree is 1.
+    So the map is a bijection: two tops meet only in the faces their
+    gluing shares, which have the same rays in both, and two convex cones
+    that meet in a union of common faces meet in one common face.
+    """
+    if not top:
+        return False
+    walls: dict[tuple[Vector, ...], list[Vector]] = {}
+    for c in top:
+        if len(c.generators) != rank or c.dim != rank:
+            return False
+        incidence = _incidence(c)
+        for j, normal in enumerate(c.dual.generators):
+            wall = tuple([r for r, m in incidence if m >> j & 1])
+            walls.setdefault(wall, []).append(normal)
+    for normals in walls.values():
+        if len(normals) != 2 or normals[0] != negated(normals[1]):
+            return False
+    p = [sum(column) for column in zip(*top[0].generators)]
+    return all(any(dot(d, p) < 0 for d in c.dual.generators) for c in top[1:])
+
+
 def _check_pairs(cones: Sequence[Cone]) -> None:
     """Each pair meets in a face of both, ``is_face_of`` less the checks the fan has made."""
     for i, a in enumerate(cones):
@@ -179,7 +231,7 @@ def _decide_from_tops(geometry: Fan | Cone, decide: Callable, inherit: Callable)
 
 
 def validate_fan(cones: Iterable[Cone], rank: int | None = None) -> Fan:
-    """Validate the given cones pairwise and close them under faces.
+    """Validate the given cones, by their walls or pairwise, and close them under faces.
 
     Returns the validated fan; raises FanValidationError when two of the
     given cones meet badly, with the offending pair recorded on the exception.

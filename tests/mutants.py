@@ -77,6 +77,18 @@ MUTANTS = (
     Mutant("pair check accepts a face of either cone", "src/toricfree/fans.py",
            "key in faces and key in _face_keys(b)",
            "key in faces or key in _face_keys(b)"),
+    Mutant("fan walls matched without the opposite-sides test", "src/toricfree/fans.py",
+           "        if len(normals) != 2 or normals[0] != negated(normals[1]):\n",
+           "        if len(normals) != 2:\n"),
+    Mutant("fan walls accept a wall seen only once", "src/toricfree/fans.py",
+           "        if len(normals) != 2 or normals[0] != negated(normals[1]):\n",
+           "        if len(normals) > 2 or len(normals) == 2 and normals[0] != negated(normals[1]):\n"),
+    Mutant("fan walls skip the interior-point test", "src/toricfree/fans.py",
+           "    return all(any(dot(d, p) < 0 for d in c.dual.generators) for c in top[1:])\n",
+           "    return True\n"),
+    Mutant("fan walls count a point on a top's boundary as outside it", "src/toricfree/fans.py",
+           "any(dot(d, p) < 0 for d in c.dual.generators)",
+           "any(dot(d, p) <= 0 for d in c.dual.generators)"),
     Mutant("certificate check without its direct-sum determinant", "src/toricfree/klyachko.py",
            "if sum(dims) != n or not _bareiss(",
            "if sum(dims) != n or False and _bareiss("),

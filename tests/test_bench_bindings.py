@@ -26,9 +26,10 @@ def load_tracer():
 
 def test_tracer_installs_and_uninstalls(tmp_path, capsys):
     tracer_module = load_tracer()
-    fan_file = tmp_path / "p2.json"
+    # three quadrants of P^1 x P^1: not complete, so validated pairwise
+    fan_file = tmp_path / "three-quadrants.json"
     fan_file.write_text(json.dumps({
-        "rank": 2, "cones": [[[1, 0], [0, 1]], [[0, 1], [-1, -1]], [[-1, -1], [1, 0]]],
+        "rank": 2, "cones": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[-1, 0], [0, -1]]],
     }), encoding="utf-8")
     original_main = toricfree.cli.main
     tracer = tracer_module.Tracer()

@@ -1,5 +1,6 @@
 """Fan validation, face closure, skeletons, maximal cones."""
 
+import collections
 import functools
 import itertools
 import math
@@ -13,7 +14,7 @@ from toricfree.cones import Cone
 from toricfree.corpus import lookup
 from toricfree.fans import Fan, FanValidationError, _check_pairs, fan_from_generators, validate_fan
 from toricfree.klyachko import tangent_filtration
-from toricfree.lattice import RationalSubspace
+from toricfree.lattice import RationalSubspace, primitive
 
 
 def projective_plane():
@@ -341,27 +342,28 @@ def test_listed_faces_give_the_fan_of_the_top_cones(monkeypatch, seed):
     """A fan listed with some faces of its cones is the fan of those cones alone.
 
     The inputs that are faces of another input are closed over but not
-    checked pairwise: the top cones' pairs are the only intersections.
-    The fans are a planar fan x P^1, some orthants of the rank-4
-    cross-polytope fan, and one rank-5 orthant, each listed with a seeded
-    sample of its faces (rays, the zero cone and the inputs' own faces of
-    every dimension among them).
+    checked pairwise: the top cones' pairs are the only intersections,
+    and a complete simplicial fan, proved a fan by its walls, makes none.
+    The fans are a planar fan x P^1, which is complete, some orthants of
+    the rank-4 cross-polytope fan, and one rank-5 orthant, each listed
+    with a seeded sample of its faces (rays, the zero cone and the
+    inputs' own faces of every dimension among them).
     """
     rng = random.Random(seed)
     samples = [
-        list(planar_fan_times_p1(seed, rng.randint(5, 8)).maximal_cones()),
-        rng.sample(cross_polytope_cones(4), rng.randint(2, 6)),
-        cross_polytope_cones(5)[:1],
+        (list(planar_fan_times_p1(seed, rng.randint(5, 8)).maximal_cones()), True),
+        (rng.sample(cross_polytope_cones(4), rng.randint(2, 6)), False),
+        (cross_polytope_cones(5)[:1], False),
     ]
     calls = count_pair_checks(monkeypatch)
-    for tops in samples:
+    for tops, complete in samples:
         faces = sorted({f for c in tops for f in c.faces()} - set(tops), key=Cone.sort_key)
         listed = tops + rng.sample(faces, rng.randint(1, len(faces)))
         rng.shuffle(listed)
         expected = Fan(tops)
         calls[0] = 0
         fan = Fan(listed)
-        assert calls[0] == len(tops) * (len(tops) - 1) // 2
+        assert calls[0] == (0 if complete else len(tops) * (len(tops) - 1) // 2)
         assert fan.cones == expected.cones
         assert set(fan.maximal_cones()) == set(tops)
 
@@ -396,3 +398,195 @@ def test_value_objects_show_themselves_compare_only_to_their_kind_and_refuse_ass
         assert value.__eq__(shown) is NotImplemented and value != shown
         with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
             value.rank = 3
+
+
+# A complete simplicial fan is proved a fan by its walls and one interior
+# point (``fans._complete_by_walls``); every other input is checked pairwise.
+
+def tops_with_face_keys(cone_list):
+    """The distinct cones in sorted order, each with its face keys read, as ``Fan`` has them."""
+    tops = sorted(set(cone_list), key=Cone.sort_key)
+    for c in tops:
+        cones._face_keys(c)
+    return tops
+
+
+def wall_counts(tops):
+    """How many tops hold each wall, a face key of one ray fewer than the rank."""
+    rank = tops[0].rank
+    return collections.Counter(key for c in tops for key in cones._face_keys(c)
+                               if len(key) == rank - 1)
+
+
+def cycle_cones(path):
+    """The planar cones on consecutive rays of a closed path of rays."""
+    return [Cone([u, v], 2) for u, v in zip(path, path[1:] + path[:1])]
+
+
+def suspended_cones(path, apex=(0, 0, -1)):
+    """The cones over a closed path of planar rays in the plane z = 0, to e3 and to ``apex``."""
+    return [Cone([(*u, 0), (*v, 0), top], 3)
+            for u, v in zip(path, path[1:] + path[:1]) for top in ((0, 0, 1), apex)]
+
+
+QUADRANTS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+
+
+def fresh_ray(rng, used, quadrant=None):
+    """A primitive planar ray with entries at most 5 in size and not in ``used``, which it joins.
+
+    With ``quadrant``, a pair of signs, the ray lies inside that open quadrant.
+    """
+    while True:
+        x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+        if quadrant:
+            x, y = quadrant[0] * abs(x), quadrant[1] * abs(y)
+        if math.gcd(x, y) == 1 and (x, y) not in used and (x * y or not quadrant):
+            used.add((x, y))
+            return x, y
+
+
+def wound_planar_path(rng, winding, extra):
+    """Distinct primitive planar rays going ``winding`` times round the origin, in path order.
+
+    Each turn is sorted by angle from +e1 and holds the axes (the first
+    turn) or a ray inside each open quadrant, so consecutive rays are
+    less than a half-turn apart, and ``extra`` more rays.
+    """
+    used = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    path = []
+    for turn in range(winding):
+        rays = list(used) if turn == 0 else [fresh_ray(rng, used, q) for q in QUADRANTS]
+        rays += [fresh_ray(rng, used) for _ in range(extra)]
+        path += sorted(rays, key=functools.cmp_to_key(_counter_clockwise))
+    return path
+
+
+def subdivided_octahedron_rays(rng, steps, corrupt):
+    """The rays of each top of the rank-3 cross-polytope fan after ``steps`` stellar subdivisions.
+
+    Each step puts a ray inside a random top and replaces the top by the
+    cones on that ray and each facet of the top.  With ``corrupt``, the
+    last ray takes a negative weight on one ray of its top, so it lies
+    outside the top and its cones fold over a neighbour.
+    """
+    tops = [c.generators for c in cross_polytope_cones(3)]
+    for step in range(steps):
+        top = tops.pop(rng.randrange(len(tops)))
+        weights = [rng.randint(1, 3) for _ in top]
+        if corrupt and step == steps - 1:
+            weights[rng.randrange(3)] = -rng.randint(1, 3)
+        ray = primitive([sum(w * r[i] for w, r in zip(weights, top)) for i in range(3)])
+        tops += [[*(r for r in top if r != skipped), ray] for skipped in top]
+    return tops
+
+
+def sheared(rng, tops, n):
+    """The rays of each top under three random elementary shears of Z^n, a unimodular map."""
+    shears = [(*rng.sample(range(n), 2), rng.randint(-2, 2)) for _ in range(3)] if n > 1 else []
+
+    def shear(v):
+        v = list(v)
+        for i, j, k in shears:
+            v[i] += k * v[j]
+        return v
+
+    return [[shear(r) for r in rays] for rays in tops]
+
+
+def fan_configurations(count, seed):
+    """Seeded top cone lists, each with whether they are the tops of a complete simplicial fan.
+
+    They take turns: planar fans wound 1-3 times; their suspensions to e3
+    and to a tilted -e3, which for two turns are double covers of rank 3
+    branched around the two apexes; stellar subdivisions of the
+    octahedron fan, the last ray corrupted in about half; and the
+    cross-polytope fans of ranks 1-4 under a unimodular shear.  Each of
+    the first three kinds has one top dropped in about a quarter of them.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            winding = rng.randint(1, 3)
+            cone_list = cycle_cones(wound_planar_path(rng, winding, rng.randint(0, 3)))
+            complete = winding == 1
+        elif kind == 1:
+            winding = rng.randint(1, 2)
+            apex = (rng.randint(-2, 2), rng.randint(-2, 2), -1)
+            cone_list = suspended_cones(wound_planar_path(rng, winding, rng.randint(0, 2)), apex)
+            complete = winding == 1
+        elif kind == 2:
+            corrupt = rng.random() < 0.5
+            tops = subdivided_octahedron_rays(rng, rng.randint(corrupt, 3), corrupt)
+            cone_list, complete = [Cone(rays, 3) for rays in tops], not corrupt
+        else:
+            n = rng.randint(1, 4)
+            tops = sheared(rng, [c.generators for c in cross_polytope_cones(n)], n)
+            cone_list, complete = [Cone(rays, n) for rays in tops], True
+        if kind < 3 and rng.random() < 0.25:
+            cone_list.pop(rng.randrange(len(cone_list)))
+            complete = False
+        yield cone_list, complete
+
+
+def test_walls_accept_only_fans_and_every_complete_simplicial_fan():
+    """Whenever the walls prove a fan, the pairwise check passes; every complete one is proved.
+
+    Over 1,200 seeded configurations, invalid ones among them: covers
+    wound more than once, whose walls all match, folds and overlaps from
+    a corrupted subdivision, and fans with a hole where a top was dropped.
+    """
+    proved = complete_count = 0
+    for i, (cone_list, complete) in enumerate(fan_configurations(1200, 3901)):
+        tops = tops_with_face_keys(cone_list)
+        accepted = fans._complete_by_walls(tops, tops[0].rank)
+        if accepted:
+            proved += 1
+            _check_pairs(tops)
+        assert accepted or not complete, f"configuration {i} is complete but not proved"
+        complete_count += complete
+    assert proved == complete_count > 400
+
+
+# A planar fan wound twice: the four quadrants, then the square turned by 45
+# degrees.  Every ray is on two tops, one on each side of it.  The first top in
+# sorted order, on (-1, -1) and (-1, 1), has the sum of its rays on the ray
+# (-1, 0) of the first turn, so on the boundary of two tops.
+WOUND_TWICE = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)]
+# A path once round the origin that turns back at (1, -2) and again at (1, -5):
+# every ray is on two tops, but at those two both lie on one side of it
+FOLDED = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, -2), (1, -5), (2, -1)]
+
+
+@pytest.mark.parametrize("cone_list, counts", [
+    pytest.param(cycle_cones(WOUND_TWICE), {2}, id="planar-wound-twice"),
+    pytest.param(suspended_cones(WOUND_TWICE), {2}, id="double-cover-around-e3"),
+    pytest.param([c for c in cycle_cones(WOUND_TWICE) if (-1, 0) not in c.generators], {1, 2},
+                 id="wound-twice-less-the-tops-on-(-1,0)"),
+    pytest.param(cycle_cones(FOLDED), {2}, id="folded"),
+])
+def test_matched_walls_that_are_no_fan_fall_back_to_the_pair_check(cone_list, counts):
+    """Each wall matched is not enough: these fall back to the pair check, which refuses them.
+
+    The two covers wound twice match every wall on opposite sides, but
+    their interior point is covered twice; with the two tops round that
+    point dropped it is covered once, but walls are left with one top;
+    the folded fan's walls each have two tops, but not on opposite sides.
+    """
+    tops = tops_with_face_keys(cone_list)
+    assert set(wall_counts(tops).values()) == counts
+    assert not fans._complete_by_walls(tops, tops[0].rank)
+    with pytest.raises(FanValidationError):
+        Fan(cone_list)
+
+
+def test_complete_fans_are_proved_by_their_walls_alone(monkeypatch):
+    """A complete simplicial fan makes no intersection; opposite rays are one in rank 1."""
+    calls = count_pair_checks(monkeypatch)
+    line = Fan([Cone([(1,)], 1), Cone([(-1,)], 1)])
+    assert [c.generators for c in line] == [(), ((-1,),), ((1,),)]
+    assert fans._complete_by_walls(line.maximal_cones(), 1)
+    assert len(projective_plane()) == 7
+    assert len(Fan(cross_polytope_cones(4))) == 81
+    assert calls[0] == 0
