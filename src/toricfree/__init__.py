@@ -1,91 +1,14 @@
-"""Exact smoothness and tangent-sheaf local-freeness checks for cones and fans."""
+"""Exact smoothness and tangent-sheaf local-freeness checks for cones and fans.
+
+The root exports a cone and the two deciders with their agreement check;
+everything else is imported from its module (README, "Library use").
+"""
 
 __version__ = "0.1.0"
 
-from .lattice import (
-    RationalSubspace,
-    determinant,
-    dot,
-    extends_to_lattice_basis,
-    hermite_normal_form,
-    integer_kernel_basis,
-    invariant_factors,
-    matrix_rank,
-    primitive,
-    smith_normal_form,
-    solve_integer_system,
-)
-from .cones import Cone, NotStronglyConvexError, dual_cone, linearly_independent_rays
-from .fans import Fan, FanValidationError, fan_from_generators, validate_fan
-from .klyachko import (
-    DecompositionCertificate,
-    Filtration,
-    LocalFreenessReport,
-    decide_tangent_locally_free,
-    decide_tangent_locally_free_on_fan,
-    diagnose_certificate,
-    sections_dimension,
-    tangent_family,
-    tangent_filtration,
-    verify_certificate,
-)
-from .smoothness import SmoothnessReport, is_smooth_cone
-from .verifier import AgreementRecord, SweepSummary, check_zariski_lipman, sweep
-from .corpus import (
-    GeneratorConfig,
-    NamedExample,
-    PRNG_ALGORITHM,
-    default_config,
-    iter_random_cones,
-    lookup,
-    named_examples,
-    random_cone,
-    sample_cones,
-)
+from .cones import Cone
+from .klyachko import decide_tangent_locally_free
+from .smoothness import is_smooth_cone
+from .verifier import check_zariski_lipman
 
-__all__ = [
-    "AgreementRecord",
-    "Cone",
-    "DecompositionCertificate",
-    "Fan",
-    "FanValidationError",
-    "Filtration",
-    "GeneratorConfig",
-    "LocalFreenessReport",
-    "NamedExample",
-    "NotStronglyConvexError",
-    "PRNG_ALGORITHM",
-    "RationalSubspace",
-    "SmoothnessReport",
-    "SweepSummary",
-    "check_zariski_lipman",
-    "decide_tangent_locally_free",
-    "decide_tangent_locally_free_on_fan",
-    "default_config",
-    "determinant",
-    "diagnose_certificate",
-    "dot",
-    "dual_cone",
-    "extends_to_lattice_basis",
-    "fan_from_generators",
-    "hermite_normal_form",
-    "integer_kernel_basis",
-    "invariant_factors",
-    "is_smooth_cone",
-    "iter_random_cones",
-    "linearly_independent_rays",
-    "lookup",
-    "matrix_rank",
-    "named_examples",
-    "primitive",
-    "random_cone",
-    "sample_cones",
-    "sections_dimension",
-    "smith_normal_form",
-    "solve_integer_system",
-    "sweep",
-    "tangent_family",
-    "tangent_filtration",
-    "validate_fan",
-    "verify_certificate",
-]
+__all__ = ["Cone", "check_zariski_lipman", "decide_tangent_locally_free", "is_smooth_cone"]

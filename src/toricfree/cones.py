@@ -271,7 +271,7 @@ class Cone:
         return tuple(w)
 
     def span(self) -> RationalSubspace:
-        return RationalSubspace.span(self.rank, self.generators)
+        return RationalSubspace(self.rank, self.generators)
 
     def intersection(self, other: "Cone") -> "Cone":
         """The cone cut out by the inequalities of both cones.

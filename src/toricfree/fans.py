@@ -68,12 +68,8 @@ class Fan:
 
     __slots__ = ("rank", "cones", "_top")
 
-    def __init__(self, cones: Iterable[Cone], rank: int | None = None):
+    def __init__(self, cones: Iterable[Cone], rank: int):
         cone_list = list(cones)
-        if rank is None:
-            if not cone_list:
-                raise ValueError("cannot infer lattice rank from an empty fan")
-            rank = cone_list[0].rank
         if rank < 1:
             raise ValueError("lattice rank must be at least 1")
         for c in cone_list:
@@ -137,10 +133,6 @@ class Fan:
         a fan of no cone but the zero cone has the zero cone alone.
         """
         return self._top or self.cones
-
-    def rays(self) -> tuple:
-        """Primitive generators of the one-dimensional cones, sorted."""
-        return tuple(sorted(c.generators[0] for c in self.skeleton(1)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fan):
@@ -230,7 +222,7 @@ def _decide_from_tops(geometry: Fan | Cone, decide: Callable, inherit: Callable)
     return tuple(per_cone)
 
 
-def validate_fan(cones: Iterable[Cone], rank: int | None = None) -> Fan:
+def validate_fan(cones: Iterable[Cone], rank: int) -> Fan:
     """Validate the given cones, by their walls or pairwise, and close them under faces.
 
     Returns the validated fan; raises FanValidationError when two of the

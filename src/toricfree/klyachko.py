@@ -82,10 +82,6 @@ class Filtration:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Filtration is immutable")
 
-    @property
-    def breakpoints(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.steps)
-
     def at(self, i: int) -> RationalSubspace:
         """The subspace at level i, an integer like the breakpoints."""
         i = index(i)

@@ -495,10 +495,6 @@ class RationalSubspace:
         raise AttributeError("RationalSubspace is immutable")
 
     @classmethod
-    def span(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "RationalSubspace":
-        return cls(ambient, vectors)
-
-    @classmethod
     def _from_vectors(cls, ambient: int, rows: Iterable[Vector]) -> "RationalSubspace":
         """The span of rows that are vectors of length ambient already, read unchecked.
 

@@ -101,7 +101,7 @@ MUTANTS = (
            "        return ((geometry, inherit(geometry, decide(geometry))),)\n"),
     Mutant("fan pass reports a lone cone together with its faces", "src/toricfree/fans.py",
            "        return ((geometry, decide(geometry)),)\n",
-           "        return _decide_from_tops(Fan([geometry]), decide, inherit)\n"),
+           "        return _decide_from_tops(Fan([geometry], geometry.rank), decide, inherit)\n"),
     Mutant("fan pass decides a cone under a positive top instead of inheriting",
            "src/toricfree/fans.py",
            "report = decide(c) if top_report is None else inherit(c, top_report)\n",

@@ -133,9 +133,9 @@ def brute_force_locally_free(cone: Cone) -> bool:
         if pattern not in achievable:
             return False
         singletons[i] = achievable[pattern]
-    entries = [(cone.weight_class(singletons[i]), RationalSubspace.span(n, [rays[i]]))
+    entries = [(cone.weight_class(singletons[i]), RationalSubspace(n, [rays[i]]))
                for i in range(k)]
-    ray_span = RationalSubspace.span(n, rays)
+    ray_span = RationalSubspace(n, rays)
     if ray_span.dim < n:
         entries.append((cone.weight_class((0,) * n), ray_span.orthogonal_complement()))
     cert = DecompositionCertificate(cone, entries)
@@ -224,9 +224,9 @@ def decide_by_own_splits(cone: Cone) -> LocalFreenessReport:
             m = [x + y_j * c for x, c in zip(m, split[j])]
         witnesses[u] = cone.weight_class(m)
     family = tangent_family(cone)
-    entries = [(witnesses[u], RationalSubspace.span(n, [u])) for u in rays]
+    entries = [(witnesses[u], RationalSubspace(n, [u])) for u in rays]
     if len(rays) < n:
-        entries.append(((0,) * n, RationalSubspace.span(n, cone.perp_sublattice())))
+        entries.append(((0,) * n, RationalSubspace(n, cone.perp_sublattice())))
     cert = DecompositionCertificate(cone, entries)
     problem = diagnose_certificate(cone, family, cert)
     if problem is not None:
@@ -272,7 +272,7 @@ def diagnose_by_partial_sums(cone: Cone, family, cert: DecompositionCertificate)
     for u in rays:
         filt = family[u]
         pairings = [dot(m, u) for m, _ in entries]
-        levels = set(filt.breakpoints) | {p + 1 for p in pairings}
+        levels = {i for i, _ in filt.steps} | {p + 1 for p in pairings}
         levels.add(min(levels) - 1)
         for i in sorted(levels):
             expected = filt.at(i)

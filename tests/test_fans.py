@@ -28,12 +28,12 @@ def test_projective_plane_closure_count():
     assert len(fan.skeleton(2)) == 3
     assert len(fan.skeleton(1)) == 3
     assert len(fan.skeleton(0)) == 1
-    assert fan.rays() == ((-1, -1), (0, 1), (1, 0))
+    assert tuple(sorted(c.generators[0] for c in fan.skeleton(1))) == ((-1, -1), (0, 1), (1, 0))
 
 
 def test_single_cone_always_valid():
     c = Cone([(1, 0), (1, 2)], 2)
-    fan = validate_fan([c])
+    fan = validate_fan([c], 2)
     assert c in fan
     assert len(fan) == 4
     assert fan.maximal_cones() == (c,)
@@ -43,7 +43,7 @@ def test_invalid_pair_reports_intersection():
     a = Cone([(1, 0), (1, 2)], 2)
     b = Cone([(1, 1), (0, 1)], 2)
     with pytest.raises(FanValidationError) as exc:
-        validate_fan([a, b])
+        validate_fan([a, b], 2)
     err = exc.value
     assert {err.first, err.second} == {a, b}
     assert err.intersection.generators == ((1, 1), (1, 2))
@@ -55,7 +55,7 @@ def test_pair_must_meet_in_a_face_of_both():
     b = Cone([(1, 0), (1, 1)], 2)
     with pytest.raises(FanValidationError, match=r"intersect in \(\(1, 0\), \(1, 1\)\), "
                                                  "which is not a face of both") as exc:
-        Fan([a, b])
+        Fan([a, b], 2)
     assert {exc.value.first, exc.value.second} == {a, b}
 
 
@@ -78,19 +78,19 @@ def test_codim_le1_subfan():
     assert isinstance(sub, Fan)
     assert len(sub) == 4
     assert all(c.dim <= 1 for c in sub)
-    ray_fan = validate_fan([Cone([(1, 2)], 2)])
+    ray_fan = validate_fan([Cone([(1, 2)], 2)], 2)
     assert ray_fan.codim_le1_subfan() == ray_fan
 
 
 def test_zero_fan():
-    fan = validate_fan([Cone.zero(2)])
+    fan = validate_fan([Cone.zero(2)], 2)
     assert len(fan) == 1
     assert fan.skeleton(1) == ()
     assert fan.maximal_cones() == (Cone.zero(2),)
 
 
 def test_opposite_rays_form_a_fan():
-    fan = validate_fan([Cone([(1, 0)], 2), Cone([(-1, 0)], 2)])
+    fan = validate_fan([Cone([(1, 0)], 2), Cone([(-1, 0)], 2)], 2)
     assert len(fan) == 3
     assert len(fan.maximal_cones()) == 2
 
@@ -102,15 +102,13 @@ def test_maximal_cones_projective_plane():
 
 def test_fan_requires_consistent_rank():
     with pytest.raises(ValueError):
-        Fan([Cone([(1, 0)], 2), Cone([(1, 0, 0)], 3)])
-    with pytest.raises(ValueError):
-        Fan([])
+        Fan([Cone([(1, 0)], 2), Cone([(1, 0, 0)], 3)], 2)
 
 
 def test_fan_rejects_non_strongly_convex_members():
     dual_with_lineality = Cone([(1, 2)], 2).dual
     with pytest.raises(ValueError):
-        Fan([dual_with_lineality])
+        Fan([dual_with_lineality], 2)
 
 
 def test_fan_equality_and_membership():
@@ -166,7 +164,7 @@ def planar_fan_times_p1_cones(seed, count):
 
 
 def planar_fan_times_p1(seed, count):
-    return Fan(planar_fan_times_p1_cones(seed, count))
+    return Fan(planar_fan_times_p1_cones(seed, count), 3)
 
 
 @pytest.mark.parametrize("name", ["P2", "P1xP1", "P112"])
@@ -239,7 +237,7 @@ def test_maximal_cones_build_no_cone(monkeypatch):
     """
     n = 12
     keys = [c for k in range(n, -1, -1) for c in itertools.combinations(range(n), k)][:768]
-    fan = Fan([Cone([[int(i == j) for j in range(n)] for i in c], n) for c in keys])
+    fan = Fan([Cone([[int(i == j) for j in range(n)] for i in c], n) for c in keys], n)
     calls = []
     for name in ("_double_description", "_face_keys", "_canonical_cone"):
         def counted(*args, _name=name, _original=getattr(cones, name)):
@@ -263,7 +261,7 @@ def test_closure_size_is_bounded_before_the_pair_check(monkeypatch):
     def units(k, n):
         return Cone([[int(i == j) for j in range(n)] for i in range(k)], n)
 
-    assert len(Fan([units(11, 32)])) * 32 * 32 == fans._MAX_CLOSURE_SIZE == 2 ** 21
+    assert len(Fan([units(11, 32)], 32)) * 32 * 32 == fans._MAX_CLOSURE_SIZE == 2 ** 21
 
     def refuse(*args):
         raise AssertionError("the closure size was not checked first")
@@ -271,7 +269,7 @@ def test_closure_size_is_bounded_before_the_pair_check(monkeypatch):
     monkeypatch.setattr(fans, "_check_pairs", refuse)
     monkeypatch.setattr(fans, "_canonical_cone", refuse)
     with pytest.raises(ValueError, match=f"more than the maximum of {2 ** 21}$"):
-        Fan([units(12, 32)])
+        Fan([units(12, 32)], 32)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -282,7 +280,7 @@ def test_cross_polytope_fan_closure_matches_the_sign_patterns(n):
     so the closure is the 3^n sign patterns; the 2^n orthants are maximal.
     """
     inputs = cross_polytope_cones(n)
-    fan = Fan(inputs)
+    fan = Fan(inputs, n)
     patterns = {tuple(sorted(tuple(s * (i == j) for j in range(n)) for i, s in enumerate(p) if s))
                 for p in itertools.product((1, 0, -1), repeat=n)}
     assert len(fan) == 3 ** n
@@ -319,7 +317,7 @@ def test_closure_runs_one_split_chain_per_closure_cone(monkeypatch):
 
     monkeypatch.setattr(cones, "_split_chain", counted_chain)
     monkeypatch.setattr(Cone, "intersection", counted_meet)
-    fan = Fan(inputs)
+    fan = Fan(inputs, 5)
     assert len(fan) == 243
     assert len(chained) == len(set(chained)) <= len(fan) - len(inputs)
 
@@ -360,9 +358,9 @@ def test_listed_faces_give_the_fan_of_the_top_cones(monkeypatch, seed):
         faces = sorted({f for c in tops for f in c.faces()} - set(tops), key=Cone.sort_key)
         listed = tops + rng.sample(faces, rng.randint(1, len(faces)))
         rng.shuffle(listed)
-        expected = Fan(tops)
+        expected = Fan(tops, tops[0].rank)
         calls[0] = 0
-        fan = Fan(listed)
+        fan = Fan(listed, tops[0].rank)
         assert calls[0] == (0 if complete else len(tops) * (len(tops) - 1) // 2)
         assert fan.cones == expected.cones
         assert set(fan.maximal_cones()) == set(tops)
@@ -379,7 +377,7 @@ def test_invalid_pair_is_named_when_a_face_is_listed():
     face = Cone([(1, 2)], 2)
     for listed in ([a, b, face], [face, c, b, a], [c, a, face, b, Cone.zero(2)]):
         with pytest.raises(FanValidationError) as exc:
-            Fan(listed)
+            Fan(listed, 2)
         err = exc.value
         assert (err.first, err.second) == (b, a)
         assert err.intersection.generators == ((1, 1), (1, 2))
@@ -389,7 +387,7 @@ def test_value_objects_show_themselves_compare_only_to_their_kind_and_refuse_ass
     cone = Cone([(1, 0), (1, 2)], 2)
     values = {
         cone: "Cone([(1, 0), (1, 2)], rank=2)",
-        Fan([cone]): "Fan(4 cones, rank=2)",
+        Fan([cone], 2): "Fan(4 cones, rank=2)",
         tangent_filtration((1, 2), 2): "Filtration(2, [1: dim 1, 2: dim 0])",
         RationalSubspace(2, [(2, 4)]): "RationalSubspace(2, [(1, 2)])",
     }
@@ -578,15 +576,15 @@ def test_matched_walls_that_are_no_fan_fall_back_to_the_pair_check(cone_list, co
     assert set(wall_counts(tops).values()) == counts
     assert not fans._complete_by_walls(tops, tops[0].rank)
     with pytest.raises(FanValidationError):
-        Fan(cone_list)
+        Fan(cone_list, tops[0].rank)
 
 
 def test_complete_fans_are_proved_by_their_walls_alone(monkeypatch):
     """A complete simplicial fan makes no intersection; opposite rays are one in rank 1."""
     calls = count_pair_checks(monkeypatch)
-    line = Fan([Cone([(1,)], 1), Cone([(-1,)], 1)])
+    line = Fan([Cone([(1,)], 1), Cone([(-1,)], 1)], 1)
     assert [c.generators for c in line] == [(), ((-1,),), ((1,),)]
     assert fans._complete_by_walls(line.maximal_cones(), 1)
     assert len(projective_plane()) == 7
-    assert len(Fan(cross_polytope_cones(4))) == 81
+    assert len(Fan(cross_polytope_cones(4), 4)) == 81
     assert calls[0] == 0
